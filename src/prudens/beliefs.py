@@ -191,11 +191,9 @@ class ExplicitCPS:
         """
         table = {}
         for ev, _ in family.events:
-            total = sum((measure.get(c, Fraction(0)) for c in ev), Fraction(0))
-            if total == 0:
+            table[ev] = condition_measure(measure, ev)
+            if table[ev] is None:
                 raise BeliefError("event has zero prior mass")
-            table[ev] = {c: measure.get(c, Fraction(0)) / total
-                         for c in ev if measure.get(c, Fraction(0)) > 0}
         return cls(family, table)
 
     def conditional_ids(self, event_ids):
@@ -240,6 +238,16 @@ class ExplicitCPS:
                     for coid in sorted(ev)],
             })
         return out
+
+
+def condition_measure(measure, event_ids):
+    """A measure (coid -> Fraction) conditioned on an event, keeping its
+    positive masses; None when the event has zero mass."""
+    total = sum((measure.get(c, Fraction(0)) for c in event_ids), Fraction(0))
+    if total == 0:
+        return None
+    return {c: measure[c] / total
+            for c in event_ids if measure.get(c, Fraction(0)) > 0}
 
 
 def _path_text(h):
@@ -317,33 +325,10 @@ def _cautious_at_event(belief, ev, e_ids, warn_vacuous=False):
 
 
 def c_strongly_believes(belief, E):
-    """Cautious belief in E at every history not yet contradicting E.
-
-    Computed in the direct form and in the intersection form (conditional
-    mass of the complement intersected with the event first); the two must
-    agree, and disagreement would indicate a defect in the mass accounting.
-    """
+    """Cautious belief in E at every history not yet contradicting E."""
     e_ids = _event_ids(belief, E)
-    direct = all(_cautious_at_event(belief, ev, e_ids)
-                 for ev, _ in belief.family.events if e_ids & ev)
-    ix = c_strongly_believes_intersection_form(belief, e_ids)
-    if direct != ix:
-        raise BeliefError("belief operator forms disagree")
-    return direct
-
-
-def c_strongly_believes_intersection_form(belief, E):
-    e_ids = _event_ids(belief, E)
-    for ev, _ in belief.family.events:
-        inter = e_ids & ev
-        if not inter:
-            continue
-        comp = belief.mass_within(ev, (frozenset(ev) - e_ids) & ev)
-        for coid in inter:
-            single = belief.singleton_mass(ev, coid)
-            if not _mass_infinitely_greater(single, comp):
-                return False
-    return True
+    return all(_cautious_at_event(belief, ev, e_ids)
+               for ev, _ in belief.family.events if e_ids & ev)
 
 
 def strongly_believes(belief, E):

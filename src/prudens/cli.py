@@ -4,8 +4,10 @@
     prudens fuzz --seed N --count N [--jobs N] [--out-dir DIR]
     prudens fmt <files...> [--write]
 
-Exit status: 0 success, 2 usage problems, 3 parse diagnostics, 4 a
-cross-check violation (the offending game is written next to the report).
+Exit status: 0 success, 2 usage problems, 3 parse diagnostics, 4 an
+audit violation in ``verify``, ``ia``, ``pr-cnps``, ``pr-cps``,
+``reduced`` or ``fuzz`` (fuzz writes the shrunk offending game next to
+the report).
 File arguments that do not exist are also resolved against the bundled
 corpus (or ``$PRUDENS_CORPUS``); ``verify`` with no files runs the whole
 corpus.  Reports are deterministic for a fixed (input, configuration,
@@ -59,6 +61,9 @@ def _trace_entry(path, trace, timings):
 
 def _print_trace_table(report):
     for entry in report["results"]:
+        if "error" in entry:
+            print("== %s VIOLATION: %s" % (entry["file"], entry["error"]))
+            continue
         trace = entry["trace"]
         print("== %s [%s]" % (entry["file"], trace["procedure"]))
         for n, step in enumerate(trace["steps"]):
@@ -70,16 +75,18 @@ def _print_trace_table(report):
                  len(trace["exclusions"]), entry["all_verified"]))
 
 
-def _cmd_procedure(args, runner, reduced=False):
+def _cmd_procedure(args, runner):
     results = []
     status = 0
     for path, _doc, game in _load_games(args.files, args.max_strategies):
-        if reduced:
-            ia, pr = procedures.reduced_variants(game)
-            results.append(_trace_entry(path, ia, args.timings))
-            results.append(_trace_entry(path, pr, args.timings))
-        else:
-            results.append(_trace_entry(path, runner(game), args.timings))
+        try:
+            traces = runner(game)
+        except procedures.EquivalenceViolation as exc:
+            results.append({"file": path, "error": str(exc)})
+            status = 4
+            continue
+        results.extend(_trace_entry(path, trace, args.timings)
+                       for trace in traces)
     report = {"schema": SCHEMA, "command": args.command, "results": results}
     _emit(report, args.format, _print_trace_table)
     return status
@@ -295,15 +302,16 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code
     runners = {
-        "ia": procedures.iterated_admissibility,
-        "pr-cnps": procedures.prudent_rationalizability_cnps,
-        "pr-cps": procedures.prudent_rationalizability_cps,
+        "ia": lambda game: (procedures.iterated_admissibility(game),),
+        "pr-cnps": lambda game: (
+            procedures.prudent_rationalizability_cnps(game),),
+        "pr-cps": lambda game: (
+            procedures.prudent_rationalizability_cps(game),),
+        "reduced": procedures.reduced_variants,
     }
     try:
         if args.command in runners:
             return _cmd_procedure(args, runners[args.command])
-        if args.command == "reduced":
-            return _cmd_procedure(args, None, reduced=True)
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "fuzz":

@@ -54,7 +54,7 @@ class MixedStrategy:
 
 # -- engine (id-based) -------------------------------------------------
 
-class _Columns:
+class Columns:
     """Distinct payoff columns of player i over a co-player restriction."""
 
     __slots__ = ("co_ids", "groups", "value")
@@ -77,7 +77,7 @@ class _Columns:
 
 
 def _columns(form, i, q_sets, cols):
-    return cols if cols is not None else _Columns(form, i, q_sets)
+    return cols if cols is not None else Columns(form, i, q_sets)
 
 
 def dominating_mixture_ids(form, q_sets, i, sid, cols=None):
@@ -217,7 +217,7 @@ def iterated_elimination_ids(form):
         nxt = []
         changed = False
         for i in range(form.n):
-            cols = _Columns(form, i, q_sets)
+            cols = Columns(form, i, q_sets)
             keep = []
             for sid in current[i]:
                 mixture = dominating_mixture_ids(form, q_sets, i, sid, cols)

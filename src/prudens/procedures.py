@@ -1,24 +1,32 @@
 """Solution procedures with machine-checked traces.
 
-Three procedures are computed: iterated admissibility, and the two
-belief-based cautious procedures (one justifying strategies by
-conditional non-standard systems built from a full-support prior, one by
-explicit standard conditional systems with a support condition per
-history).  The belief-based step sets are decided through iterated
-admissibility; what makes the trace trustworthy is the audit attached to
-every entry:
+Iterated admissibility is run once per game, and the two belief-based
+cautious procedures (one justifying strategies by conditional
+non-standard systems built from a full-support prior, one by explicit
+standard conditional systems with a support condition per history) are
+audited against that one run.  Their step sets are decided through
+iterated admissibility; what makes the result trustworthy is the audit
+the run holds:
 
-* each surviving (step, player, strategy) triple stores a justifying
-  belief, rebuilt from scratch out of exact LP solutions and then
-  re-verified against the membership conditions themselves (belief
-  validity, the cautious strong-belief ladder or the per-history support
-  condition, and best-reply membership);
-* each eliminated triple stores a dominating mixture that re-verifies by
-  substitution, which certifies that no justifying belief can exist.
+* the steps, as product restrictions, computed once and shared by the
+  three traces;
+* one exclusion table, also shared: each eliminated (step, player,
+  strategy) triple stores a dominating mixture that re-verifies by
+  substitution, which certifies that no justifying belief can exist, and
+  the eliminated triples implied by consecutive steps must be exactly
+  the table's keys;
+* two witness families, each built by the same loop on first use: each
+  surviving (step, player, strategy) triple stores a justifying belief,
+  rebuilt from scratch out of exact LP solutions and then re-verified
+  against the membership conditions themselves (belief validity, the
+  cautious strong-belief ladder or the per-history support condition,
+  and best-reply membership).
 
-A verified trace is therefore an instance-level proof that the three
-procedures coincide step by step on the given game; any verification
-failure raises and is surfaced as an :class:`EquivalenceViolation`.
+The ``ia``, ``pr-cnps`` and ``pr-cps`` traces are views of that run, so
+a verified run is an instance-level proof that the three procedures
+coincide step by step on the given game.  Every audit failure raises an
+:class:`EquivalenceViolation` naming its step, player, strategy and
+failed checks.
 
 Justifying priors are assembled on an infinitesimal ladder: with
 admissible-at-every-earlier-round measures nu_0, ..., nu_{n-1} (supports
@@ -30,16 +38,15 @@ strategy allows); see the package docs for why the strict replacement
 form cannot support the step equalities.
 """
 
-import itertools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import best_reply, dominance
 from .beliefs import (BeliefError, ConditioningFamily, ExplicitCPS, PriorCNPS,
-                      c_strongly_believes, validate_chain_rule)
-from .game import format_path
-from .hyperreal import Hyperreal
+                      c_strongly_believes, condition_measure,
+                      validate_chain_rule)
+from .hyperreal import Hyperreal, HyperrealError
 
 
 class ProcedureError(Exception):
@@ -51,13 +58,24 @@ class WitnessVerificationFailed(ProcedureError):
 
 
 class EquivalenceViolation(ProcedureError):
-    """The procedures disagreed, or an audit entry failed, on one game."""
+    """An audit entry failed on one game.
 
-    def __init__(self, msg, step=None, player=None, strategy=None):
+    ``checks`` names the checks that failed, or the stage that raised
+    (``elimination``, ``justifiers``, ``belief-valid`` or ``audit``).
+    """
+
+    def __init__(self, msg, step=None, player=None, strategy=None,
+                 checks=()):
         super().__init__(msg)
         self.step = step
         self.player = player
         self.strategy = strategy
+        self.checks = list(checks)
+
+
+# Failures a witness or exclusion can raise while being built or audited.
+_AUDIT_ERRORS = (BeliefError, HyperrealError, best_reply.BestReplyError,
+                 dominance.DominanceError, WitnessVerificationFailed)
 
 
 PR_CNPS = "pr-cnps"
@@ -147,23 +165,37 @@ class ProcedureTrace:
 
 
 class _Run:
-    """Shared machinery for one game: elimination steps, justifier cache."""
+    """One audited run of a game: the elimination steps, their exclusion
+    table, and the witness families, each built on first use."""
 
-    def __init__(self, form):
+    def __init__(self, form, reduced=False):
         self.form = form
+        self.reduced = reduced
         t0 = time.perf_counter()
-        self.steps, self.certificates = dominance.iterated_elimination_ids(form)
+        try:
+            self.ids, certificates = dominance.iterated_elimination_ids(form)
+        except dominance.DominanceError as exc:
+            raise EquivalenceViolation(str(exc), checks=["elimination"]) \
+                from exc
         self.elimination_seconds = time.perf_counter() - t0
-        self.fixpoint = len(self.steps) - 2
+        self.fixpoint = len(self.ids) - 2
         self.degree_bound = self.fixpoint + 1
-        self._justifiers = {}
+        self.steps = [form.restriction_from_ids(step) for step in self.ids]
+        self.families = [ConditioningFamily(form.game, i, form)
+                         for i in range(form.n)]
+        self.cps_tables = {}
+        self._q_sets = [[frozenset(part) for part in step]
+                        for step in self.ids]
         self._columns = {}
+        self._justifiers = {}
+        self._witnesses = {}
+        self.exclusions = self._exclusions(certificates)
 
     def _level_columns(self, i, level):
         key = (i, level)
         if key not in self._columns:
-            q_sets = [frozenset(part) for part in self.steps[level]]
-            self._columns[key] = dominance._Columns(self.form, i, q_sets)
+            self._columns[key] = dominance.Columns(self.form, i,
+                                                   self._q_sets[level])
         return self._columns[key]
 
     def co_event(self, i, level):
@@ -175,7 +207,7 @@ class _Run:
         which sid is a best reply among all own strategies."""
         key = (i, sid, level)
         if key not in self._justifiers:
-            q_sets = [frozenset(part) for part in self.steps[level]]
+            q_sets = self._q_sets[level]
             cols = self._level_columns(i, level)
             measure = dominance.justifier_ids(self.form, q_sets, i, sid, cols)
             if measure is not None and not dominance.measure_justifies_ids(
@@ -193,30 +225,89 @@ class _Run:
                 % (level, self.form.strats[i][sid]))
         return measure
 
-    def witness_steps(self):
-        """Steps carrying witnesses: 1..N+1 (one past stabilization, so the
-        final witnesses honor the full ladder of surviving sets)."""
-        return range(1, self.fixpoint + 2)
+    def _violation(self, what, n, i, strategy, checks, exc=None):
+        msg = "%s at step %d for %s of player %s failed: %s" % (
+            what, n, strategy.name(), self.form.game.players[i],
+            ", ".join(checks))
+        if exc is not None:
+            msg += " (%s: %s)" % (type(exc).__name__, exc)
+        return EquivalenceViolation(msg, step=n, player=i, strategy=strategy,
+                                    checks=checks)
 
+    def _exclusions(self, certificates):
+        """Re-check every dominance certificate by substitution, and check
+        that the certificates cover exactly the eliminated strategies."""
+        form = self.form
+        table = {}
+        for (n, i, sid), mixture in certificates.items():
+            strategy = form.strats[i][sid]
+            if not dominance.mixture_dominates_ids(
+                    form, self._q_sets[n - 1], i, sid, mixture,
+                    self._level_columns(i, n - 1)):
+                raise self._violation("exclusion", n, i, strategy,
+                                      ["dominance-substitution"])
+            table[(n, i, strategy)] = ExclusionRecord(
+                step=n, player=i, strategy=strategy,
+                mixture={form.strats[i][r]: w for r, w in mixture.items()},
+                checks=[("dominance-substitution", True)])
+        eliminated = {(n, i, form.strats[i][sid])
+                      for n in range(1, len(self.ids))
+                      for i in range(form.n)
+                      for sid in set(self.ids[n - 1][i]) - set(self.ids[n][i])}
+        mismatched = eliminated ^ set(table)
+        if mismatched:
+            n, i, strategy = min(mismatched,
+                                 key=lambda k: (k[0], k[1], k[2].choices))
+            raise self._violation("exclusion", n, i, strategy,
+                                  ["exclusion-coverage"])
+        return table
 
-def _exclusion_records(run, trace):
-    form = run.form
-    for (n, i, sid), mixture in run.certificates.items():
-        strategy = form.strats[i][sid]
-        q_sets = [frozenset(part) for part in run.steps[n - 1]]
-        ok = dominance.mixture_dominates_ids(form, q_sets, i, sid, mixture)
-        rec = ExclusionRecord(
-            step=n, player=i, strategy=strategy,
-            mixture={form.strats[i][r]: w for r, w in mixture.items()},
-            checks=[("dominance-substitution", ok)])
-        if not ok:
-            raise WitnessVerificationFailed(
-                "stored dominating mixture failed substitution")
-        trace.exclusions[(n, i, strategy)] = rec
+    def witnesses(self, procedure):
+        """(witness table, seconds to build it) of a belief procedure.
 
+        Witnesses are carried by steps 1..N+1 (one past stabilization, so
+        the final witnesses honor the full ladder of surviving sets).
+        """
+        if procedure not in self._witnesses:
+            t0 = time.perf_counter()
+            assemble, build, audit = _FAMILIES[procedure]
+            form = self.form
+            table = {}
+            for n in range(1, self.fixpoint + 2):
+                for i in range(form.n):
+                    for sid in self.ids[n][i]:
+                        strategy = form.strats[i][sid]
+                        stage = "justifiers"
+                        try:
+                            data = assemble(self, i, sid, n)
+                            stage = "belief-valid"
+                            belief = build(self.families[i], data)
+                            stage = "audit"
+                            checks = audit(self, belief, i, sid, n)
+                        except _AUDIT_ERRORS as exc:
+                            raise self._violation(
+                                procedure + " witness", n, i, strategy,
+                                [stage], exc) from exc
+                        failed = [name for name, ok in checks if not ok]
+                        if failed:
+                            raise self._violation(
+                                procedure + " witness", n, i, strategy,
+                                failed)
+                        table[(n, i, strategy)] = WitnessRecord(
+                            n, i, strategy, belief, checks)
+            self._witnesses[procedure] = (table, time.perf_counter() - t0)
+        return self._witnesses[procedure]
 
-def _restrictions(run):
-    return [run.form.restriction_from_ids(step) for step in run.steps]
+    def trace(self, procedure):
+        """The procedure's view of this run: the shared steps and
+        exclusions, and the procedure's own witnesses."""
+        timings = {"elimination_seconds": self.elimination_seconds}
+        witnesses = {}
+        if procedure != IA:
+            witnesses, timings["witness_seconds"] = self.witnesses(procedure)
+        return ProcedureTrace(procedure, self.form.game, self.steps,
+                              self.fixpoint, witnesses, self.exclusions,
+                              self.reduced, timings)
 
 
 def iterated_admissibility(game):
@@ -225,15 +316,7 @@ def iterated_admissibility(game):
     The trace records one confirming step beyond the fixpoint, and a
     dominating-mixture certificate for every eliminated strategy.
     """
-    return _iterated_admissibility(_Run(game.strategic_form()), game)
-
-
-def _iterated_admissibility(run, game, reduced=False):
-    trace = ProcedureTrace(IA, game, _restrictions(run), run.fixpoint,
-                           reduced=reduced)
-    trace.timings["elimination_seconds"] = run.elimination_seconds
-    _exclusion_records(run, trace)
-    return trace
+    return _Run(game.strategic_form()).trace(IA)
 
 
 # -- prior-generated (non-standard) witnesses ---------------------------
@@ -261,7 +344,7 @@ def _ladder_prior(run, i, sid, step):
     return prior
 
 
-def _verify_cnps_witness(run, family, belief, i, sid, step):
+def _verify_cnps_witness(run, belief, i, sid, step):
     checks = []
     ok_support = all(belief.prior[coid] > 0 for coid in belief.prior)
     total = Hyperreal.zero(belief.degree_bound)
@@ -285,75 +368,37 @@ def prudent_rationalizability_cnps(game):
     stored prior is re-verified against the membership conditions and
     every eliminated strategy carries a dominance certificate.
     """
-    return _pr_cnps(_Run(game.strategic_form()), game)
-
-
-def _pr_cnps(run, game, reduced=False):
-    form = run.form
-    t0 = time.perf_counter()
-    trace = ProcedureTrace(PR_CNPS, game, _restrictions(run), run.fixpoint,
-                           reduced=reduced)
-    _exclusion_records(run, trace)
-    families = [ConditioningFamily(game, i, form) for i in range(form.n)]
-    for n in run.witness_steps():
-        for i in range(form.n):
-            for sid in run.steps[n][i]:
-                prior = _ladder_prior(run, i, sid, n)
-                try:
-                    belief = PriorCNPS(families[i], prior)
-                except BeliefError as exc:
-                    raise WitnessVerificationFailed(str(exc))
-                checks = _verify_cnps_witness(run, families[i], belief,
-                                              i, sid, n)
-                strategy = form.strats[i][sid]
-                rec = WitnessRecord(n, i, strategy, belief, checks)
-                trace.witnesses[(n, i, strategy)] = rec
-                if not rec.verified():
-                    raise WitnessVerificationFailed(
-                        "witness for %r at step %d failed: %s"
-                        % (strategy, n,
-                           [name for name, ok in checks if not ok]))
-    trace.timings["witness_seconds"] = time.perf_counter() - t0
-    trace.timings["elimination_seconds"] = run.elimination_seconds
-    return trace
+    return _Run(game.strategic_form()).trace(PR_CNPS)
 
 
 # -- explicit standard witnesses ----------------------------------------
 
-def _cps_witness_table(run, family, i, sid, step, cache):
+def _cps_witness_table(run, i, sid, step):
     """Conditioning of the round-(n-1) justifier, falling back to the
     previous step's witness at events its support cannot reach."""
     key = (i, sid, step)
-    if key in cache:
-        return cache[key]
-    form = run.form
-    measure = run.required_justifier(i, sid, step - 1)
-    fallback = None
-    table = {}
-    for ev, _ in family.events:
-        total = sum((measure.get(c, Fraction(0)) for c in ev), Fraction(0))
-        if total > 0:
-            table[ev] = {c: measure[c] / total
-                         for c in ev if measure.get(c, Fraction(0)) > 0}
-        else:
-            if fallback is None:
+    if key not in run.cps_tables:
+        measure = run.required_justifier(i, sid, step - 1)
+        table = {}
+        for ev, _ in run.families[i].events:
+            table[ev] = condition_measure(measure, ev)
+            if table[ev] is None:
                 if step < 2:
                     raise WitnessVerificationFailed(
                         "full-support justifier missed an event")
-                fallback = _cps_witness_table(run, family, i, sid,
-                                              step - 1, cache)
-            table[ev] = dict(fallback[ev])
-    cache[key] = table
-    return table
+                table[ev] = dict(_cps_witness_table(run, i, sid,
+                                                    step - 1)[ev])
+        run.cps_tables[key] = table
+    return run.cps_tables[key]
 
 
-def _verify_cps_witness(run, family, belief, i, sid, step):
+def _verify_cps_witness(run, belief, i, sid, step):
     checks = []
     ok, violations = validate_chain_rule(belief)
     checks.append(("chain-rule", ok and not violations))
     survivors = run.co_event(i, step - 1)
     ok_support = True
-    for ev, _ in family.events:
+    for ev, _ in belief.family.events:
         required = survivors & ev
         if required and belief.support(ev) != required:
             ok_support = False
@@ -372,83 +417,42 @@ def prudent_rationalizability_cps(game):
     survivors and are re-verified against the chain rule, the support
     condition at every history, and best-reply membership.
     """
-    return _pr_cps(_Run(game.strategic_form()), game)
+    return _Run(game.strategic_form()).trace(PR_CPS)
 
 
-def _pr_cps(run, game, reduced=False):
-    form = run.form
-    t0 = time.perf_counter()
-    trace = ProcedureTrace(PR_CPS, game, _restrictions(run), run.fixpoint,
-                           reduced=reduced)
-    _exclusion_records(run, trace)
-    families = [ConditioningFamily(game, i, form) for i in range(form.n)]
-    cache = {}
-    for n in run.witness_steps():
-        for i in range(form.n):
-            for sid in run.steps[n][i]:
-                table = _cps_witness_table(run, families[i], i, sid, n, cache)
-                try:
-                    belief = ExplicitCPS(families[i], table)
-                except BeliefError as exc:
-                    raise WitnessVerificationFailed(str(exc))
-                checks = _verify_cps_witness(run, families[i], belief,
-                                             i, sid, n)
-                strategy = form.strats[i][sid]
-                rec = WitnessRecord(n, i, strategy, belief, checks)
-                trace.witnesses[(n, i, strategy)] = rec
-                if not rec.verified():
-                    raise WitnessVerificationFailed(
-                        "witness for %r at step %d failed: %s"
-                        % (strategy, n,
-                           [name for name, ok in checks if not ok]))
-    trace.timings["witness_seconds"] = time.perf_counter() - t0
-    trace.timings["elimination_seconds"] = run.elimination_seconds
-    return trace
+# Per witness family: assemble the belief's data from justifiers, build
+# the belief, audit it.  The classes are looked up when called, so that
+# replacing the module attribute takes effect.
+_FAMILIES = {
+    PR_CNPS: (_ladder_prior, lambda family, prior: PriorCNPS(family, prior),
+              _verify_cnps_witness),
+    PR_CPS: (_cps_witness_table,
+             lambda family, table: ExplicitCPS(family, table),
+             _verify_cps_witness),
+}
 
 
 # -- cross-verification --------------------------------------------------
 
 def verify_equivalences(game):
-    """Run all three procedures and machine-check their agreement.
+    """Run the audited elimination once and view it as all three
+    procedures.
 
-    Returns a report of per-step sizes, the fixpoint index, and audit
-    counts.  Raises EquivalenceViolation (carrying the first offending
-    step and strategy) if the step sets disagree or any stored witness or
-    exclusion certificate fails verification.
+    Returns the fixpoint index N, the per-step sizes, the witness count of
+    each procedure, the exclusion count, whether every record verified,
+    and the three traces under ``"traces"``; the traces share one step
+    list and one exclusion table.  Raises EquivalenceViolation, naming
+    the step, player, strategy and failed checks, if any witness or
+    exclusion fails its audit.
     """
-    form = game.strategic_form()
-    try:
-        run = _Run(form)
-        ia = _iterated_admissibility(run, game)
-        cnps = _pr_cnps(run, game)
-        cps = _pr_cps(run, game)
-    except (WitnessVerificationFailed, dominance.DominanceError) as exc:
-        raise EquivalenceViolation(str(exc))
-    traces = {IA: ia, PR_CNPS: cnps, PR_CPS: cps}
-    for name, trace in traces.items():
-        if len(trace.steps) != len(ia.steps):
-            raise EquivalenceViolation("step count mismatch in %s" % name)
-        for n, (a, b) in enumerate(zip(ia.steps, trace.steps)):
-            if a != b:
-                raise EquivalenceViolation(
-                    "step %d sets differ between ia and %s" % (n, name),
-                    step=n)
-        for key, rec in trace.witnesses.items():
-            if not rec.verified():
-                raise EquivalenceViolation(
-                    "unverified witness", step=key[0], player=key[1],
-                    strategy=key[2])
-        for key, rec in trace.exclusions.items():
-            if not rec.verified():
-                raise EquivalenceViolation(
-                    "unverified exclusion", step=key[0], player=key[1],
-                    strategy=key[2])
+    run = _Run(game.strategic_form())
+    traces = {name: run.trace(name) for name in (IA, PR_CNPS, PR_CPS)}
     return {
         "fixpoint": run.fixpoint,
-        "step_sizes": ia.step_sizes(),
+        "step_sizes": traces[IA].step_sizes(),
         "witnesses": {name: len(trace.witnesses)
                       for name, trace in traces.items()},
-        "exclusions": len(ia.exclusions),
+        "exclusions": len(run.exclusions),
         "all_verified": all(trace.all_verified()
                             for trace in traces.values()),
         "traces": traces,
@@ -474,19 +478,9 @@ def reduced_variants(game):
     """The elimination pair over behavioral-equivalence classes.
 
     Runs iterated admissibility and the prior-based cautious procedure on
-    class representatives, using the weak sequential correspondence; the
-    traces' step sets must agree, and all witnesses are audited as in the
+    class representatives, using the weak sequential correspondence; both
+    traces view one audited run, whose witnesses are audited as in the
     full runs.
     """
-    rform = game.reduced_form()
-    run = _Run(rform)
-    ia = _iterated_admissibility(run, game, reduced=True)
-    try:
-        pr = _pr_cnps(run, game, reduced=True)
-    except WitnessVerificationFailed as exc:
-        raise EquivalenceViolation(str(exc))
-    for n, (a, b) in enumerate(zip(ia.steps, pr.steps)):
-        if a != b:
-            raise EquivalenceViolation(
-                "reduced step %d sets differ" % n, step=n)
-    return ia, pr
+    run = _Run(game.reduced_form(), reduced=True)
+    return run.trace(IA), run.trace(PR_CNPS)

@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import sympy
 
+from prudens.hyperreal import Hyperreal, infinitely_greater
+
 
 def tree_walk_payoff(game, profile, i):
     """Payoff by literal recursive descent through the history tree."""
@@ -205,6 +207,24 @@ def sympy_cautiously_believes(belief, h, event_ids):
         single = sympy_value(belief.prior[coid], eps)
         if sympy_standard_part(sympy.simplify(comp / single), eps) != 0:
             return False
+    return True
+
+
+def c_strongly_believes_intersection_form(belief, event_ids):
+    """Cautious strong belief in an event (a set of co-profile ids), with
+    the complement's mass taken over (ev - E) & ev at each event ev."""
+    for ev, _ in belief.family.events:
+        inter = event_ids & ev
+        if not inter:
+            continue
+        comp = belief.mass_within(ev, (frozenset(ev) - event_ids) & ev)
+        for coid in inter:
+            single = belief.singleton_mass(ev, coid)
+            if isinstance(single, Hyperreal):
+                if not infinitely_greater(single, comp):
+                    return False
+            elif not (single > 0 and comp == 0):
+                return False
     return True
 
 

@@ -17,7 +17,6 @@ import pytest
 
 from prudens import cli, corpus, dominance, dsl, generator
 from prudens.beliefs import (VacuousEventWarning, c_strongly_believes,
-                             c_strongly_believes_intersection_form,
                              cautiously_believes, weakly_believes)
 from prudens.best_reply import ReplyAnalysis
 from prudens.hyperreal import (Hyperreal, infinitely_greater,
@@ -26,6 +25,7 @@ from prudens.procedures import (iterated_admissibility,
                                 prudent_rationalizability_cnps,
                                 reduced_variants, verify_equivalences)
 
+from oracles import c_strongly_believes_intersection_form
 from test_beliefs import random_prior
 from test_cli import run_cli
 
@@ -137,7 +137,7 @@ def test_04_dual_route_equivalence(corpus_games):
             q_sets = [frozenset(form.index[i][s] for s in Q.part(i))
                       for i in range(form.n)]
             for i in range(form.n):
-                cols = dominance._Columns(form, i, q_sets)
+                cols = dominance.Columns(form, i, q_sets)
                 for sid in sorted(q_sets[i]):
                     dominated = dominance.dominating_mixture_ids(
                         form, q_sets, i, sid, cols)

@@ -8,14 +8,14 @@ from fractions import Fraction
 from prudens import dsl
 from prudens.beliefs import (BeliefError, ConditioningFamily, ExplicitCPS,
                              PriorCNPS, UnknownHistory, VacuousEventWarning,
-                             c_strongly_believes,
-                             c_strongly_believes_intersection_form,
-                             cautiously_believes, strongly_believes,
-                             validate_chain_rule, weakly_believes)
+                             c_strongly_believes, cautiously_believes,
+                             strongly_believes, validate_chain_rule,
+                             weakly_believes)
 from prudens.hyperreal import Hyperreal
 
 from conftest import small_games
-from oracles import (sympy_cautiously_believes, sympy_chain_rule_holds,
+from oracles import (c_strongly_believes_intersection_form,
+                     sympy_cautiously_believes, sympy_chain_rule_holds,
                      sympy_conditional)
 
 import sympy

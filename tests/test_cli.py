@@ -72,6 +72,44 @@ class TestProcedureCommands:
         assert all(r["trace"]["reduced"] for r in report["results"])
 
 
+class TestAuditFailures:
+    """An audit failure in one file is reported as a VIOLATION with exit
+    code 4, never as a traceback."""
+
+    @staticmethod
+    def _break(command, monkeypatch):
+        from prudens import dominance
+        if command == "ia":
+            real = dominance.iterated_elimination_ids
+
+            def drop_certificate(form):
+                steps, certificates = real(form)
+                certificates.pop(next(iter(certificates)))
+                return steps, certificates
+
+            monkeypatch.setattr(dominance, "iterated_elimination_ids",
+                                drop_certificate)
+        else:
+            monkeypatch.setattr(dominance, "measure_justifies_ids",
+                                lambda *args, **kwargs: False)
+
+    @pytest.mark.parametrize("command,check", [
+        ("ia", "exclusion-coverage"), ("pr-cnps", "justifiers"),
+        ("pr-cps", "justifiers"), ("reduced", "justifiers")])
+    def test_violation_exit_code(self, command, check, monkeypatch):
+        self._break(command, monkeypatch)
+        code, out = run_cli([command, "weak_dom_2x2.seqgame",
+                             "--format", "json"])
+        assert code == 4
+        (entry,) = json.loads(out)["results"]
+        assert set(entry) == {"file", "error"}
+        assert check in entry["error"]
+        assert entry["file"].endswith("weak_dom_2x2.seqgame")
+        code, out = run_cli([command, "weak_dom_2x2.seqgame"])
+        assert code == 4
+        assert "VIOLATION" in out
+
+
 class TestFuzzCommand:
     def test_deterministic_reports(self):
         code1, out1 = run_cli(["fuzz", "--seed", "11", "--count", "25",
@@ -114,6 +152,25 @@ class TestFuzzCommand:
             # the shrunk artifact still triggers the injected failure
             with pytest.raises(EquivalenceViolation):
                 tripwire(game)
+
+
+    def test_audit_error_is_recorded_and_shrunk(self, tmp_path, monkeypatch):
+        from prudens import procedures
+        from prudens.beliefs import BeliefError
+
+        def broken(cps):
+            raise BeliefError("injected")
+
+        monkeypatch.setattr(procedures, "validate_chain_rule", broken)
+        code, out = run_cli(["fuzz", "--seed", "5", "--count", "4",
+                             "--jobs", "2", "--format", "json",
+                             "--out-dir", str(tmp_path)])
+        assert code == 4
+        report = json.loads(out)
+        assert len(report["violations"]) == 4
+        assert all("BeliefError: injected" in v["error"]
+                   for v in report["violations"])
+        assert len(list(tmp_path.glob("counterexample-*.seqgame"))) == 4
 
 
 class TestFmt:

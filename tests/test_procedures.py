@@ -64,6 +64,49 @@ class TestVerifyEquivalences:
         monkeypatch.setattr(dom, "justifier_ids", original)
         assert verify_equivalences(game)["all_verified"]
 
+    def test_audit_error_names_its_entry(self, corpus_games, monkeypatch):
+        from prudens import procedures
+        from prudens.beliefs import BeliefError
+
+        def broken(cps):
+            raise BeliefError("injected")
+
+        monkeypatch.setattr(procedures, "validate_chain_rule", broken)
+        game = corpus_games["weak_dom_2x2"]
+        with pytest.raises(EquivalenceViolation) as info:
+            verify_equivalences(game)
+        exc = info.value
+        assert (exc.step, exc.player, exc.checks) == (1, 0, ["audit"])
+        assert exc.strategy in game.strategies(0)
+        assert "pr-cps witness" in str(exc)
+        assert "BeliefError: injected" in str(exc)
+
+    def test_failed_checks_are_named(self, corpus_games, monkeypatch):
+        from prudens import procedures
+        monkeypatch.setattr(procedures, "c_strongly_believes",
+                            lambda belief, event: False)
+        with pytest.raises(EquivalenceViolation) as info:
+            prudent_rationalizability_cnps(corpus_games["weak_dom_2x2"])
+        assert info.value.checks == ["c-strong-belief-in-round-0-survivors"]
+        assert info.value.step == 1
+
+    def test_traces_share_steps_and_exclusions(self, corpus_games):
+        report = verify_equivalences(corpus_games["centipede_3"])
+        ia, cnps, cps = (report["traces"][name]
+                         for name in ("ia", "pr-cnps", "pr-cps"))
+        assert ia.steps is cnps.steps is cps.steps
+        assert ia.exclusions is cnps.exclusions is cps.exclusions
+        assert not ia.witnesses
+
+    def test_cnps_builds_no_cps_witness(self, corpus_games, monkeypatch):
+        from prudens import procedures
+
+        def refuse(family, table):
+            raise AssertionError("a CPS witness was built")
+
+        monkeypatch.setattr(procedures, "ExplicitCPS", refuse)
+        for game in corpus_games.values():
+            assert prudent_rationalizability_cnps(game).all_verified()
 
 class TestCnpsWitnesses:
     def test_ladder_priors_have_epsilon_tails(self, corpus_games):
