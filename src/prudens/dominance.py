@@ -205,7 +205,9 @@ def iterated_elimination_ids(form):
     Returns (steps, certificates): ``steps[n]`` is the per-player tuple of
     surviving ids after n rounds, including one confirming round equal to
     its predecessor; ``certificates[(n, i, sid)]`` is the dominating
-    mixture that removed sid at round n.
+    mixture that removed sid at round n.  The certificates are not
+    substituted here: ``procedures`` audits each one once, against the
+    same columns, as the run's ``dominance-substitution`` check.
     """
     current = [tuple(range(form.counts[i])) for i in range(form.n)]
     steps = [tuple(current)]
@@ -224,10 +226,6 @@ def iterated_elimination_ids(form):
                 if mixture is None:
                     keep.append(sid)
                 else:
-                    if not mixture_dominates_ids(form, q_sets, i, sid,
-                                                 mixture, cols):
-                        raise DominanceError(
-                            "dominating mixture failed substitution check")
                     certificates[(n, i, sid)] = mixture
                     changed = True
             if not keep:

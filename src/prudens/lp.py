@@ -1,13 +1,27 @@
-"""Exact rational linear programming by two-phase tableau simplex.
+"""Exact linear programming by a fraction-free two-phase tableau simplex.
 
 Problems are in standard equality form: maximize c.x subject to A x = b,
-x >= 0, with every entry a Fraction.  Bland's smallest-index rule is used
-for both the entering and leaving choice, so the solver cannot cycle and
-is deterministic.  Results carry certificates that re-verify by plain
-substitution: a feasible optimal point, or a Farkas witness y with
+x >= 0, with every entry a Fraction (or int).  Bland's smallest-index rule
+is used for both the entering and leaving choice, so the solver cannot
+cycle and is deterministic.  Results carry certificates that re-verify by
+plain substitution: a feasible optimal point, or a Farkas witness y with
 y.A <= 0 and y.b > 0 for infeasible systems.
+
+The tableau holds integers.  Every constraint row and the rhs are
+multiplied by one common denominator L (artificial columns keep their
+coefficient 1), and the phase-2 costs by the common denominator of the
+objective.  Each row of the integer tableau, and the z row, is D times
+the scaled problem's rational tableau row, where D > 0 is the absolute
+determinant of the current basis; a pivot divides by the previous D
+exactly (Edmonds 1967, Bareiss 1968).  The pivot sequence is the
+rational simplex's: scaling all rows by one L multiplies the phase-1
+objective by L and every ratio of a ratio test by the same factor, and
+D > 0 changes no sign, so each comparison Bland's rule makes has the
+same outcome.  Points, values and Farkas witnesses are read back as
+Fractions over D.  docs/exactness.md gives both arguments in full.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,33 +75,48 @@ class LPResult:
         return False
 
 
-def _pivot(a, zrow, basis, r, c, last):
-    """In-place Gauss-Jordan step on row r, column c (rhs at index last)."""
-    row = a[r]
-    piv = row[c]
-    if piv != 1:
-        inv = ONE / piv
-        for j in range(last + 1):
-            if row[j]:
-                row[j] *= inv
-    hot = [j for j in range(last + 1) if row[j]]
-    for other in a:
-        if other is row:
+def _scale(values):
+    """The least positive integer turning every entry of values integral."""
+    return math.lcm(*{v.denominator for v in values})
+
+
+def _integral(values, scale):
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _pivot(rows, r, c, det):
+    """Fraction-free pivot on rows[r][c]; returns the new determinant.
+
+    Every row holds ``det`` times its rational tableau row, and keeps
+    holding the new determinant times it: the division by ``det`` is
+    exact by Sylvester's identity.  A negative pivot flips every sign, so
+    the determinant stays positive and no comparison changes direction.
+    """
+    prow = rows[r]
+    piv = prow[c]
+    for i, row in enumerate(rows):
+        if i == r:
             continue
-        f = other[c]
+        f = row[c]
         if f:
-            for j in hot:
-                other[j] -= f * row[j]
-    f = zrow[c]
-    if f:
-        for j in hot:
-            zrow[j] -= f * row[j]
-    basis[r] = c
+            rows[i] = [(a * piv - f * b) // det for a, b in zip(row, prow)]
+        elif piv != det:
+            rows[i] = [a * piv // det for a in row]
+    if piv < 0:
+        for i, row in enumerate(rows):
+            rows[i] = [-a for a in row]
+        piv = -piv
+    return piv
 
 
-def _iterate(a, zrow, basis, ncols, last):
-    """Bland-rule simplex until optimal or unbounded."""
-    m = len(a)
+def _iterate(tab, basis, ncols, det):
+    """Bland-rule simplex until optimal or unbounded.
+
+    ``tab`` holds the constraint rows and then the z row, rhs last.
+    Returns (status, determinant).
+    """
+    m = len(tab) - 1
+    zrow = tab[m]
     while True:
         enter = -1
         for j in range(ncols):
@@ -95,13 +124,13 @@ def _iterate(a, zrow, basis, ncols, last):
                 enter = j
                 break
         if enter < 0:
-            return "optimal"
+            return "optimal", det
         leave = -1
         best_n = best_d = None  # best ratio as exact pair, compared crosswise
         for r in range(m):
-            coef = a[r][enter]
+            coef = tab[r][enter]
             if coef > 0:
-                num = a[r][last]
+                num = tab[r][-1]
                 if leave < 0:
                     better = True
                 else:
@@ -112,25 +141,10 @@ def _iterate(a, zrow, basis, ncols, last):
                 if better:
                     best_n, best_d, leave = num, coef, r
         if leave < 0:
-            return "unbounded"
-        _pivot(a, zrow, basis, leave, enter, last)
-
-
-def _rebuild_zrow(a, basis, costs, ncols, last):
-    zrow = [-c for c in costs] + [ZERO]
-    for r, row in enumerate(a):
-        cb = costs[basis[r]]
-        if cb:
-            for j in range(ncols):
-                if row[j]:
-                    zrow[j] += cb * row[j]
-            zrow[ncols] += cb * row[last]
-    # squeeze the z row to tableau width
-    out = [ZERO] * (last + 1)
-    for j in range(ncols):
-        out[j] = zrow[j]
-    out[last] = zrow[ncols]
-    return out
+            return "unbounded", det
+        det = _pivot(tab, leave, enter, det)
+        basis[leave] = enter
+        zrow = tab[m]
 
 
 def solve(problem):
@@ -138,48 +152,59 @@ def solve(problem):
     problem.check()
     n = len(problem.objective)
     m = len(problem.rows)
-    a = []
+    scale = _scale([v for row in problem.rows for v in row]
+                   + list(problem.rhs))
+    tab = []
     for r, (row, b) in enumerate(zip(problem.rows, problem.rhs)):
-        flip = b < 0
-        body = [-v if flip else Fraction(v) for v in row]
-        body += [ONE if k == r else ZERO for k in range(m)]
-        body.append(-b if flip else Fraction(b))
-        a.append(body)
-    last = n + m
+        body = _integral(list(row) + [b], scale)
+        if b < 0:
+            body = [-v for v in body]
+        tab.append(body[:n] + [1 if k == r else 0 for k in range(m)]
+                   + body[n:])
     basis = [n + r for r in range(m)]
 
     # phase 1: maximize -(sum of artificials); initial basis is artificial
-    costs1 = [ZERO] * n + [Fraction(-1)] * m
-    zrow = _rebuild_zrow(a, basis, costs1, n + m, last)
-    status = _iterate(a, zrow, basis, n + m, last)
+    zrow = [-sum(col) for col in zip(*tab)] if tab else [0] * (n + 1)
+    zrow[n:n + m] = [0] * m
+    tab.append(zrow)
+    status, det = _iterate(tab, basis, n + m, 1)
     assert status == "optimal"  # phase-1 objective is bounded above by 0
-    if zrow[last] < 0:  # artificial mass left: infeasible
-        y = [ONE - zrow[n + k] for k in range(m)]
+    zrow = tab.pop()
+    if zrow[-1] < 0:  # artificial mass left: infeasible
+        y = [ONE - Fraction(zrow[n + k], det) for k in range(m)]
         for k, b in enumerate(problem.rhs):
             if b < 0:
                 y[k] = -y[k]
         return LPResult(status="infeasible", farkas=y)
 
+    # the artificial columns are never read again
+    tab = [row[:n] + row[-1:] for row in tab]
     # drive zero-level artificials out of the basis, drop redundant rows
     r = 0
-    while r < len(a):
+    while r < len(tab):
         if basis[r] >= n:
-            piv = next((j for j in range(n) if a[r][j] != 0), None)
+            piv = next((j for j in range(n) if tab[r][j] != 0), None)
             if piv is None:
-                del a[r]
+                del tab[r]
                 del basis[r]
                 continue
-            _pivot(a, zrow, basis, r, piv, last)
+            det = _pivot(tab, r, piv, det)
+            basis[r] = piv
         r += 1
 
     # phase 2 on structural columns
-    costs2 = list(problem.objective)
-    zrow = _rebuild_zrow(a, basis, costs2, n, last)
-    status = _iterate(a, zrow, basis, n, last)
+    costs = _integral(problem.objective, _scale(problem.objective))
+    zrow = [-det * c for c in costs] + [0]
+    for j, row in zip(basis, tab):
+        cb = costs[j]
+        if cb:
+            zrow = [z + cb * v for z, v in zip(zrow, row)]
+    tab.append(zrow)
+    status, det = _iterate(tab, basis, n, det)
     if status == "unbounded":
         return LPResult(status="unbounded")
     x = [ZERO] * n
-    for r, j in enumerate(basis):
-        x[j] = a[r][last]
+    for row, j in zip(tab, basis):
+        x[j] = Fraction(row[-1], det)
     value = sum(c * v for c, v in zip(problem.objective, x))
     return LPResult(status="optimal", x=x, value=value)

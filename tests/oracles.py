@@ -2,7 +2,10 @@
 
 Everything here recomputes results from first principles (tree walks,
 exhaustive enumeration, vertex enumeration, symbolic limits) and shares no
-decision logic with the library implementations it checks.
+decision logic with the library implementations it checks.  The one
+exception is ``fraction_simplex``, the rational tableau simplex that
+``lp.solve`` replaces with integer pivoting: it takes the same Bland-rule
+pivots on purpose, so the two must agree exactly, result for result.
 """
 
 import itertools
@@ -10,6 +13,7 @@ from fractions import Fraction
 
 import sympy
 
+from prudens import lp
 from prudens.hyperreal import Hyperreal, infinitely_greater
 
 
@@ -252,3 +256,133 @@ def sympy_chain_rule_holds(belief):
                 if sympy.simplify(lhs - rhs) != 0:
                     return False
     return True
+
+# -- rational simplex ----------------------------------------------------
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _fraction_pivot(a, zrow, basis, r, c, last):
+    """In-place Gauss-Jordan step on row r, column c (rhs at index last)."""
+    row = a[r]
+    piv = row[c]
+    if piv != 1:
+        inv = _ONE / piv
+        for j in range(last + 1):
+            if row[j]:
+                row[j] *= inv
+    hot = [j for j in range(last + 1) if row[j]]
+    for other in a:
+        if other is row:
+            continue
+        f = other[c]
+        if f:
+            for j in hot:
+                other[j] -= f * row[j]
+    f = zrow[c]
+    if f:
+        for j in hot:
+            zrow[j] -= f * row[j]
+    basis[r] = c
+
+
+def _fraction_iterate(a, zrow, basis, ncols, last):
+    """Bland-rule simplex until optimal or unbounded."""
+    m = len(a)
+    while True:
+        enter = -1
+        for j in range(ncols):
+            if zrow[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            return "optimal"
+        leave = -1
+        best_n = best_d = None  # best ratio as exact pair, compared crosswise
+        for r in range(m):
+            coef = a[r][enter]
+            if coef > 0:
+                num = a[r][last]
+                if leave < 0:
+                    better = True
+                else:
+                    lhs = num * best_d
+                    rhs = best_n * coef
+                    better = lhs < rhs or (lhs == rhs
+                                           and basis[r] < basis[leave])
+                if better:
+                    best_n, best_d, leave = num, coef, r
+        if leave < 0:
+            return "unbounded"
+        _fraction_pivot(a, zrow, basis, leave, enter, last)
+
+
+def _fraction_zrow(a, basis, costs, ncols, last):
+    zrow = [-c for c in costs] + [_ZERO]
+    for r, row in enumerate(a):
+        cb = costs[basis[r]]
+        if cb:
+            for j in range(ncols):
+                if row[j]:
+                    zrow[j] += cb * row[j]
+            zrow[ncols] += cb * row[last]
+    # squeeze the z row to tableau width
+    out = [_ZERO] * (last + 1)
+    for j in range(ncols):
+        out[j] = zrow[j]
+    out[last] = zrow[ncols]
+    return out
+
+
+def fraction_simplex(problem):
+    """The two-phase Bland-rule simplex over a Fraction tableau: the
+    reference ``lp.solve`` must agree with pivot for pivot."""
+    problem.check()
+    n = len(problem.objective)
+    m = len(problem.rows)
+    a = []
+    for r, (row, b) in enumerate(zip(problem.rows, problem.rhs)):
+        flip = b < 0
+        body = [-v if flip else Fraction(v) for v in row]
+        body += [_ONE if k == r else _ZERO for k in range(m)]
+        body.append(-b if flip else Fraction(b))
+        a.append(body)
+    last = n + m
+    basis = [n + r for r in range(m)]
+
+    # phase 1: maximize -(sum of artificials); initial basis is artificial
+    costs1 = [_ZERO] * n + [Fraction(-1)] * m
+    zrow = _fraction_zrow(a, basis, costs1, n + m, last)
+    status = _fraction_iterate(a, zrow, basis, n + m, last)
+    assert status == "optimal"  # phase-1 objective is bounded above by 0
+    if zrow[last] < 0:  # artificial mass left: infeasible
+        y = [_ONE - zrow[n + k] for k in range(m)]
+        for k, b in enumerate(problem.rhs):
+            if b < 0:
+                y[k] = -y[k]
+        return lp.LPResult(status="infeasible", farkas=y)
+
+    # drive zero-level artificials out of the basis, drop redundant rows
+    r = 0
+    while r < len(a):
+        if basis[r] >= n:
+            piv = next((j for j in range(n) if a[r][j] != 0), None)
+            if piv is None:
+                del a[r]
+                del basis[r]
+                continue
+            _fraction_pivot(a, zrow, basis, r, piv, last)
+        r += 1
+
+    # phase 2 on structural columns
+    costs2 = list(problem.objective)
+    zrow = _fraction_zrow(a, basis, costs2, n, last)
+    status = _fraction_iterate(a, zrow, basis, n, last)
+    if status == "unbounded":
+        return lp.LPResult(status="unbounded")
+    x = [_ZERO] * n
+    for r, j in enumerate(basis):
+        x[j] = a[r][last]
+    value = sum(c * v for c, v in zip(problem.objective, x))
+    return lp.LPResult(status="optimal", x=x, value=value)

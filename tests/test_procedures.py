@@ -90,6 +90,28 @@ class TestVerifyEquivalences:
         assert info.value.checks == ["c-strong-belief-in-round-0-survivors"]
         assert info.value.step == 1
 
+    def test_non_dominating_certificate_is_caught(self, corpus_games,
+                                                  monkeypatch):
+        """The elimination trusts its mixtures; the run's one substitution
+        check must catch a certificate that does not dominate."""
+        from prudens import dominance
+        game = corpus_games["weak_dom_2x2"]
+        target = next(s for s in game.strategies(0) if s.name() == "B")
+        real = dominance.dominating_mixture_ids
+
+        def self_mixture(form, q_sets, i, sid, cols=None):
+            if i == 0 and form.strats[i][sid] == target:
+                return {sid: Fraction(1)}  # equal payoffs: never strict
+            return real(form, q_sets, i, sid, cols)
+
+        monkeypatch.setattr(dominance, "dominating_mixture_ids",
+                            self_mixture)
+        with pytest.raises(EquivalenceViolation) as info:
+            verify_equivalences(game)
+        exc = info.value
+        assert (exc.step, exc.player, exc.strategy) == (1, 0, target)
+        assert exc.checks == ["dominance-substitution"]
+
     def test_traces_share_steps_and_exclusions(self, corpus_games):
         report = verify_equivalences(corpus_games["centipede_3"])
         ia, cnps, cps = (report["traces"][name]
