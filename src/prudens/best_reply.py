@@ -4,13 +4,26 @@ All comparisons at a fixed history share the belief's (positive)
 normalizing factor, so conditional values from a prior-generated system
 are kept unnormalized; argmax sets are invariant to the common scaling.
 
+Every expected payoff is computed in integers.  The strategic form groups
+the player's strategies into twin classes, one per distinct payoff row
+over the conditioning event, with the rows scaled to integers over one
+common denominator (``StrategicForm.twin_classes``).  The masses are
+split into layers (one for a standard measure, one per power of e for
+``Hyperreal`` masses), each scaled to integers over its own common
+denominator.  One integer dot product per class and layer then serves
+every member of the class: argmax sets compare these totals directly,
+since all classes share each layer's denominator, and a value is built
+only on request, as one Fraction per layer (see ``docs/exactness.md``).
+
 ``sequential_best_replies`` requires the h-replacement of a strategy to be
 conditionally optimal at every history.  ``weak_sequential_best_replies``
 requires the strategy itself to be optimal at the histories it allows;
 it never separates behaviorally equivalent strategies.
 """
 
+import math
 from fractions import Fraction
+from operator import mul
 
 from .hyperreal import Hyperreal
 
@@ -23,6 +36,33 @@ class StrategyDisallowsHistory(BestReplyError):
     pass
 
 
+def _scaled(values):
+    """Rationals as integers over their least common denominator: (ints, den)."""
+    den = math.lcm(*(v.denominator for v in values if v))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _layer_totals(twins, layers):
+    """Per twin class, one integer dot product per mass layer.
+
+    ``twins`` is a ``StrategicForm.twin_classes`` triple and ``layers`` a
+    list of (ints, den) aligned with its co-profile ids.  Returns (dens,
+    [(members, totals)]): a class's value in layer d is totals[d] /
+    dens[d], with dens[d] > 0 shared by every class, so comparing the
+    totals tuples lexicographically compares the values.
+    """
+    _, row_den, classes = twins
+    return ([row_den * den for _, den in layers],
+            [(members, tuple(sum(map(mul, nums, ints)) for ints, _ in layers))
+             for members, nums in classes])
+
+
+def _argmax(classes):
+    best = max((totals for _, totals in classes), default=None)
+    return frozenset(sid for members, totals in classes if totals == best
+                     for sid in members)
+
+
 class ReplyAnalysis:
     """Per-history conditional argmax sets for one (belief, player) pair."""
 
@@ -30,43 +70,42 @@ class ReplyAnalysis:
         self.form = form
         self.belief = belief
         self.i = i
+        self._totals = {}
         self._values = {}
         self._argmax = {}
 
+    def _class_totals(self, h_idx):
+        if h_idx not in self._totals:
+            form, i = self.form, self.i
+            twins = form.twin_classes(i, h_idx)
+            coids = twins[0]
+            masses = self.belief.conditional_ids(form.co_allow[i][h_idx])
+            if self.belief.standard:
+                layers = [_scaled([masses.get(c, 0) for c in coids])]
+            else:
+                coeffs = [masses[c].coeffs for c in coids]
+                width = max(map(len, coeffs), default=0)
+                layers = [_scaled([cs[d] if d < len(cs) else 0
+                                   for cs in coeffs])
+                          for d in range(width)]
+            self._totals[h_idx] = _layer_totals(twins, layers)
+        return self._totals[h_idx]
+
     def _value_row(self, h_idx):
-        if h_idx in self._values:
-            return self._values[h_idx]
-        form, i = self.form, self.i
-        event = form.co_allow[i][h_idx]
-        masses = self.belief.conditional_ids(event)
-        payoff = form.payoff[i]
-        out = {}
-        if self.belief.standard:
-            for sid in form.allow[i][h_idx]:
-                row = payoff[sid]
-                total = Fraction(0)
-                for coid, p in masses.items():
-                    if p:
-                        total += row[coid] * p
-                out[sid] = total
-        else:
-            bound = self.belief.degree_bound
-            for sid in form.allow[i][h_idx]:
-                row = payoff[sid]
-                acc = [Fraction(0)] * (bound + 1)
-                width = 0
-                for coid, mass in masses.items():
-                    u = row[coid]
-                    if u:
-                        coeffs = mass.coeffs
-                        if len(coeffs) > width:
-                            width = len(coeffs)
-                        for d, c in enumerate(coeffs):
-                            if c:
-                                acc[d] += u * c
-                out[sid] = Hyperreal(acc[:width], bound)
-        self._values[h_idx] = out
-        return out
+        """Conditional expected payoff of every strategy allowing h_idx."""
+        if h_idx not in self._values:
+            dens, classes = self._class_totals(h_idx)
+            out = {}
+            for members, totals in classes:
+                values = [Fraction(t, d) for t, d in zip(totals, dens)]
+                if self.belief.standard:
+                    value = values[0]
+                else:
+                    value = Hyperreal(values, self.belief.degree_bound)
+                for sid in members:
+                    out[sid] = value
+            self._values[h_idx] = out
+        return self._values[h_idx]
 
     def value(self, sid, h_idx):
         row = self._value_row(h_idx)
@@ -77,13 +116,7 @@ class ReplyAnalysis:
 
     def argmax_ids(self, h_idx):
         if h_idx not in self._argmax:
-            row = self._value_row(h_idx)
-            best = None
-            for v in row.values():
-                if best is None or v > best:
-                    best = v
-            self._argmax[h_idx] = frozenset(
-                sid for sid, v in row.items() if v == best)
+            self._argmax[h_idx] = _argmax(self._class_totals(h_idx)[1])
         return self._argmax[h_idx]
 
     def sequential_ids(self):
@@ -136,18 +169,6 @@ def weak_sequential_best_replies(game, belief, i):
 def best_replies_to_measure(form, i, measure):
     """Ids of strategies maximizing expected payoff against a standard
     measure (coid -> Fraction) over all of the player's strategies."""
-    best = None
-    arg = []
-    payoff = form.payoff[i]
-    support = [(coid, p) for coid, p in measure.items() if p]
-    for sid in range(form.counts[i]):
-        row = payoff[sid]
-        total = Fraction(0)
-        for coid, p in support:
-            total += row[coid] * p
-        if best is None or total > best:
-            best = total
-            arg = [sid]
-        elif total == best:
-            arg.append(sid)
-    return frozenset(arg)
+    twins = form.twin_classes(i)
+    layer = _scaled([measure.get(c, 0) for c in twins[0]])
+    return _argmax(_layer_totals(twins, [layer])[1])

@@ -10,6 +10,7 @@ history, including histories the strategy itself precludes.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -384,6 +385,38 @@ class StrategicForm:
             for i in range(n)]
 
         self._replacement = None
+        self._twins = [dict() for _ in range(n)]
+
+    def twin_classes(self, i, h_idx=None):
+        """Player i's strategies allowing history h_idx, grouped by payoff
+        row over its conditioning event, as integers.
+
+        With h_idx None: all of i's strategies over all co-profiles.
+        Returns (coids, den, classes): ``coids`` is the event in ascending
+        order, and each class is (members, nums) with
+        ``payoff[i][sid][coids[k]] == nums[k] / den`` for every member sid.
+        Classes are ordered by their least member.
+        """
+        cache = self._twins[i]
+        if h_idx not in cache:
+            if h_idx is None:
+                coids = range(len(self.co_profiles[i]))
+                sids = range(self.counts[i])
+            else:
+                coids = sorted(self.co_allow[i][h_idx])
+                sids = sorted(self.allow[i][h_idx])
+            payoff = self.payoff[i]
+            groups = {}
+            for sid in sids:
+                row = payoff[sid]
+                groups.setdefault(tuple(row[c] for c in coids), []).append(sid)
+            den = math.lcm(*(u.denominator for key in groups for u in key))
+            classes = [(tuple(members),
+                        tuple(u.numerator * (den // u.denominator)
+                              for u in key))
+                       for key, members in groups.items()]
+            cache[h_idx] = (tuple(coids), den, classes)
+        return cache[h_idx]
 
     def replacement(self, i, h_idx, sid):
         """Index of the h-replacement of strategy sid (full form only)."""

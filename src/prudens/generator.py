@@ -4,13 +4,17 @@ A fixed seed determines the document completely.  The distribution mixes
 static with 2- and 3-stage trees and simultaneous with alternating moves,
 keeps every player's full strategy count within a small cap so the exact
 solvers stay fast, and draws payoffs from a small range (with occasional
-halves) so weak-dominance chains occur with useful frequency.
+halves) so weak-dominance chains occur with useful frequency.  A document
+whose profile space exceeds ``StrategicForm.PROFILE_CAP`` is redrawn, like
+one over the per-player cap, so every document can be verified.
 """
 
+import math
 import random
 from fractions import Fraction
 
 from .dsl import GameDoc, elaborate
+from .game import StrategicForm
 
 ACTION_NAMES = ("a", "b", "c")
 WAIT = "w"
@@ -72,6 +76,8 @@ def _build(rng, max_players, max_histories, max_actions, max_strategies):
             else:
                 payoffs[child] = tuple(payoff_value() for _ in range(n))
     if any(c > max_strategies for c in strat_counts):
+        return None
+    if math.prod(strat_counts) > StrategicForm.PROFILE_CAP:
         return None
     if () not in stages:
         return None

@@ -2,10 +2,14 @@
 
 Everything here recomputes results from first principles (tree walks,
 exhaustive enumeration, vertex enumeration, symbolic limits) and shares no
-decision logic with the library implementations it checks.  The one
-exception is ``fraction_simplex``, the rational tableau simplex that
-``lp.solve`` replaces with integer pivoting: it takes the same Bland-rule
-pivots on purpose, so the two must agree exactly, result for result.
+decision logic with the library implementations it checks.  Two kinds
+are exceptions, kept on purpose as the rational versions of integer code
+that must agree with them exactly, result for result:
+``fraction_simplex``, the rational tableau simplex that ``lp.solve``
+replaces with integer pivoting (it takes the same Bland-rule pivots), and
+``fraction_value_row`` / ``fraction_best_replies_to_measure``, the
+per-strategy Fraction sums that ``best_reply`` replaces with integer
+twin-class sums.
 """
 
 import itertools
@@ -386,3 +390,60 @@ def fraction_simplex(problem):
         x[j] = a[r][last]
     value = sum(c * v for c, v in zip(problem.objective, x))
     return lp.LPResult(status="optimal", x=x, value=value)
+
+
+# -- Fraction expected payoffs ------------------------------------------
+
+def fraction_value_row(form, belief, i, h_idx):
+    """Conditional expected payoff of every strategy allowing h_idx, one
+    Fraction sum per strategy: the loop ``best_reply`` replaced with
+    integer twin-class sums, which must give the same values."""
+    event = form.co_allow[i][h_idx]
+    masses = belief.conditional_ids(event)
+    payoff = form.payoff[i]
+    out = {}
+    if belief.standard:
+        for sid in form.allow[i][h_idx]:
+            row = payoff[sid]
+            total = Fraction(0)
+            for coid, p in masses.items():
+                if p:
+                    total += row[coid] * p
+            out[sid] = total
+    else:
+        bound = belief.degree_bound
+        for sid in form.allow[i][h_idx]:
+            row = payoff[sid]
+            acc = [Fraction(0)] * (bound + 1)
+            width = 0
+            for coid, mass in masses.items():
+                u = row[coid]
+                if u:
+                    coeffs = mass.coeffs
+                    if len(coeffs) > width:
+                        width = len(coeffs)
+                    for d, c in enumerate(coeffs):
+                        if c:
+                            acc[d] += u * c
+            out[sid] = Hyperreal(acc[:width], bound)
+    return out
+
+
+def fraction_best_replies_to_measure(form, i, measure):
+    """Ids maximizing the Fraction expected payoff against a standard
+    measure over all of player i's strategies."""
+    best = None
+    arg = []
+    payoff = form.payoff[i]
+    support = [(coid, p) for coid, p in measure.items() if p]
+    for sid in range(form.counts[i]):
+        row = payoff[sid]
+        total = Fraction(0)
+        for coid, p in support:
+            total += row[coid] * p
+        if best is None or total > best:
+            best = total
+            arg = [sid]
+        elif total == best:
+            arg.append(sid)
+    return frozenset(arg)

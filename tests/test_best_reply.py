@@ -3,16 +3,19 @@ import random
 import pytest
 from fractions import Fraction
 
-from prudens import dsl
-from prudens.beliefs import ConditioningFamily, ExplicitCPS, PriorCNPS
+from prudens import dsl, procedures
+from prudens.beliefs import (BeliefError, ConditioningFamily, ExplicitCPS,
+                             PriorCNPS)
 from prudens.best_reply import (ReplyAnalysis, StrategyDisallowsHistory,
                                 best_replies_to_measure, expected_payoff,
                                 sequential_best_replies,
                                 weak_sequential_best_replies)
+from prudens.game import Game
 from prudens.hyperreal import Hyperreal
 
 from conftest import small_games
-from oracles import naive_expected_payoff
+from oracles import (fraction_best_replies_to_measure, fraction_value_row,
+                     naive_expected_payoff)
 from test_beliefs import co_profile, random_prior
 
 
@@ -247,3 +250,148 @@ class TestExplicitCPSBeliefs:
         form = game.strategic_form()
         best = best_replies_to_measure(form, 1, measure)
         assert {form.index[1][s] for s in result} >= best
+
+
+def int_payoff_game():
+    """A three-stage game built directly, with plain int payoffs; A's two
+    "stop" plans are twins."""
+    go, stop = ("go", "w"), ("stop", "w")
+    left, right = ("w", "l"), ("w", "r")
+    actions = {(): (("go", "stop"), ("w",)),
+               (go,): (("w",), ("l", "r")),
+               (go, left): (("a", "b"), ("w",))}
+    payoffs = {(stop,): (1, -2), (go, right): (-1, 2),
+               (go, left, ("a", "w")): (3, 0),
+               (go, left, ("b", "w")): (-4, 5)}
+    return Game(("A", "B"), actions, payoffs)
+
+
+def layered_prior(form, i, rng):
+    """Full-support prior of degree 3 whose e^1 layer is zero everywhere
+    and whose higher layers mix negative, zero and positive coefficients
+    (each layer above 0 sums to zero, so the total is 1)."""
+    k = len(form.co_profiles[i])
+    weights = [rng.randrange(0, 4) * 2 + 1 for _ in range(k)]
+    total = sum(weights)
+    coeffs = [[Fraction(w, total), Fraction(0)] for w in weights]
+    for _ in range(2):
+        draws = [Fraction(rng.randrange(-2, 3), rng.choice((1, 3)))
+                 for _ in range(k - 1)]
+        draws.append(-sum(draws, Fraction(0)))
+        for c in range(k):
+            coeffs[c].append(draws[c] / (5 * total))
+    prior = {coid: Hyperreal(cs, 3) for coid, cs in enumerate(coeffs)}
+    return PriorCNPS(ConditioningFamily(form.game, i, form), prior)
+
+
+def sparse_measure(form, i, rng):
+    """A standard measure over all co-profiles with some zero masses."""
+    k = len(form.co_profiles[i])
+    weights = [rng.choice((0, 0, 1, 2, 3)) for _ in range(k)]
+    if not any(weights):
+        weights[rng.randrange(k)] = 1
+    total = sum(weights)
+    return {c: Fraction(w, total) for c, w in enumerate(weights)}
+
+
+class TestIntegerKernel:
+    """The integer twin-class sums against the per-strategy Fraction loops
+    they replaced (``oracles.fraction_value_row`` and
+    ``oracles.fraction_best_replies_to_measure``): exact values and argmax
+    sets must agree."""
+
+    @staticmethod
+    def beliefs(game, rng):
+        """(player, belief) pairs: the witnesses of the audited run
+        (ladder priors and conditioned explicit systems), a layered prior,
+        and an explicit system conditioned from a measure with zeros."""
+        form = game.strategic_form()
+        traces = procedures.verify_equivalences(game)["traces"]
+        for name in (procedures.PR_CNPS, procedures.PR_CPS):
+            for rec in traces[name].witnesses.values():
+                if rec.belief is not None:
+                    yield rec.player, rec.belief
+        for i in range(form.n):
+            yield i, layered_prior(form, i, rng)
+            family = ConditioningFamily(game, i, form)
+            try:
+                yield i, ExplicitCPS.by_conditioning(
+                    family, sparse_measure(form, i, rng))
+            except BeliefError:
+                pass
+
+    COVERAGE = ("zero-mass", "negative-coefficient", "interior-zero",
+                "twin-row", "negative-payoff", "half-payoff")
+
+    def check_game(self, game, rng, seen):
+        form = game.strategic_form()
+        for i, belief in self.beliefs(game, rng):
+            analysis = ReplyAnalysis(form, belief, i)
+            for k in range(len(game.nonterminal)):
+                want = fraction_value_row(form, belief, i, k)
+                assert analysis._value_row(k) == want
+                best = max(want.values())
+                assert analysis.argmax_ids(k) == frozenset(
+                    sid for sid, v in want.items() if v == best)
+                event = form.co_allow[i][k]
+                masses = belief.conditional_ids(event)
+                if belief.standard:
+                    seen["zero-mass"] |= any(not masses.get(c) for c in event)
+                else:
+                    for mass in masses.values():
+                        cs = mass.coeffs
+                        seen["negative-coefficient"] |= any(c < 0 for c in cs)
+                        seen["interior-zero"] |= 0 in cs
+        for i in range(form.n):
+            for _ in range(3):
+                measure = sparse_measure(form, i, rng)
+                assert best_replies_to_measure(form, i, measure) == \
+                    fraction_best_replies_to_measure(form, i, measure)
+            for k in range(len(game.nonterminal)):
+                _, _, classes = form.twin_classes(i, k)
+                seen["twin-row"] |= any(len(m) > 1 for m, _ in classes)
+            values = {u for row in form.payoff[i] for u in row}
+            seen["negative-payoff"] |= any(u < 0 for u in values)
+            seen["half-payoff"] |= any(u.denominator == 2 for u in values)
+
+    def test_corpus_and_generated_games(self, corpus_games):
+        rng = random.Random(41)
+        seen = dict.fromkeys(self.COVERAGE, False)
+        games = [corpus_games[name] for name in sorted(corpus_games)]
+        games += small_games(40, max_players=3, max_strategies=6,
+                             max_histories=8)
+        for game in games:
+            self.check_game(game, rng, seen)
+        assert all(seen.values()), seen
+
+    def test_game_with_int_payoffs(self):
+        game = int_payoff_game()
+        seen = dict.fromkeys(self.COVERAGE, False)
+        self.check_game(game, random.Random(42), seen)
+        assert seen["twin-row"] and seen["negative-payoff"]
+        form = game.strategic_form()
+        # the two "stop" plans of A share one class at the root
+        _, den, classes = form.twin_classes(0, 0)
+        assert den == 1
+        assert [len(members) for members, _ in classes] == [1, 1, 2]
+
+    def test_twin_classes_scale_rows_exactly(self, corpus_games):
+        for game in list(corpus_games.values()) + small_games(20):
+            form = game.strategic_form()
+            for i in range(form.n):
+                for k in [None] + list(range(len(game.nonterminal))):
+                    coids, den, classes = form.twin_classes(i, k)
+                    assert form.twin_classes(i, k)[2] is classes
+                    allowed = (range(form.counts[i]) if k is None
+                               else sorted(form.allow[i][k]))
+                    members = sorted(s for m, _ in classes for s in m)
+                    assert members == list(allowed)
+                    assert den > 0
+                    rows = set()
+                    for members, nums in classes:
+                        assert all(isinstance(v, int) for v in nums)
+                        for sid in members:
+                            assert [form.payoff[i][sid][c] for c in coids] \
+                                == [Fraction(v, den) for v in nums]
+                        rows.add(nums)
+                    assert len(rows) == len(classes)

@@ -1,6 +1,8 @@
+import math
 from collections import Counter
 
 from prudens import dsl, generator
+from prudens.game import StrategicForm
 from prudens.procedures import iterated_admissibility
 
 
@@ -28,6 +30,22 @@ def test_all_documents_elaborate_within_bounds():
             assert len(game.strategies(i)) <= 6
             for h in game.nonterminal:
                 assert len(game.actions[h][i]) <= 3
+
+
+def test_profile_space_within_cap():
+    """Wide bounds admit documents over the profile cap, which are redrawn.
+
+    Seed 71 (``prudens fuzz --seed 0``, index 71, with ``--players 3
+    --histories 40 --actions 6 --max-strategies 100000``) first draws a
+    17,496 x 2,592 game; verifying it would raise SizeLimit.
+    """
+    wide = dict(max_players=3, max_histories=40, max_actions=6,
+                max_strategies=100_000)
+    for seed in [71] + list(range(100)):
+        game = dsl.elaborate(generator.generate_random_game(seed, **wide))
+        counts = [game.strategy_count(i) for i in range(len(game.players))]
+        assert max(counts) <= 100_000
+        assert math.prod(counts) <= StrategicForm.PROFILE_CAP, (seed, counts)
 
 
 def test_distribution_covers_shapes():

@@ -3,7 +3,7 @@ import json
 import pytest
 from fractions import Fraction
 
-from prudens import dsl
+from prudens import corpus, dsl
 from prudens.beliefs import c_strongly_believes, validate_chain_rule
 from prudens.best_reply import (sequential_best_replies,
                                 weak_sequential_best_replies)
@@ -352,6 +352,32 @@ class TestReducedVariants:
         for g in small_games(15, start=500):
             ia_r, pr_r = reduced_variants(g)
             assert pr_r.all_verified()
+
+    def test_order_of_full_and_reduced_runs_is_irrelevant(self):
+        """The full and the reduced strategic forms keep separate twin
+        caches: running either first leaves the other's output unchanged."""
+        def outputs(game, reduced_first):
+            def full():
+                rep = verify_equivalences(game)
+                traces = rep.pop("traces")
+                return rep, {n: t.to_json() for n, t in traces.items()}
+
+            def reduced():
+                return [t.to_json() for t in reduced_variants(game)]
+            if reduced_first:
+                red = reduced()
+                return full(), red
+            return full(), reduced()
+
+        smaller = 0
+        for path in corpus.corpus_paths():
+            first = outputs(dsl.load(path), reduced_first=True)
+            second = outputs(dsl.load(path), reduced_first=False)
+            assert first == second, path.stem
+            game = dsl.load(path)
+            smaller += (game.reduced_form().counts
+                        != game.strategic_form().counts)
+        assert smaller >= 3
 
 
 class TestTraceSerialization:
