@@ -81,7 +81,9 @@ class PriorCNPS:
     """Belief system generated by conditioning a full-support prior.
 
     ``prior`` maps each co-profile id to a positive Hyperreal; the values
-    sum to exactly 1.  Conditionals are plain restrictions.
+    sum to exactly 1.  Conditionals are plain restrictions.  The support
+    and the total found while validating are kept as ``full_support`` and
+    ``total``, which audits report instead of summing again.
     """
 
     standard = False
@@ -92,15 +94,17 @@ class PriorCNPS:
         form, i = family.form, family.owner
         if set(self.prior) != set(range(len(form.co_profiles[i]))):
             raise BeliefError("prior must cover every co-player profile")
-        total = None
-        for coid, mass in self.prior.items():
+        self.total = None
+        for mass in self.prior.values():
             if not isinstance(mass, Hyperreal):
                 raise BeliefError("prior values must be Hyperreal")
-            if not mass > 0:
-                raise BeliefError("prior must have full support")
-            total = mass if total is None else total + mass
-        if total != 1:
-            raise BeliefError("prior masses must sum to 1, got %s" % total)
+            self.total = mass if self.total is None else self.total + mass
+        self.full_support = all(mass > 0 for mass in self.prior.values())
+        if not self.full_support:
+            raise BeliefError("prior must have full support")
+        if self.total != 1:
+            raise BeliefError("prior masses must sum to 1, got %s"
+                              % self.total)
         self.degree_bound = next(iter(self.prior.values())).degree_bound
 
     @classmethod

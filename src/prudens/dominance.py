@@ -18,7 +18,13 @@ instance rather than assuming it.
 Co-player profiles with identical payoff columns are interchangeable in
 both problems, so the solvers work over distinct columns (with measures
 spread back uniformly within each group) and try pure-strategy dominance
-and a unique-best-response filter before setting up any tableau.
+and a unique-best-response filter before setting up any tableau.  Own
+strategies with identical rows over those columns (twins, such as the
+behaviourally equivalent plans of a sequential game) get the same answer
+from both solvers, so a :class:`Columns` solves each question once per
+twin class and hands the answer to every member; each member's answer is
+still substituted on its own (see docs/exactness.md, "Twin-shared LP
+answers").
 """
 
 from fractions import Fraction
@@ -55,9 +61,15 @@ class MixedStrategy:
 # -- engine (id-based) -------------------------------------------------
 
 class Columns:
-    """Distinct payoff columns of player i over a co-player restriction."""
+    """Distinct payoff columns of player i over a co-player restriction,
+    and the twin classes of i's own strategies over them.
 
-    __slots__ = ("co_ids", "groups", "value")
+    ``twin[r]`` is the least own strategy whose row in ``value`` equals
+    r's.  ``answers`` keeps each LP question's answer per twin class, so
+    that one Columns object poses each question once.
+    """
+
+    __slots__ = ("co_ids", "groups", "value", "twin", "answers")
 
     def __init__(self, form, i, q_sets):
         sets = {j: set(q_sets[j]) for j in range(form.n)}
@@ -74,6 +86,17 @@ class Columns:
             grouped[key].append(coid)
         self.groups = [grouped[key] for key in order]
         self.value = [[key[r] for key in order] for r in range(count)]
+        first = {}
+        self.twin = [first.setdefault(tuple(row), r)
+                     for r, row in enumerate(self.value)]
+        self.answers = {}
+
+    def shared(self, question, solve):
+        """A copy of ``solve()``'s answer to question, solved once."""
+        if question not in self.answers:
+            self.answers[question] = solve()
+        answer = self.answers[question]
+        return None if answer is None else dict(answer)
 
 
 def _columns(form, i, q_sets, cols):
@@ -84,13 +107,18 @@ def dominating_mixture_ids(form, q_sets, i, sid, cols=None):
     """A mixture on Q_i weakly dominating sid against Q_{-i}, or None.
 
     Maximizes the total dominance slack subject to the weak inequalities;
-    sid is dominated exactly when the optimum is positive.
+    sid is dominated exactly when the optimum is positive.  sid enters
+    only through its own row, so its twins in Q_i share the answer.
     """
     if sid not in q_sets[i]:
         raise DominanceError("strategy must belong to its own restriction")
     cols = _columns(form, i, q_sets, cols)
-    q_i = sorted(q_sets[i])
-    value = cols.value
+    return cols.shared(("slack", cols.twin[sid]),
+                       lambda: _dominating_mixture(cols.value,
+                                                   sorted(q_sets[i]), sid))
+
+
+def _dominating_mixture(value, q_i, sid):
     own = value[sid]
     ngroups = len(own)
 
@@ -151,13 +179,20 @@ def justifier_ids(form, q_sets, i, sid, cols=None):
     Found by maximizing the minimum mass m over distinct payoff columns
     (substituting nu_g = m + w_g turns strict positivity into the sign of
     the optimum), then spreading each column's mass uniformly over the
-    co-profiles it aggregates.
+    co-profiles it aggregates.  A twin's LP differs only in where an
+    all-zero rival row sits, and that row never takes part in a ratio
+    test, so twins share the answer.
     """
     cols = _columns(form, i, q_sets, cols)
+    return cols.shared(("justifier", cols.twin[sid]),
+                       lambda: _justifier(cols, sid))
+
+
+def _justifier(cols, sid):
     value = cols.value
     own = value[sid]
     ngroups = len(own)
-    others = [r for r in range(form.counts[i]) if r != sid]
+    others = [r for r in range(len(value)) if r != sid]
     zero, one = lp.ZERO, lp.ONE
 
     # columns: m, then w_g per distinct column, then one slack per rival
@@ -202,24 +237,29 @@ def measure_justifies_ids(form, q_sets, i, sid, measure, cols=None):
 def iterated_elimination_ids(form):
     """Maximal simultaneous deletion of weakly dominated strategies.
 
-    Returns (steps, certificates): ``steps[n]`` is the per-player tuple of
-    surviving ids after n rounds, including one confirming round equal to
-    its predecessor; ``certificates[(n, i, sid)]`` is the dominating
-    mixture that removed sid at round n.  The certificates are not
-    substituted here: ``procedures`` audits each one once, against the
-    same columns, as the run's ``dominance-substitution`` check.
+    Returns (steps, certificates, columns): ``steps[n]`` is the
+    per-player tuple of surviving ids after n rounds, including one
+    confirming round equal to its predecessor;
+    ``certificates[(n, i, sid)]`` is the dominating mixture that removed
+    sid at round n; ``columns[n][i]`` is player i's :class:`Columns` over
+    ``steps[n]``, for every n up to the confirming round's predecessor.
+    The certificates are not substituted here: ``procedures`` audits each
+    one once, against the same columns, as the run's
+    ``dominance-substitution`` check.
     """
     current = [tuple(range(form.counts[i])) for i in range(form.n)]
     steps = [tuple(current)]
     certificates = {}
+    columns = []
     n = 0
     while True:
         n += 1
         q_sets = [frozenset(part) for part in current]
+        columns.append([Columns(form, i, q_sets) for i in range(form.n)])
         nxt = []
         changed = False
         for i in range(form.n):
-            cols = Columns(form, i, q_sets)
+            cols = columns[-1][i]
             keep = []
             for sid in current[i]:
                 mixture = dominating_mixture_ids(form, q_sets, i, sid, cols)
@@ -235,7 +275,7 @@ def iterated_elimination_ids(form):
         steps.append(tuple(nxt))
         current = nxt
         if not changed:
-            return steps, certificates
+            return steps, certificates, columns
 
 
 # -- public surface ----------------------------------------------------

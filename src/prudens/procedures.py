@@ -173,7 +173,8 @@ class _Run:
         self.reduced = reduced
         t0 = time.perf_counter()
         try:
-            self.ids, certificates = dominance.iterated_elimination_ids(form)
+            self.ids, certificates, self.columns = \
+                dominance.iterated_elimination_ids(form)
         except dominance.DominanceError as exc:
             raise EquivalenceViolation(str(exc), checks=["elimination"]) \
                 from exc
@@ -186,29 +187,22 @@ class _Run:
         self.cps_tables = {}
         self._q_sets = [[frozenset(part) for part in step]
                         for step in self.ids]
-        self._columns = {}
         self._justifiers = {}
         self._witnesses = {}
         self.exclusions = self._exclusions(certificates)
 
-    def _level_columns(self, i, level):
-        key = (i, level)
-        if key not in self._columns:
-            self._columns[key] = dominance.Columns(self.form, i,
-                                                   self._q_sets[level])
-        return self._columns[key]
-
     def co_event(self, i, level):
         """Co-profiles of i consistent with the round-``level`` survivors."""
-        return frozenset(self._level_columns(i, level).co_ids)
+        return frozenset(self.columns[level][i].co_ids)
 
     def justifier(self, i, sid, level):
         """Measure with support exactly the level's co-survivors against
-        which sid is a best reply among all own strategies."""
+        which sid is a best reply among all own strategies.  Twins share
+        the level's LP answer; each is substituted on its own."""
         key = (i, sid, level)
         if key not in self._justifiers:
             q_sets = self._q_sets[level]
-            cols = self._level_columns(i, level)
+            cols = self.columns[level][i]
             measure = dominance.justifier_ids(self.form, q_sets, i, sid, cols)
             if measure is not None and not dominance.measure_justifies_ids(
                     self.form, q_sets, i, sid, measure, cols):
@@ -243,7 +237,7 @@ class _Run:
             strategy = form.strats[i][sid]
             if not dominance.mixture_dominates_ids(
                     form, self._q_sets[n - 1], i, sid, mixture,
-                    self._level_columns(i, n - 1)):
+                    self.columns[n - 1][i]):
                 raise self._violation("exclusion", n, i, strategy,
                                       ["dominance-substitution"])
             table[(n, i, strategy)] = ExclusionRecord(
@@ -345,13 +339,8 @@ def _ladder_prior(run, i, sid, step):
 
 
 def _verify_cnps_witness(run, belief, i, sid, step):
-    checks = []
-    ok_support = all(belief.prior[coid] > 0 for coid in belief.prior)
-    total = Hyperreal.zero(belief.degree_bound)
-    for mass in belief.prior.values():
-        total = total + mass
-    checks.append(("prior-full-support", ok_support))
-    checks.append(("prior-sums-to-1", total == 1))
+    checks = [("prior-full-support", belief.full_support),
+              ("prior-sums-to-1", belief.total == 1)]
     for m in range(step):
         ok = c_strongly_believes(belief, run.co_event(i, m))
         checks.append(("c-strong-belief-in-round-%d-survivors" % m, ok))

@@ -83,9 +83,9 @@ class TestAuditFailures:
             real = dominance.iterated_elimination_ids
 
             def drop_certificate(form):
-                steps, certificates = real(form)
+                steps, certificates, columns = real(form)
                 certificates.pop(next(iter(certificates)))
-                return steps, certificates
+                return steps, certificates, columns
 
             monkeypatch.setattr(dominance, "iterated_elimination_ids",
                                 drop_certificate)

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from fractions import Fraction
 
-from prudens import dsl
+from prudens import dominance, dsl
 from prudens.dominance import (MixedStrategy, justifying_full_support_measure,
                                weakly_dominated)
 from prudens.game import ProductRestriction
@@ -115,6 +115,79 @@ class TestJustifier:
                         assert dominated == (not justified)
                         instances += 1
         assert instances > 300
+
+
+def centipede_text(legs):
+    """An alternating centipede with an even number of legs: the mover at
+    leg t continues (C) or stops (S), stopping pays the mover t + 2 and
+    the other player t, and the last mover prefers stopping."""
+    lines = ["players P1 P2"]
+    history = ""
+    for t in range(legs):
+        mover = t % 2
+        acts = ["w", "w"]
+        acts[mover] = "C S"
+        lines.append("at %s actions P1: %s P2: %s" % (history or "/", *acts))
+        stop = ["w", "w"]
+        stop[mover] = "S"
+        pay = [t, t]
+        pay[mover] = t + 2
+        lines.append("payoff %s/(%s,%s) = %d, %d" % (history, *stop, *pay))
+        go = ["w", "w"]
+        go[mover] = "C"
+        history += "/(%s,%s)" % tuple(go)
+    lines.append("payoff %s = %d, %d" % (history, legs + 2, legs))
+    return "\n".join(lines) + "\n"
+
+
+class TestTwinSharing:
+    """One Columns poses each slack and justifier LP once per twin class
+    of own payoff rows and hands the answer to every member.  At every
+    level of the elimination, and for every own strategy (eliminated ones
+    too), the answer shared through the elimination's Columns must equal
+    the member's own, unshared one."""
+
+    @staticmethod
+    def check(game, seen):
+        form = game.strategic_form()
+        steps, _, columns = dominance.iterated_elimination_ids(form)
+        for level, step in enumerate(steps[:-1]):
+            q_sets = [frozenset(part) for part in step]
+            for i in range(form.n):
+                shared = columns[level][i]
+                classes = {}
+                for sid in range(form.counts[i]):
+                    classes.setdefault(shared.twin[sid], []).append(sid)
+                twins = [m for m in classes.values() if len(m) > 1]
+                assert len({tuple(row) for row in shared.value}) == \
+                    len(classes)
+                for members in twins:
+                    assert all(shared.value[sid] == shared.value[members[0]]
+                               for sid in members)
+                    seen["justifier"] += 1
+                    for sid in members:
+                        assert dominance.justifier_ids(
+                            form, q_sets, i, sid, shared) == \
+                            dominance.justifier_ids(form, q_sets, i, sid)
+                    alive = [sid for sid in members if sid in q_sets[i]]
+                    seen["slack"] += len(alive) > 1
+                    for sid in alive:
+                        assert dominance.dominating_mixture_ids(
+                            form, q_sets, i, sid, shared) == \
+                            dominance.dominating_mixture_ids(
+                                form, q_sets, i, sid)
+                assert len([key for key in shared.answers
+                            if key[0] == "justifier"]) == len(twins)
+
+    def test_shared_answers_equal_unshared_ones(self, corpus_games):
+        seen = {"justifier": 0, "slack": 0}
+        games = [corpus_games[name] for name in sorted(corpus_games)]
+        games += small_games(40, max_players=3, max_strategies=6,
+                             max_histories=8)
+        games.append(dsl.elaborate(dsl.parse(centipede_text(6))))
+        for game in games:
+            self.check(game, seen)
+        assert seen["justifier"] >= 200 and seen["slack"] >= 100, seen
 
 
 class TestIteratedAdmissibility:

@@ -112,6 +112,72 @@ class TestVerifyEquivalences:
         assert (exc.step, exc.player, exc.strategy) == (1, 0, target)
         assert exc.checks == ["dominance-substitution"]
 
+    def test_twins_pose_each_lp_once(self, corpus_games, monkeypatch):
+        """Every member of a twin class is asked for its slack and
+        justifier answers, but no (player, level, own row) question
+        poses a second LP."""
+        from prudens import dominance, lp
+        asking = []
+        asked = []
+        posed = []
+
+        def wrap(kind, real):
+            def wrapper(form, q_sets, i, sid, cols=None):
+                row = dominance.Columns(form, i, q_sets).value[sid]
+                asking.append((kind, i, tuple(q_sets), tuple(row)))
+                asked.append(asking[-1])
+                try:
+                    return real(form, q_sets, i, sid, cols)
+                finally:
+                    asking.pop()
+            return wrapper
+
+        real_solve = lp.solve
+
+        def solve(problem):
+            posed.append(asking[-1])
+            return real_solve(problem)
+
+        for kind, name in (("slack", "dominating_mixture_ids"),
+                           ("justifier", "justifier_ids")):
+            monkeypatch.setattr(dominance, name,
+                                wrap(kind, getattr(dominance, name)))
+        monkeypatch.setattr(lp, "solve", solve)
+        assert verify_equivalences(corpus_games["centipede_3"])[
+            "all_verified"]
+        assert posed and len(posed) == len(set(posed))
+        assert {kind for kind, *_ in posed} == {"slack", "justifier"}
+        assert len(set(asked)) < len(asked)
+
+    def test_failing_twin_is_named_not_its_representative(
+            self, corpus_games, monkeypatch):
+        """A twin reuses its representative's justifier but keeps its own
+        substitution check, and a failure there names the twin."""
+        from prudens import dominance
+        game = corpus_games["centipede_3"]
+        form = game.strategic_form()
+        survivors = dominance.iterated_elimination_ids(form)[0][1]
+        i, rep, twin = next(
+            (i, rep, sid) for i in range(form.n)
+            for sid, rep in enumerate(dominance.Columns(
+                form, i, [frozenset(range(c)) for c in form.counts]).twin)
+            if rep != sid and {rep, sid} <= set(survivors[i]))
+        real = dominance.measure_justifies_ids
+
+        def fails_for_twin(form, q_sets, player, sid, measure, cols=None):
+            if (player, sid) == (i, twin):
+                return False
+            return real(form, q_sets, player, sid, measure, cols)
+
+        monkeypatch.setattr(dominance, "measure_justifies_ids",
+                            fails_for_twin)
+        with pytest.raises(EquivalenceViolation) as info:
+            verify_equivalences(game)
+        exc = info.value
+        assert (exc.step, exc.player, exc.checks) == (1, i, ["justifiers"])
+        assert exc.strategy == form.strats[i][twin]
+        assert exc.strategy != form.strats[i][rep]
+
     def test_traces_share_steps_and_exclusions(self, corpus_games):
         report = verify_equivalences(corpus_games["centipede_3"])
         ia, cnps, cps = (report["traces"][name]
