@@ -73,6 +73,7 @@ class ReplyAnalysis:
         self._totals = {}
         self._values = {}
         self._argmax = {}
+        self._weak_sequential = None
 
     def _class_totals(self, h_idx):
         if h_idx not in self._totals:
@@ -130,13 +131,15 @@ class ReplyAnalysis:
         return out
 
     def weak_sequential_ids(self):
-        form, i = self.form, self.i
-        out = []
-        for sid in range(form.counts[i]):
-            if all(sid in self.argmax_ids(k)
-                   for k in form.allowed_hist[i][sid]):
-                out.append(sid)
-        return out
+        """Ids optimal at every history they allow, in id order; computed
+        once per analysis."""
+        if self._weak_sequential is None:
+            form, i = self.form, self.i
+            self._weak_sequential = [
+                sid for sid in range(form.counts[i])
+                if all(sid in self.argmax_ids(k)
+                       for k in form.allowed_hist[i][sid])]
+        return list(self._weak_sequential)
 
 
 def expected_payoff(game, belief, i, r, h):

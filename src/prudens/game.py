@@ -172,12 +172,6 @@ class Game:
     def is_history(self, h):
         return h in self.actions or h in self.payoffs
 
-    def is_terminal(self, h):
-        return h in self.payoffs
-
-    def action_sets(self, h):
-        return self.actions[h]
-
     def payoff(self, z, i):
         return self.payoffs[z][i]
 

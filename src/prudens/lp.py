@@ -53,27 +53,6 @@ class LPResult:
     value: Fraction = None
     farkas: list = None   # infeasibility witness (status == "infeasible")
 
-    def verify(self, problem):
-        """Re-check the certificate by substitution."""
-        if self.status == "optimal":
-            if any(v < 0 for v in self.x):
-                return False
-            for row, b in zip(problem.rows, problem.rhs):
-                if sum(r * v for r, v in zip(row, self.x)) != b:
-                    return False
-            obj = sum(c * v for c, v in zip(problem.objective, self.x))
-            return obj == self.value
-        if self.status == "infeasible":
-            y = self.farkas
-            n = len(problem.objective)
-            for j in range(n):
-                if sum(y[k] * problem.rows[k][j]
-                       for k in range(len(problem.rows))) > 0:
-                    return False
-            return sum(y[k] * problem.rhs[k]
-                       for k in range(len(problem.rhs))) > 0
-        return False
-
 
 def _scale(values):
     """The least positive integer turning every entry of values integral."""

@@ -22,6 +22,14 @@ the run holds:
   cautious strong-belief ladder or the per-history support condition,
   and best-reply membership).
 
+A step-n belief is built from the strategy's justifiers at rounds
+0..n-1, and twins share each round's justifier, so the strategy's twin
+class at every round (its justifier chain) fixes the belief.  Survivors
+of a step with the same chain share one belief, its validity and ladder
+or support checks, and one reply analysis; each keeps its own justifier
+substitutions, its own best-reply membership check and its own record
+(see docs/exactness.md, "One belief per justifier chain").
+
 The ``ia``, ``pr-cnps`` and ``pr-cps`` traces are views of that run, so
 a verified run is an instance-level proof that the three procedures
 coincide step by step on the given game.  Every audit failure raises an
@@ -185,6 +193,7 @@ class _Run:
         self.families = [ConditioningFamily(form.game, i, form)
                          for i in range(form.n)]
         self.cps_tables = {}
+        self._co_events = {}
         self._q_sets = [[frozenset(part) for part in step]
                         for step in self.ids]
         self._justifiers = {}
@@ -193,7 +202,16 @@ class _Run:
 
     def co_event(self, i, level):
         """Co-profiles of i consistent with the round-``level`` survivors."""
-        return frozenset(self.columns[level][i].co_ids)
+        key = (i, level)
+        if key not in self._co_events:
+            self._co_events[key] = frozenset(self.columns[level][i].co_ids)
+        return self._co_events[key]
+
+    def chain(self, i, sid, step):
+        """sid's twin class at each level below step.  It fixes every
+        justifier a step-``step`` witness of sid is built from."""
+        return tuple(self.columns[level][i].twin[sid]
+                     for level in range(step))
 
     def justifier(self, i, sid, level):
         """Measure with support exactly the level's co-survivors against
@@ -261,23 +279,39 @@ class _Run:
 
         Witnesses are carried by steps 1..N+1 (one past stabilization, so
         the final witnesses honor the full ladder of surviving sets).
+        Survivors of one step with the same justifier chain share one
+        belief, its sid-independent checks and one reply analysis; each
+        still has its own justifiers substituted and its own best-reply
+        membership checked.
         """
         if procedure not in self._witnesses:
             t0 = time.perf_counter()
-            assemble, build, audit = _FAMILIES[procedure]
+            levels, assemble, build, audit = _FAMILIES[procedure]
             form = self.form
             table = {}
             for n in range(1, self.fixpoint + 2):
                 for i in range(form.n):
+                    shared = {}
                     for sid in self.ids[n][i]:
                         strategy = form.strats[i][sid]
+                        chain = self.chain(i, sid, n)
                         stage = "justifiers"
                         try:
-                            data = assemble(self, i, sid, n)
-                            stage = "belief-valid"
-                            belief = build(self.families[i], data)
+                            for level in levels(self, i, sid, n):
+                                self.required_justifier(i, sid, level)
+                            if chain not in shared:
+                                data = assemble(self, i, sid, n)
+                                stage = "belief-valid"
+                                belief = build(self.families[i], data)
+                                stage = "audit"
+                                shared[chain] = (
+                                    belief, audit(self, belief, i, n),
+                                    best_reply.ReplyAnalysis(form, belief, i))
                             stage = "audit"
-                            checks = audit(self, belief, i, sid, n)
+                            belief, checks, analysis = shared[chain]
+                            checks = checks + [(
+                                "weak-sequential-best-reply",
+                                sid in analysis.weak_sequential_ids())]
                         except _AUDIT_ERRORS as exc:
                             raise self._violation(
                                 procedure + " witness", n, i, strategy,
@@ -315,6 +349,11 @@ def iterated_admissibility(game):
 
 # -- prior-generated (non-standard) witnesses ---------------------------
 
+def _ladder_levels(run, i, sid, step):
+    """Levels whose justifiers the step's ladder prior reads: all of them."""
+    return range(step - 1, -1, -1)
+
+
 def _ladder_prior(run, i, sid, step):
     """Assemble the step-n justifying prior from the per-round justifiers.
 
@@ -338,15 +377,12 @@ def _ladder_prior(run, i, sid, step):
     return prior
 
 
-def _verify_cnps_witness(run, belief, i, sid, step):
+def _verify_cnps_witness(run, belief, i, step):
     checks = [("prior-full-support", belief.full_support),
               ("prior-sums-to-1", belief.total == 1)]
     for m in range(step):
         ok = c_strongly_believes(belief, run.co_event(i, m))
         checks.append(("c-strong-belief-in-round-%d-survivors" % m, ok))
-    analysis = best_reply.ReplyAnalysis(run.form, belief, i)
-    checks.append(("weak-sequential-best-reply",
-                   sid in analysis.weak_sequential_ids()))
     return checks
 
 
@@ -364,24 +400,30 @@ def prudent_rationalizability_cnps(game):
 
 def _cps_witness_table(run, i, sid, step):
     """Conditioning of the round-(n-1) justifier, falling back to the
-    previous step's witness at events its support cannot reach."""
-    key = (i, sid, step)
+    previous step's witness at events its support cannot reach.
+
+    Returns (table, the levels whose justifiers it read), one per
+    justifier chain, so twins share the table and its fallbacks.
+    """
+    key = (i, step, run.chain(i, sid, step))
     if key not in run.cps_tables:
         measure = run.required_justifier(i, sid, step - 1)
         table = {}
+        fallback = None
         for ev, _ in run.families[i].events:
             table[ev] = condition_measure(measure, ev)
             if table[ev] is None:
                 if step < 2:
                     raise WitnessVerificationFailed(
                         "full-support justifier missed an event")
-                table[ev] = dict(_cps_witness_table(run, i, sid,
-                                                    step - 1)[ev])
-        run.cps_tables[key] = table
+                fallback = _cps_witness_table(run, i, sid, step - 1)
+                table[ev] = dict(fallback[0][ev])
+        levels = [step - 1] + (fallback[1] if fallback else [])
+        run.cps_tables[key] = (table, levels)
     return run.cps_tables[key]
 
 
-def _verify_cps_witness(run, belief, i, sid, step):
+def _verify_cps_witness(run, belief, i, step):
     checks = []
     ok, violations = validate_chain_rule(belief)
     checks.append(("chain-rule", ok and not violations))
@@ -393,9 +435,6 @@ def _verify_cps_witness(run, belief, i, sid, step):
             ok_support = False
             break
     checks.append(("support-matches-surviving-co-profiles", ok_support))
-    analysis = best_reply.ReplyAnalysis(run.form, belief, i)
-    checks.append(("weak-sequential-best-reply",
-                   sid in analysis.weak_sequential_ids()))
     return checks
 
 
@@ -409,13 +448,19 @@ def prudent_rationalizability_cps(game):
     return _Run(game.strategic_form()).trace(PR_CPS)
 
 
-# Per witness family: assemble the belief's data from justifiers, build
-# the belief, audit it.  The classes are looked up when called, so that
-# replacing the module attribute takes effect.
+# Per witness family: the levels whose justifiers a witness reads (each
+# survivor has its own substituted), the belief's data, the belief, and
+# its sid-independent audit; best-reply membership is checked per
+# survivor by ``_Run.witnesses``.  The classes are looked up when called,
+# so that replacing the module attribute takes effect.
 _FAMILIES = {
-    PR_CNPS: (_ladder_prior, lambda family, prior: PriorCNPS(family, prior),
+    PR_CNPS: (_ladder_levels, _ladder_prior,
+              lambda family, prior: PriorCNPS(family, prior),
               _verify_cnps_witness),
-    PR_CPS: (_cps_witness_table,
+    PR_CPS: (lambda run, i, sid, step: _cps_witness_table(
+                 run, i, sid, step)[1],
+             lambda run, i, sid, step: _cps_witness_table(
+                 run, i, sid, step)[0],
              lambda family, table: ExplicitCPS(family, table),
              _verify_cps_witness),
 }

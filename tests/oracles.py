@@ -339,6 +339,30 @@ def _fraction_zrow(a, basis, costs, ncols, last):
     return out
 
 
+def lp_certificate_holds(result, problem):
+    """Re-check an ``lp.LPResult``'s certificate by substitution: a
+    nonnegative feasible point attaining its value, or a Farkas witness
+    y with y.A <= 0 and y.b > 0."""
+    if result.status == "optimal":
+        if any(v < 0 for v in result.x):
+            return False
+        for row, b in zip(problem.rows, problem.rhs):
+            if sum(r * v for r, v in zip(row, result.x)) != b:
+                return False
+        obj = sum(c * v for c, v in zip(problem.objective, result.x))
+        return obj == result.value
+    if result.status == "infeasible":
+        y = result.farkas
+        n = len(problem.objective)
+        for j in range(n):
+            if sum(y[k] * problem.rows[k][j]
+                   for k in range(len(problem.rows))) > 0:
+                return False
+        return sum(y[k] * problem.rhs[k]
+                   for k in range(len(problem.rhs))) > 0
+    return False
+
+
 def fraction_simplex(problem):
     """The two-phase Bland-rule simplex over a Fraction tableau: the
     reference ``lp.solve`` must agree with pivot for pivot."""

@@ -178,6 +178,136 @@ class TestVerifyEquivalences:
         assert exc.strategy == form.strats[i][twin]
         assert exc.strategy != form.strats[i][rep]
 
+    def test_each_justifier_chain_builds_one_belief(self, corpus_games,
+                                                    monkeypatch):
+        """Survivors of a step whose twin classes agree at every earlier
+        level share one belief and one reply analysis: no (procedure,
+        player, step, chain) builds a second of either, and every
+        survivor keeps its own record with the full check list."""
+        from prudens import best_reply, dominance, procedures
+        built = []
+        analysed = []
+
+        def recording(cls):
+            def build(family, data):
+                built.append(cls(family, data))
+                return built[-1]
+            return build
+
+        real_analysis = best_reply.ReplyAnalysis
+
+        def analysis(form, belief, i):
+            analysed.append(belief)
+            return real_analysis(form, belief, i)
+
+        for name in ("PriorCNPS", "ExplicitCPS"):
+            monkeypatch.setattr(procedures, name,
+                                recording(getattr(procedures, name)))
+        monkeypatch.setattr(best_reply, "ReplyAnalysis", analysis)
+        shared = 0
+        for game in [corpus_games["centipede_3"]] + small_games(
+                20, start=700, max_players=3, max_strategies=6):
+            del built[:], analysed[:]
+            form = game.strategic_form()
+            columns = dominance.iterated_elimination_ids(form)[2]
+            traces = verify_equivalences(game)["traces"]
+            chains = {}
+            for proc, own in (("pr-cnps", ["prior-full-support",
+                                           "prior-sums-to-1"]),
+                              ("pr-cps", ["chain-rule",
+                                          "support-matches-surviving-"
+                                          "co-profiles"])):
+                for (n, i, s), rec in traces[proc].witnesses.items():
+                    sid = form.index[i][s]
+                    chain = tuple(columns[level][i].twin[sid]
+                                  for level in range(n))
+                    chains.setdefault((proc, i, n, chain), []).append(rec)
+                    rounds = (["c-strong-belief-in-round-%d-survivors" % m
+                               for m in range(n)]
+                              if proc == "pr-cnps" else [])
+                    assert [name for name, _ in rec.checks] == (
+                        own + rounds + ["weak-sequential-best-reply"])
+            beliefs = [recs[0].belief for recs in chains.values()]
+            for recs in chains.values():
+                assert all(rec.belief is recs[0].belief for rec in recs)
+                shared += len(recs) > 1
+            assert sorted(map(id, built)) == sorted(map(id, beliefs))
+            assert sorted(map(id, analysed)) == sorted(map(id, beliefs))
+        assert shared
+
+    def test_failing_best_reply_names_the_member(self, corpus_games,
+                                                 monkeypatch):
+        """Members of a chain share one reply analysis but each is checked
+        for membership on its own: a non-representative member missing
+        from the weak sequential replies is named, not its
+        representative."""
+        from prudens import best_reply, dominance
+        game = corpus_games["centipede_3"]
+        form = game.strategic_form()
+        steps, _, columns = dominance.iterated_elimination_ids(form)
+        i, rep, member = next(
+            (i, columns[0][i].twin[sid], sid) for i in range(form.n)
+            for sid in steps[1][i] if columns[0][i].twin[sid] != sid)
+        assert rep in steps[1][i]
+        real = best_reply.ReplyAnalysis.weak_sequential_ids
+
+        def without_member(analysis):
+            return [sid for sid in real(analysis)
+                    if (analysis.i, sid) != (i, member)]
+
+        monkeypatch.setattr(best_reply.ReplyAnalysis, "weak_sequential_ids",
+                            without_member)
+        with pytest.raises(EquivalenceViolation) as info:
+            verify_equivalences(game)
+        exc = info.value
+        assert (exc.step, exc.player, exc.checks) == (
+            1, i, ["weak-sequential-best-reply"])
+        assert exc.strategy == form.strats[i][member]
+        assert exc.strategy != form.strats[i][rep]
+
+    def test_failing_member_justifier_at_any_level_is_named(
+            self, corpus_games, monkeypatch):
+        """A member that reuses its chain's belief still has its own
+        justifier substituted at every level the belief reads: for each
+        non-representative member of a chain two or more levels long and
+        each of those levels, a failed substitution names the member."""
+        from prudens import dominance
+        game = corpus_games["centipede_3"]
+        form = game.strategic_form()
+        steps, _, columns = dominance.iterated_elimination_ids(form)
+        q_level = {}
+        for level, step in enumerate(steps):
+            q_level.setdefault(tuple(frozenset(part) for part in step),
+                               level)
+
+        def chain(i, sid, n):
+            return tuple(columns[level][i].twin[sid] for level in range(n))
+
+        cases = {(i, sid, level)
+                 for n in range(2, len(columns) + 1)
+                 for i in range(form.n) for sid in steps[n][i]
+                 if min(r for r in steps[n][i]
+                        if chain(i, r, n) == chain(i, sid, n)) != sid
+                 for level in range(n)}
+        assert {level for _, _, level in cases} >= {0, 1}
+        real = dominance.measure_justifies_ids
+        for i, member, failing in sorted(cases):
+            def fails_for_member(form, q_sets, player, sid, measure,
+                                 cols=None):
+                if (player, sid, q_level[tuple(q_sets)]) == (
+                        i, member, failing):
+                    return False
+                return real(form, q_sets, player, sid, measure, cols)
+
+            monkeypatch.setattr(dominance, "measure_justifies_ids",
+                                fails_for_member)
+            with pytest.raises(EquivalenceViolation) as info:
+                verify_equivalences(game)
+            exc = info.value
+            assert (exc.step, exc.player, exc.checks) == (
+                failing + 1, i, ["justifiers"])
+            assert exc.strategy == form.strats[i][member]
+
     def test_traces_share_steps_and_exclusions(self, corpus_games):
         report = verify_equivalences(corpus_games["centipede_3"])
         ia, cnps, cps = (report["traces"][name]
