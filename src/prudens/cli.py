@@ -4,10 +4,12 @@
     prudens fuzz --seed N --count N [--jobs N] [--out-dir DIR]
     prudens fmt <files...> [--write]
 
-Exit status: 0 success, 2 usage problems, 3 parse diagnostics, 4 an
-audit violation in ``verify``, ``ia``, ``pr-cnps``, ``pr-cps``,
-``reduced`` or ``fuzz`` (fuzz writes the shrunk offending game next to
-the report).
+Exit status: 0 success, 2 usage problems (a file that cannot be read
+or, under ``fmt --write``, written; ``--jobs`` below 1 or ``--count``
+below 0; a fuzz ``--out-dir`` that is not a directory, found before the
+campaign starts), 3 parse diagnostics, 4 an audit violation in
+``verify``, ``ia``, ``pr-cnps``, ``pr-cps``, ``reduced`` or ``fuzz``
+(fuzz writes the shrunk offending game into ``--out-dir``).
 File arguments that do not exist are also resolved against the bundled
 corpus (or ``$PRUDENS_CORPUS``); ``verify`` with no files runs the whole
 corpus.  Reports are deterministic for a fixed (input, configuration,
@@ -17,6 +19,7 @@ seed); ``--timings`` adds wall-clock fields at the cost of that.
 import argparse
 import json
 import multiprocessing
+import os
 import sys
 from collections import Counter
 
@@ -159,6 +162,10 @@ def _violation_predicate(game):
 
 
 def _cmd_fuzz(args):
+    if not os.path.isdir(args.out_dir):
+        print("--out-dir %s is not a directory" % args.out_dir,
+              file=sys.stderr)
+        return 2
     bounds = {
         "max_players": args.players,
         "max_histories": args.histories,
@@ -237,10 +244,29 @@ def _cmd_fmt(args):
             return 3
         text = dsl.serialize(doc)
         if args.write:
-            path.write_text(text, encoding="utf-8")
+            try:
+                path.write_text(text, encoding="utf-8")
+            except OSError as exc:
+                print("cannot write %s: %s" % (name, exc), file=sys.stderr)
+                return 2
         else:
             sys.stdout.write(text)
     return status
+
+
+def _int_at_least(minimum):
+    """An argparse type: an int no less than minimum (a usage error
+    otherwise)."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                "must be at least %d, got %d" % (minimum, value))
+        return value
+    return parse
 
 
 def build_parser():
@@ -282,8 +308,8 @@ def build_parser():
     p = sub.add_parser("fuzz", help="random-game differential campaign")
     common(p, needs_files=False)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--count", type=_int_at_least(0), default=100)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--players", type=int, default=3)
     p.add_argument("--histories", type=int, default=12)
     p.add_argument("--actions", type=int, default=3)

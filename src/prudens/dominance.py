@@ -24,7 +24,9 @@ behaviourally equivalent plans of a sequential game) get the same answer
 from both solvers, so a :class:`Columns` solves each question once per
 twin class and hands the answer to every member; each member's answer is
 still substituted on its own (see docs/exactness.md, "Twin-shared LP
-answers").
+answers").  The justifier LP has one constraint per distinct rival row,
+so twins pose the identical LP (docs/exactness.md, "Deduplicated
+justifier rows").
 """
 
 from fractions import Fraction
@@ -179,9 +181,11 @@ def justifier_ids(form, q_sets, i, sid, cols=None):
     Found by maximizing the minimum mass m over distinct payoff columns
     (substituting nu_g = m + w_g turns strict positivity into the sign of
     the optimum), then spreading each column's mass uniformly over the
-    co-profiles it aggregates.  A twin's LP differs only in where an
-    all-zero rival row sits, and that row never takes part in a ratio
-    test, so twins share the answer.
+    co-profiles it aggregates.  The LP has one constraint per distinct
+    own row other than sid's: a repeated row restates an inequality and
+    sid's own row states 0 >= 0, so the optimum and the None decision are
+    those of one constraint per rival, though the vertex returned may
+    differ.  Twins pose the identical LP and so share the answer.
     """
     cols = _columns(form, i, q_sets, cols)
     return cols.shared(("justifier", cols.twin[sid]),
@@ -192,7 +196,10 @@ def _justifier(cols, sid):
     value = cols.value
     own = value[sid]
     ngroups = len(own)
-    others = [r for r in range(len(value)) if r != sid]
+    # one rival per distinct row other than sid's: the least member of
+    # each twin class but sid's, so rows keep first-occurrence order
+    others = [r for r, t in enumerate(cols.twin)
+              if t == r and t != cols.twin[sid]]
     zero, one = lp.ZERO, lp.ONE
 
     # columns: m, then w_g per distinct column, then one slack per rival

@@ -9,7 +9,9 @@ that must agree with them exactly, result for result:
 replaces with integer pivoting (it takes the same Bland-rule pivots), and
 ``fraction_value_row`` / ``fraction_best_replies_to_measure``, the
 per-strategy Fraction sums that ``best_reply`` replaces with integer
-twin-class sums.
+twin-class sums.  ``full_justifier_problem`` is the justifier LP with
+one constraint per rival, the construction whose repeated rows
+``dominance`` drops; its optimum must be the deduplicated LP's.
 """
 
 import itertools
@@ -361,6 +363,26 @@ def lp_certificate_holds(result, problem):
         return sum(y[k] * problem.rhs[k]
                    for k in range(len(problem.rhs))) > 0
     return False
+
+
+def full_justifier_problem(value, sid):
+    """The justifier LP for own row sid of ``value`` with one constraint
+    row and one slack column per rival own strategy, repeated rows and
+    sid's twins included: maximize m subject to ngroups*m + sum(w) = 1 and,
+    for every rival r, sum_g (value[sid][g] - value[r][g]) (m + w_g) -
+    s_r = 0, over m, w, s >= 0."""
+    own = value[sid]
+    ngroups = len(own)
+    others = [r for r in range(len(value)) if r != sid]
+    rows = [[Fraction(ngroups)] + [_ONE] * ngroups + [_ZERO] * len(others)]
+    rhs = [_ONE]
+    for j, r in enumerate(others):
+        diff = [own[g] - value[r][g] for g in range(ngroups)]
+        slack = [-_ONE if j == k else _ZERO for k in range(len(others))]
+        rows.append([sum(diff, _ZERO)] + diff + slack)
+        rhs.append(_ZERO)
+    objective = [_ONE] + [_ZERO] * (ngroups + len(others))
+    return lp.LPProblem(objective, rows, rhs)
 
 
 def fraction_simplex(problem):

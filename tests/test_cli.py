@@ -154,6 +154,42 @@ class TestFuzzCommand:
                 tripwire(game)
 
 
+    def test_missing_out_dir_is_a_usage_error(self, tmp_path, monkeypatch,
+                                              capsys):
+        from prudens import procedures
+
+        calls = []
+
+        def tripwire(game):
+            calls.append(game)
+            raise EquivalenceViolation("injected for the harness")
+
+        monkeypatch.setattr(procedures, "verify_equivalences", tripwire)
+        missing = tmp_path / "missing"
+        code, out = run_cli(["fuzz", "--seed", "0", "--count", "3",
+                             "--format", "json", "--out-dir", str(missing)])
+        assert code == 2
+        assert out == ""
+        assert "not a directory" in capsys.readouterr().err
+        assert not calls  # refused before the campaign starts
+        assert not missing.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--jobs", "-3"), ("--jobs", "0"), ("--count", "-1")])
+    def test_out_of_range_counts_are_usage_errors(self, flag, value,
+                                                  monkeypatch, capsys):
+        from prudens import procedures
+
+        def tripwire(game):
+            raise AssertionError("the campaign must not start")
+
+        monkeypatch.setattr(procedures, "verify_equivalences", tripwire)
+        code, out = run_cli(["fuzz", "--count", "2", flag, value])
+        assert code == 2
+        assert out == ""
+        assert "argument %s: must be at least" % flag in \
+            capsys.readouterr().err
+
     def test_audit_error_is_recorded_and_shrunk(self, tmp_path, monkeypatch):
         from prudens import procedures
         from prudens.beliefs import BeliefError
@@ -192,6 +228,22 @@ class TestFmt:
         first = target.read_text()
         assert run_cli(["fmt", str(target), "--write"])[0] == 0
         assert target.read_text() == first
+
+    def test_fmt_write_failure_is_a_usage_error(self, tmp_path, monkeypatch,
+                                                capsys):
+        from pathlib import Path
+
+        target = tmp_path / "t.seqgame"
+        text = "players A\nat / actions A: x\npayoff /(x) = 2/4\n"
+        target.write_text(text)
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError("injected: read-only")
+
+        monkeypatch.setattr(Path, "write_text", refuse)
+        assert run_cli(["fmt", str(target), "--write"])[0] == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert target.read_text() == text
 
     def test_fmt_parse_error(self, tmp_path):
         bad = tmp_path / "bad.seqgame"

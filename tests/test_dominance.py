@@ -1,16 +1,18 @@
 import itertools
+from unittest import mock
 
 import pytest
 from fractions import Fraction
 
-from prudens import dominance, dsl
+from prudens import dominance, dsl, lp
 from prudens.dominance import (MixedStrategy, justifying_full_support_measure,
                                weakly_dominated)
 from prudens.game import ProductRestriction
 from prudens.procedures import iterated_admissibility
 
 from conftest import small_games
-from oracles import brute_iterated_admissibility, vertex_weakly_dominated
+from oracles import (brute_iterated_admissibility, fraction_simplex,
+                     full_justifier_problem, vertex_weakly_dominated)
 
 
 def by_name(game, i, name):
@@ -140,6 +142,16 @@ def centipede_text(legs):
     return "\n".join(lines) + "\n"
 
 
+def lp_games(corpus_games):
+    """The corpus, 40 generated games of up to three players and the
+    six-leg centipede."""
+    games = [corpus_games[name] for name in sorted(corpus_games)]
+    games += small_games(40, max_players=3, max_strategies=6,
+                         max_histories=8)
+    games.append(dsl.elaborate(dsl.parse(centipede_text(6))))
+    return games
+
+
 class TestTwinSharing:
     """One Columns poses each slack and justifier LP once per twin class
     of own payoff rows and hands the answer to every member.  At every
@@ -181,13 +193,108 @@ class TestTwinSharing:
 
     def test_shared_answers_equal_unshared_ones(self, corpus_games):
         seen = {"justifier": 0, "slack": 0}
-        games = [corpus_games[name] for name in sorted(corpus_games)]
-        games += small_games(40, max_players=3, max_strategies=6,
-                             max_histories=8)
-        games.append(dsl.elaborate(dsl.parse(centipede_text(6))))
-        for game in games:
+        for game in lp_games(corpus_games):
             self.check(game, seen)
         assert seen["justifier"] >= 200 and seen["slack"] >= 100, seen
+
+
+def posed_justifiers(game):
+    """(q_sets, cols, i, sid, problem, measure) for every own strategy of
+    every player at every level of the elimination, eliminated ones
+    included: the justifier LP each poses through the unshared route and
+    the measure returned."""
+    form = game.strategic_form()
+    steps, _, _ = dominance.iterated_elimination_ids(form)
+    out = []
+    for step in steps[:-1]:
+        q_sets = [frozenset(part) for part in step]
+        for i in range(form.n):
+            cols = dominance.Columns(form, i, q_sets)
+            for sid in range(form.counts[i]):
+                with mock.patch.object(lp, "solve", wraps=lp.solve) as solve:
+                    measure = dominance.justifier_ids(form, q_sets, i, sid)
+                (call,) = solve.call_args_list
+                out.append((q_sets, cols, i, sid, call.args[0], measure))
+    return form, out
+
+
+class TestDeduplicatedJustifier:
+    """The justifier LP keeps one rival row per distinct own row other
+    than sid's.  That drops only constraints that restate another one or
+    read 0 >= 0, so the optimum and the None decision are those of the LP
+    with one row per rival (``oracles.full_justifier_problem``)."""
+
+    def test_same_optimum_as_one_row_per_rival(self, corpus_games):
+        seen = {"lps": 0, "dropped": 0, "justified": 0}
+        for game in lp_games(corpus_games):
+            form, posed = posed_justifiers(game)
+            for q_sets, cols, i, sid, problem, measure in posed:
+                if cols.twin[sid] != sid:
+                    continue  # posed by its representative (next test)
+                ngroups = len(cols.value[sid])
+                rivals = [tuple(row[1:1 + ngroups])
+                          for row in problem.rows[1:]]
+                assert all(any(diff) for diff in rivals)
+                assert len(set(rivals)) == len(rivals)
+                full = full_justifier_problem(cols.value, sid)
+                ours = fraction_simplex(problem)
+                theirs = fraction_simplex(full)
+                assert ours.status == theirs.status
+                assert ours.value == theirs.value
+                assert (measure is None) == \
+                    (ours.status == "infeasible" or ours.value <= 0)
+                seen["lps"] += 1
+                seen["dropped"] += len(full.rows) > len(problem.rows)
+                if measure is not None:
+                    seen["justified"] += 1
+                    assert dominance.measure_justifies_ids(
+                        form, q_sets, i, sid, measure)
+        assert seen["lps"] >= 600 and seen["dropped"] >= 300, seen
+        assert seen["justified"] >= 300, seen
+
+    def test_twins_pose_the_identical_lp(self, corpus_games):
+        members = 0
+        for game in lp_games(corpus_games):
+            _, posed = posed_justifiers(game)
+            rep = {}
+            for _, cols, _, sid, problem, _ in posed:
+                key = (id(cols), cols.twin[sid])
+                if key in rep:
+                    assert problem == rep[key]
+                    members += 1
+                else:
+                    rep[key] = problem
+        assert members >= 300, members
+
+    def test_pinned_instance_differs_in_vertex_not_value(self):
+        """Own rows 0, 3 and 4 are twins and 1, 2 are twins.  For sid 3
+        one row per rival poses five rival rows, two of them zero and one
+        a repeat; the deduplicated LP poses two.  Both have optimum 2/11
+        but Bland's rule stops at different vertices, masses
+        (2,2,2,3,2)/11 with every row and (3,2,2,2,2)/11 without the
+        repeats, so the change is not pivot-identical.  Each vertex is a
+        justifier by substitution."""
+        rows = ["1 -1 -1/2 1 0", "-1 0 -1/2 0 0", "-1 0 -1/2 0 0",
+                "1 -1 -1/2 1 0", "1 -1 -1/2 1 0", "0 1 0 0 0"]
+        text = "players Row Col\nmatrix Row: a b c d e f Col: v w x y z\n"
+        for name, row in zip("abcdef", rows):
+            text += "%s: %s\n" % (name, " ".join(
+                "%s,0" % v for v in row.split()))
+        form = dsl.elaborate(dsl.parse(text)).strategic_form()
+        q_sets = [frozenset(range(count)) for count in form.counts]
+        cols = dominance.Columns(form, 0, q_sets)
+        assert cols.groups == [[0], [1], [2], [3], [4]]
+        assert cols.value[3] == [1, -1, Fraction(-1, 2), 1, 0]
+
+        measure = dominance.justifier_ids(form, q_sets, 0, 3)
+        full = lp.solve(full_justifier_problem(cols.value, 3))
+        assert full.value == Fraction(2, 11)
+        assert min(measure.values()) == full.value
+        vertex = {g: full.x[0] + full.x[1 + g] for g in range(5)}
+        assert [measure[g] * 11 for g in range(5)] == [3, 2, 2, 2, 2]
+        assert [vertex[g] * 11 for g in range(5)] == [2, 2, 2, 3, 2]
+        for nu in (measure, vertex):
+            assert dominance.measure_justifies_ids(form, q_sets, 0, 3, nu)
 
 
 class TestIteratedAdmissibility:
