@@ -72,10 +72,6 @@ class ConditioningFamily:
             raise UnknownHistory("no such nonterminal history: %r" % (h,))
         return self.form.co_allow[self.owner][k]
 
-    def profiles(self, ids):
-        return [self.form.co_profile_strategies(self.owner, coid)
-                for coid in sorted(ids)]
-
 
 class PriorCNPS:
     """Belief system generated by conditioning a full-support prior.
@@ -190,8 +186,8 @@ class ExplicitCPS:
     def by_conditioning(cls, family, measure):
         """Condition one measure (coid -> Fraction) on every event it can reach.
 
-        Raises BeliefError if some event has zero mass; callers supply a
-        fallback table for those (see the procedures module).
+        Raises BeliefError if some event has zero mass; the procedures
+        module conditions a lower rung of a justifier ladder there.
         """
         table = {}
         for ev, _ in family.events:

@@ -5,15 +5,18 @@
     prudens fmt <files...> [--write]
 
 Exit status: 0 success, 2 usage problems (a file that cannot be read
-or, under ``fmt --write``, written; ``--jobs`` below 1 or ``--count``
-below 0; a fuzz ``--out-dir`` that is not a directory, found before the
-campaign starts), 3 parse diagnostics, 4 an audit violation in
-``verify``, ``ia``, ``pr-cnps``, ``pr-cps``, ``reduced`` or ``fuzz``
-(fuzz writes the shrunk offending game into ``--out-dir``).
-File arguments that do not exist are also resolved against the bundled
-corpus (or ``$PRUDENS_CORPUS``); ``verify`` with no files runs the whole
-corpus.  Reports are deterministic for a fixed (input, configuration,
-seed); ``--timings`` adds wall-clock fields at the cost of that.
+or, under ``fmt --write``, written; a ``fmt --write`` argument that is
+not a file as given, refused before anything is written; ``--jobs``
+below 1 or ``--count`` below 0; a fuzz ``--out-dir`` that is not a
+directory, found before the campaign starts), 3 parse diagnostics, 4 an
+audit violation in ``verify``, ``ia``, ``pr-cnps``, ``pr-cps``,
+``reduced`` or ``fuzz`` (fuzz writes the shrunk offending game into
+``--out-dir``).  File arguments that do not exist are also resolved
+against the bundled corpus (or ``$PRUDENS_CORPUS``) when read;
+``fmt --write`` never writes to the corpus.  ``verify`` with no files
+runs the whole corpus.  Reports are deterministic for a fixed (input,
+configuration, seed); ``--timings`` adds wall-clock fields at the cost
+of that.
 """
 
 import argparse
@@ -22,6 +25,7 @@ import multiprocessing
 import os
 import sys
 from collections import Counter
+from pathlib import Path
 
 from . import corpus, dsl, generator, procedures, shrink
 from .dsl import GameDocError
@@ -232,6 +236,13 @@ def _cmd_fuzz(args):
 
 def _cmd_fmt(args):
     status = 0
+    if args.write:
+        for name in args.files:
+            if not Path(name).is_file():
+                print("cannot write %s: --write needs a file that exists as "
+                      "given (corpus names are read only)" % name,
+                      file=sys.stderr)
+                return 2
     for name in args.files:
         path = corpus.resolve(name)
         try:

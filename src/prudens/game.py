@@ -144,7 +144,10 @@ class Game:
                 if len(set(acts)) != len(acts):
                     raise GameError("duplicate action for %s at %s"
                                     % (self.players[i], format_path(h)))
-        for h in everything:
+        # Shallowest first: every proper prefix of h is known to be
+        # nonterminal before h's profiles are read, and the error raised
+        # does not depend on the order of a set.
+        for h in sorted(everything, key=lambda h: (len(h), repr(h))):
             if h and h[:-1] not in self.actions:
                 raise GameError("history %s has no parent" % format_path(h))
             for depth, profile in enumerate(h):

@@ -22,13 +22,13 @@ the run holds:
   cautious strong-belief ladder or the per-history support condition,
   and best-reply membership).
 
-A step-n belief is built from the strategy's justifiers at rounds
-0..n-1, and twins share each round's justifier, so the strategy's twin
-class at every round (its justifier chain) fixes the belief.  Survivors
-of a step with the same chain share one belief, its validity and ladder
-or support checks, and one reply analysis; each keeps its own justifier
-substitutions, its own best-reply membership check and its own record
-(see docs/exactness.md, "One belief per justifier chain").
+A step-n survivor's justifier ladder is its justifiers at rounds n-1,
+..., 0, each substituted on its own.  Twins share each round's
+justifier, so the strategy's twin class at every round (its justifier
+chain) fixes the ladder.  Survivors of a step with the same chain share
+one belief, its validity and ladder or support checks, and one reply
+analysis; each keeps its own best-reply membership check and its own
+record (see docs/exactness.md, "One belief per justifier chain").
 
 The ``ia``, ``pr-cnps`` and ``pr-cps`` traces are views of that run, so
 a verified run is an instance-level proof that the three procedures
@@ -36,14 +36,15 @@ coincide step by step on the given game.  Every audit failure raises an
 :class:`EquivalenceViolation` naming its step, player, strategy and
 failed checks.
 
-Justifying priors are assembled on an infinitesimal ladder: with
-admissible-at-every-earlier-round measures nu_0, ..., nu_{n-1} (supports
-shrinking with the round), the prior weighs nu_ell by e^ell and gives
-nu_0 the complementary weight 1 - e - ... - e^{n-1}, so the masses sum to
-exactly 1 without dividing polynomials.  Best-reply membership is checked
-with the weak sequential correspondence (optimality at every history the
-strategy allows); see the package docs for why the strict replacement
-form cannot support the step equalities.
+Both witness families are built from the survivor's ladder nu_0, ...,
+nu_{n-1}.  The prior weighs nu_ell by e^ell and gives nu_0 the
+complementary weight 1 - e - ... - e^{n-1}, so the masses sum to exactly
+1 without dividing polynomials.  The explicit system takes, at each
+event, the conditional of the first nu_ell giving the event positive
+mass, which is the standard part of the prior's conditional there.
+Best-reply membership is checked with the weak sequential correspondence
+(optimality at every history the strategy allows); see the package docs
+for why the strict replacement form cannot support the step equalities.
 """
 
 import time
@@ -192,7 +193,6 @@ class _Run:
         self.steps = [form.restriction_from_ids(step) for step in self.ids]
         self.families = [ConditioningFamily(form.game, i, form)
                          for i in range(form.n)]
-        self.cps_tables = {}
         self._co_events = {}
         self._q_sets = [[frozenset(part) for part in step]
                         for step in self.ids]
@@ -216,26 +216,24 @@ class _Run:
     def justifier(self, i, sid, level):
         """Measure with support exactly the level's co-survivors against
         which sid is a best reply among all own strategies.  Twins share
-        the level's LP answer; each is substituted on its own."""
+        the level's LP answer; each is substituted on its own.  Raises
+        WitnessVerificationFailed when there is none or it fails
+        substitution."""
         key = (i, sid, level)
         if key not in self._justifiers:
             q_sets = self._q_sets[level]
             cols = self.columns[level][i]
             measure = dominance.justifier_ids(self.form, q_sets, i, sid, cols)
-            if measure is not None and not dominance.measure_justifies_ids(
+            if measure is None:
+                raise WitnessVerificationFailed(
+                    "no justifier with support at round %d for %r"
+                    % (level, self.form.strats[i][sid]))
+            if not dominance.measure_justifies_ids(
                     self.form, q_sets, i, sid, measure, cols):
                 raise WitnessVerificationFailed(
                     "justifier failed substitution check")
             self._justifiers[key] = measure
         return self._justifiers[key]
-
-    def required_justifier(self, i, sid, level):
-        measure = self.justifier(i, sid, level)
-        if measure is None:
-            raise WitnessVerificationFailed(
-                "no justifier with support at round %d for %r"
-                % (level, self.form.strats[i][sid]))
-        return measure
 
     def _violation(self, what, n, i, strategy, checks, exc=None):
         msg = "%s at step %d for %s of player %s failed: %s" % (
@@ -279,14 +277,15 @@ class _Run:
 
         Witnesses are carried by steps 1..N+1 (one past stabilization, so
         the final witnesses honor the full ladder of surviving sets).
-        Survivors of one step with the same justifier chain share one
-        belief, its sid-independent checks and one reply analysis; each
-        still has its own justifiers substituted and its own best-reply
-        membership checked.
+        A step-n survivor's ladder is its justifiers at rounds n-1, ...,
+        0, each substituted on its own.  Survivors of one step with the
+        same justifier chain share one belief, built from the first
+        member's ladder, its sid-independent checks and one reply
+        analysis; each still has its own best-reply membership checked.
         """
         if procedure not in self._witnesses:
             t0 = time.perf_counter()
-            levels, assemble, build, audit = _FAMILIES[procedure]
+            assemble, build, audit = _FAMILIES[procedure]
             form = self.form
             table = {}
             for n in range(1, self.fixpoint + 2):
@@ -297,10 +296,10 @@ class _Run:
                         chain = self.chain(i, sid, n)
                         stage = "justifiers"
                         try:
-                            for level in levels(self, i, sid, n):
-                                self.required_justifier(i, sid, level)
+                            ladder = [self.justifier(i, sid, n - 1 - ell)
+                                      for ell in range(n)]
                             if chain not in shared:
-                                data = assemble(self, i, sid, n)
+                                data = assemble(self, i, ladder)
                                 stage = "belief-valid"
                                 belief = build(self.families[i], data)
                                 stage = "audit"
@@ -349,31 +348,20 @@ def iterated_admissibility(game):
 
 # -- prior-generated (non-standard) witnesses ---------------------------
 
-def _ladder_levels(run, i, sid, step):
-    """Levels whose justifiers the step's ladder prior reads: all of them."""
-    return range(step - 1, -1, -1)
+def _ladder_prior(run, i, ladder):
+    """Assemble the step-n justifying prior from its justifier ladder.
 
-
-def _ladder_prior(run, i, sid, step):
-    """Assemble the step-n justifying prior from the per-round justifiers.
-
-    nu_ell has support exactly the round-(n-1-ell) co-survivors; the
-    prior is nu_0 weighted by 1 - e - ... - e^{n-1} plus e^ell nu_ell,
-    which sums to 1 exactly and keeps full support.
+    nu_ell, the justifier at round n-1-ell, has support exactly that
+    round's co-survivors; the prior is nu_0 weighted by
+    1 - e - ... - e^{n-1} plus e^ell nu_ell, which sums to 1 exactly and
+    keeps full support.
     """
-    form = run.form
-    bound = run.degree_bound
-    measures = [run.required_justifier(i, sid, step - 1 - ell)
-                for ell in range(step)]
-    n_co = len(form.co_profiles[i])
     prior = {}
-    for coid in range(n_co):
-        coeffs = [Fraction(0)] * step
-        base = measures[0].get(coid, Fraction(0))
-        coeffs[0] = base
-        for ell in range(1, step):
-            coeffs[ell] = measures[ell].get(coid, Fraction(0)) - base
-        prior[coid] = Hyperreal(coeffs, bound)
+    for coid in range(len(run.form.co_profiles[i])):
+        base = ladder[0].get(coid, Fraction(0))
+        coeffs = [base] + [nu.get(coid, Fraction(0)) - base
+                           for nu in ladder[1:]]
+        prior[coid] = Hyperreal(coeffs, run.degree_bound)
     return prior
 
 
@@ -398,69 +386,52 @@ def prudent_rationalizability_cnps(game):
 
 # -- explicit standard witnesses ----------------------------------------
 
-def _cps_witness_table(run, i, sid, step):
-    """Conditioning of the round-(n-1) justifier, falling back to the
-    previous step's witness at events its support cannot reach.
-
-    Returns (table, the levels whose justifiers it read), one per
-    justifier chain, so twins share the table and its fallbacks.
-    """
-    key = (i, step, run.chain(i, sid, step))
-    if key not in run.cps_tables:
-        measure = run.required_justifier(i, sid, step - 1)
-        table = {}
-        fallback = None
-        for ev, _ in run.families[i].events:
+def _cps_witness_table(run, i, ladder):
+    """At each event, the conditional of the first justifier in the
+    ladder that gives the event positive mass: the standard part of the
+    ladder prior's conditional there (docs/exactness.md, "The CPS witness
+    is the standard part of the ladder")."""
+    table = {}
+    for ev, _ in run.families[i].events:
+        for measure in ladder:
             table[ev] = condition_measure(measure, ev)
-            if table[ev] is None:
-                if step < 2:
-                    raise WitnessVerificationFailed(
-                        "full-support justifier missed an event")
-                fallback = _cps_witness_table(run, i, sid, step - 1)
-                table[ev] = dict(fallback[0][ev])
-        levels = [step - 1] + (fallback[1] if fallback else [])
-        run.cps_tables[key] = (table, levels)
-    return run.cps_tables[key]
+            if table[ev] is not None:
+                break
+        else:
+            raise WitnessVerificationFailed(
+                "no justifier in the ladder reaches an event")
+    return table
 
 
 def _verify_cps_witness(run, belief, i, step):
-    checks = []
     ok, violations = validate_chain_rule(belief)
-    checks.append(("chain-rule", ok and not violations))
     survivors = run.co_event(i, step - 1)
-    ok_support = True
-    for ev, _ in belief.family.events:
-        required = survivors & ev
-        if required and belief.support(ev) != required:
-            ok_support = False
-            break
-    checks.append(("support-matches-surviving-co-profiles", ok_support))
-    return checks
+    ok_support = all(belief.support(ev) == survivors & ev
+                     for ev, _ in belief.family.events if survivors & ev)
+    return [("chain-rule", ok and not violations),
+            ("support-matches-surviving-co-profiles", ok_support)]
 
 
 def prudent_rationalizability_cps(game):
     """The cautious procedure with explicit standard conditional systems.
 
-    Witnesses condition a justifier supported on the previous step's
-    survivors and are re-verified against the chain rule, the support
+    Witnesses condition the survivor's justifier ladder at each event
+    and are re-verified against the chain rule, the support
     condition at every history, and best-reply membership.
     """
     return _Run(game.strategic_form()).trace(PR_CPS)
 
 
-# Per witness family: the levels whose justifiers a witness reads (each
-# survivor has its own substituted), the belief's data, the belief, and
-# its sid-independent audit; best-reply membership is checked per
-# survivor by ``_Run.witnesses``.  The classes are looked up when called,
-# so that replacing the module attribute takes effect.
+# Per witness family: the belief's data, assembled from a survivor's
+# justifier ladder, the belief, and its sid-independent audit; best-reply
+# membership is checked per survivor by ``_Run.witnesses``.  The classes
+# are looked up when called, so that replacing the module attribute takes
+# effect.
 _FAMILIES = {
-    PR_CNPS: (_ladder_levels, _ladder_prior,
+    PR_CNPS: (_ladder_prior,
               lambda family, prior: PriorCNPS(family, prior),
               _verify_cnps_witness),
-    PR_CPS: (lambda run, i, sid, step: _cps_witness_table(
-                 run, i, sid, step)[1],
-             lambda run, i, sid, step: _cps_witness_table(
-                 run, i, sid, step)[0],
+    PR_CPS: (_cps_witness_table,
              lambda family, table: ExplicitCPS(family, table),
              _verify_cps_witness),
 }

@@ -263,6 +263,20 @@ def sympy_chain_rule_holds(belief):
                     return False
     return True
 
+
+def standard_part_conditional(prior, event_ids):
+    """The standard part of a positive Q[e] prior conditioned on an event.
+
+    In the limit only the masses of least leading degree d over the event
+    count: each conditional mass tends to its e^d coefficient over the
+    sum of the event's e^d coefficients.  Returns the positive entries.
+    """
+    d = min(prior[c].leading_degree() for c in event_ids)
+    weights = {c: prior[c].coefficient(d) for c in event_ids}
+    total = sum(weights.values(), Fraction(0))
+    return {c: w / total for c, w in weights.items() if w != 0}
+
+
 # -- rational simplex ----------------------------------------------------
 
 _ZERO = Fraction(0)

@@ -245,6 +245,32 @@ class TestFmt:
         assert "cannot write" in capsys.readouterr().err
         assert target.read_text() == text
 
+    def test_fmt_write_refuses_a_corpus_name(self, tmp_path, monkeypatch,
+                                             capsys):
+        """A bare name that only resolves through the corpus is read by
+        ``fmt`` but never written: exit 2, every corpus byte unchanged,
+        even when a writable file comes first."""
+        corpus_copy = tmp_path / "corpus"
+        corpus_copy.mkdir()
+        for path in corpus.corpus_paths():
+            (corpus_copy / path.name).write_bytes(path.read_bytes())
+        before = {p.name: p.read_bytes() for p in corpus_copy.iterdir()}
+        work = tmp_path / "work"
+        work.mkdir()
+        local = work / "local.seqgame"
+        local_text = "players A\nat / actions A: x\npayoff /(x) = 2/4\n"
+        local.write_text(local_text)
+        monkeypatch.setenv(corpus.ENV_VAR, str(corpus_copy))
+        monkeypatch.chdir(work)
+        assert run_cli(["fmt", "matching_pennies.seqgame"])[0] == 0
+        code, out = run_cli(["fmt", "local.seqgame",
+                             "matching_pennies.seqgame", "--write"])
+        assert (code, out) == (2, "")
+        assert "matching_pennies.seqgame" in capsys.readouterr().err
+        assert {p.name: p.read_bytes()
+                for p in corpus_copy.iterdir()} == before
+        assert local.read_text() == local_text
+
     def test_fmt_parse_error(self, tmp_path):
         bad = tmp_path / "bad.seqgame"
         bad.write_text("players\n")

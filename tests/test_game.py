@@ -1,8 +1,13 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from fractions import Fraction
 
+import prudens
 from prudens import dsl
 from prudens.game import Game, GameError, SizeLimit, Strategy, format_path
 
@@ -202,6 +207,27 @@ class TestValidation:
         with pytest.raises(GameError):
             Game(("A",), {(): (("x",),), (("x",),): (("z",),)},
                  {(("x",),): (0,), (("x",), ("z",)): (0,)})
+
+    def test_missing_grandparent_is_named_under_every_hash_seed(self):
+        """Histories are checked shallowest first, so a missing
+        grandparent is a GameError naming the same path, not a KeyError
+        that depends on the order of a set of histories."""
+        script = (
+            "from prudens.game import Game, GameError\n"
+            "try:\n"
+            "    Game(('A', 'B'),\n"
+            "         {(): (('a',), ('w',)),\n"
+            "          (('a', 'w'), ('b', 'w')): (('x',), ('w',))},\n"
+            "         {(('a', 'w'), ('b', 'w'), ('x', 'w')): (0, 0)})\n"
+            "except GameError as exc:\n"
+            "    print(exc)\n")
+        src = str(Path(prudens.__file__).resolve().parent.parent)
+        for seed in range(8):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                0, "history /(a,w)/(b,w) has no parent\n", ""), seed
 
     def test_format_path(self):
         assert format_path(()) == "/"

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -14,6 +15,7 @@ from prudens.procedures import (EquivalenceViolation, WitnessVerificationFailed,
                                 reduced_variants, sophistication_index,
                                 verify_equivalences)
 
+import oracles
 from conftest import small_games
 
 
@@ -268,9 +270,11 @@ class TestVerifyEquivalences:
     def test_failing_member_justifier_at_any_level_is_named(
             self, corpus_games, monkeypatch):
         """A member that reuses its chain's belief still has its own
-        justifier substituted at every level the belief reads: for each
-        non-representative member of a chain two or more levels long and
-        each of those levels, a failed substitution names the member."""
+        justifier substituted at every level below its step, under either
+        family: for each non-representative member of a chain two or more
+        levels long and each of those levels, a failed substitution names
+        the member, both when all three procedures are verified and when
+        the CPS family is built alone."""
         from prudens import dominance
         game = corpus_games["centipede_3"]
         form = game.strategic_form()
@@ -291,7 +295,9 @@ class TestVerifyEquivalences:
                  for level in range(n)}
         assert {level for _, _, level in cases} >= {0, 1}
         real = dominance.measure_justifies_ids
-        for i, member, failing in sorted(cases):
+        entry_points = (verify_equivalences, prudent_rationalizability_cps)
+        for entry, (i, member, failing) in itertools.product(
+                entry_points, sorted(cases)):
             def fails_for_member(form, q_sets, player, sid, measure,
                                  cols=None):
                 if (player, sid, q_level[tuple(q_sets)]) == (
@@ -302,10 +308,10 @@ class TestVerifyEquivalences:
             monkeypatch.setattr(dominance, "measure_justifies_ids",
                                 fails_for_member)
             with pytest.raises(EquivalenceViolation) as info:
-                verify_equivalences(game)
+                entry(game)
             exc = info.value
             assert (exc.step, exc.player, exc.checks) == (
-                failing + 1, i, ["justifiers"])
+                failing + 1, i, ["justifiers"]), entry.__name__
             assert exc.strategy == form.strats[i][member]
 
     def test_traces_share_steps_and_exclusions(self, corpus_games):
@@ -402,6 +408,31 @@ class TestCpsWitnesses:
                     required = survivors & ev
                     if required:
                         assert rec.belief.support(ev) == required
+
+    def test_witness_is_standard_part_of_cnps_prior(self, corpus_games):
+        """The paper's equivalence, instance by instance: at every event,
+        each pr-cps witness equals the standard part of the conditional
+        of the pr-cnps prior stored for the same (step, player,
+        strategy), including events only a lower rung of the ladder
+        reaches."""
+        lower_rung = 0
+        games = list(corpus_games.values()) + small_games(
+            40, max_players=3, max_strategies=6, max_histories=8)
+        for game in games:
+            traces = verify_equivalences(game)["traces"]
+            cnps = traces["pr-cnps"].witnesses
+            cps = traces["pr-cps"].witnesses
+            assert cnps.keys() == cps.keys()
+            for key, rec in cps.items():
+                prior = cnps[key].belief.prior
+                for ev, _ in rec.belief.family.events:
+                    got = {c: p for c, p in rec.belief.table[ev].items()
+                           if p}
+                    assert got == oracles.standard_part_conditional(
+                        prior, ev), key
+                    lower_rung += min(prior[c].leading_degree()
+                                      for c in ev) > 0
+        assert lower_rung > 0
 
     def test_step1_witness_has_full_root_support(self, corpus_games):
         game = corpus_games["prisoners_dilemma"]

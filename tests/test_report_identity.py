@@ -5,13 +5,20 @@ whole corpus, and of one fuzz campaign, so that a refactor of the
 procedures cannot change a single byte of what users read.  The corpus
 files are passed by bare name from inside the corpus directory, which
 keeps the reports' ``"file"`` fields independent of where the checkout
-lives.
+lives.  The ``verify`` and ``pr-cps`` reports are also pinned from fresh
+interpreters under two string-hash seeds, so that no report depends on
+the iteration order of a set.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import prudens
 from prudens import corpus
 
 from test_cli import run_cli
@@ -44,6 +51,20 @@ def test_corpus_report_is_byte_identical(command, monkeypatch):
     code, out = run_cli([command, *names, "--format", "json"])
     assert code == 0
     assert _digest(out) == DIGESTS[command]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("command", ["pr-cps", "verify"])
+def test_corpus_report_is_independent_of_hash_seed(command, seed):
+    names = [path.name for path in corpus.corpus_paths()]
+    src = str(Path(prudens.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "prudens.cli", command, *names,
+         "--format", "json"],
+        cwd=corpus.corpus_dir(), env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == DIGESTS[command]
 
 
 def test_fuzz_report_is_byte_identical():
