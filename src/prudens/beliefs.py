@@ -182,20 +182,6 @@ class ExplicitCPS:
             if total != 1:
                 raise BeliefError("conditional measure must sum to 1")
 
-    @classmethod
-    def by_conditioning(cls, family, measure):
-        """Condition one measure (coid -> Fraction) on every event it can reach.
-
-        Raises BeliefError if some event has zero mass; the procedures
-        module conditions a lower rung of a justifier ladder there.
-        """
-        table = {}
-        for ev, _ in family.events:
-            table[ev] = condition_measure(measure, ev)
-            if table[ev] is None:
-                raise BeliefError("event has zero prior mass")
-        return cls(family, table)
-
     def conditional_ids(self, event_ids):
         return dict(self.table[frozenset(event_ids)])
 
@@ -248,6 +234,23 @@ def condition_measure(measure, event_ids):
         return None
     return {c: measure[c] / total
             for c in event_ids if measure.get(c, Fraction(0)) > 0}
+
+
+def condition_ladder(family, ladder):
+    """An explicit table: at each event of the family, the conditional of
+    the first measure in ``ladder`` giving the event positive mass.
+    Raises BeliefError if none does.  On a justifier ladder this is the
+    standard part of the ladder prior's conditional (docs/exactness.md,
+    "The CPS witness is the standard part of the ladder")."""
+    table = {}
+    for ev, _ in family.events:
+        for measure in ladder:
+            table[ev] = condition_measure(measure, ev)
+            if table[ev] is not None:
+                break
+        else:
+            raise BeliefError("no measure in the ladder reaches an event")
+    return table
 
 
 def _path_text(h):

@@ -6,9 +6,12 @@
 
 Exit status: 0 success, 2 usage problems (a file that cannot be read
 or, under ``fmt --write``, written; a ``fmt --write`` argument that is
-not a file as given, refused before anything is written; ``--jobs``
-below 1 or ``--count`` below 0; a fuzz ``--out-dir`` that is not a
-directory, found before the campaign starts), 3 parse diagnostics, 4 an
+not a file as given, refused before anything is written; ``--jobs``,
+``--max-strategies`` or fuzz ``--players`` below 1, fuzz ``--actions``
+below 2 or ``--count`` below 0; a game with a player over
+``--max-strategies``; a fuzz ``--out-dir`` that is not a directory,
+found before the campaign starts), 3 parse diagnostics (a file that is
+not UTF-8 included), 4 an
 audit violation in ``verify``, ``ia``, ``pr-cnps``, ``pr-cps``,
 ``reduced`` or ``fuzz`` (fuzz writes the shrunk offending game into
 ``--out-dir``).  File arguments that do not exist are also resolved
@@ -41,23 +44,28 @@ def _emit(report, fmt, table_renderer):
         table_renderer(report)
 
 
+def _read_doc(name):
+    """(path, document) of a file argument, resolved against the corpus.
+    Exits 2 if the file cannot be read, 3 if it is not UTF-8 or does not
+    parse."""
+    path = corpus.resolve(name)
+    try:
+        return path, dsl.parse(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        print("cannot read %s: %s" % (name, exc), file=sys.stderr)
+        raise SystemExit(2)
+    except (UnicodeDecodeError, GameDocError) as exc:
+        print("%s: %s" % (path, exc), file=sys.stderr)
+        raise SystemExit(3)
+
+
 def _load_games(paths, cap):
     if cap is None:
         cap = 10 ** 6
     for name in paths:
-        path = corpus.resolve(name)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            print("cannot read %s: %s" % (name, exc), file=sys.stderr)
-            raise SystemExit(2)
-        try:
-            doc = dsl.parse(text)
-            game = dsl.elaborate(doc, strategy_cap=cap)
-        except GameDocError as exc:
-            print("%s: %s" % (path, exc), file=sys.stderr)
-            raise SystemExit(3)
-        yield str(path), doc, game
+        path, doc = _read_doc(name)
+        # parse has run the game's tree checks, so this cannot fail
+        yield str(path), doc, dsl.elaborate(doc, strategy_cap=cap)
 
 
 def _trace_entry(path, trace, timings):
@@ -235,7 +243,6 @@ def _cmd_fuzz(args):
 
 
 def _cmd_fmt(args):
-    status = 0
     if args.write:
         for name in args.files:
             if not Path(name).is_file():
@@ -244,15 +251,7 @@ def _cmd_fmt(args):
                       file=sys.stderr)
                 return 2
     for name in args.files:
-        path = corpus.resolve(name)
-        try:
-            doc = dsl.parse(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            print("cannot read %s: %s" % (name, exc), file=sys.stderr)
-            return 2
-        except GameDocError as exc:
-            print("%s: %s" % (path, exc), file=sys.stderr)
-            return 3
+        path, doc = _read_doc(name)
         text = dsl.serialize(doc)
         if args.write:
             try:
@@ -262,7 +261,7 @@ def _cmd_fmt(args):
                 return 2
         else:
             sys.stdout.write(text)
-    return status
+    return 0
 
 
 def _int_at_least(minimum):
@@ -294,7 +293,8 @@ def build_parser():
                            help=".seqgame files (bare names resolve against "
                                 "the corpus)")
         p.add_argument("--format", choices=("json", "table"), default="table")
-        p.add_argument("--max-strategies", type=int, default=None,
+        p.add_argument("--max-strategies", type=_int_at_least(1),
+                       default=None,
                        help="strategy-count cap (fuzz: generator bound, "
                             "default 6; otherwise enumeration cap)")
         p.add_argument("--timings", action="store_true",
@@ -321,9 +321,9 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=_int_at_least(0), default=100)
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
-    p.add_argument("--players", type=int, default=3)
+    p.add_argument("--players", type=_int_at_least(1), default=3)
     p.add_argument("--histories", type=int, default=12)
-    p.add_argument("--actions", type=int, default=3)
+    p.add_argument("--actions", type=_int_at_least(2), default=3)
     p.add_argument("--out-dir", default=".")
 
     p = sub.add_parser("fmt", help="canonical reformatting")

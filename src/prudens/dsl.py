@@ -21,12 +21,11 @@ tree.  The canonical serialization lists stages then payoffs, each sorted
 by depth and path text, and round-trips through ``parse`` unchanged.
 """
 
-import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .game import Game, GameError, format_path
+from .game import Game, GameError, check_tree, format_path
 
 
 class GameDocError(Exception):
@@ -259,62 +258,14 @@ def parse(text):
 
     if players is None:
         raise GameSyntaxError("empty document", max(len(lines), 1), 1)
-    doc = GameDoc(players, stages, payoffs)
-    _check(doc, locations)
-    return doc
-
-
-def _check(doc, locations=None):
-    """Document-level consistency; raises GameSemanticError naming the path."""
-    locations = locations or {}
-
-    def where(path):
-        return locations.get(path, 0)
-
-    n = len(doc.players)
-    if () not in doc.stages:
-        raise GameSemanticError("no actions declared at the root /", 1, 1)
-    for path, per in doc.stages.items():
-        if len(per) != n or any(not acts for acts in per):
-            raise GameSemanticError(
-                "stage %s must list actions for every player"
-                % format_path(path), where(path), 1)
-    for path in list(doc.stages) + list(doc.payoffs):
-        if path in doc.stages and path in doc.payoffs:
-            raise GameSemanticError(
-                "%s is both a stage and a payoff" % format_path(path),
-                where(path), 1)
-        for depth in range(len(path)):
-            prefix = path[:depth]
-            if prefix not in doc.stages:
-                raise GameSemanticError(
-                    "%s has no declared stage at prefix %s"
-                    % (format_path(path), format_path(prefix)),
-                    where(path), 1)
-            profile = path[depth]
-            if len(profile) != n:
-                raise GameSemanticError(
-                    "profile %r on %s must name one action per player"
-                    % (",".join(profile), format_path(path)), where(path), 1)
-            per = doc.stages[prefix]
-            for i in range(n):
-                if profile[i] not in per[i]:
-                    raise GameSemanticError(
-                        "action %r of %r not declared at %s"
-                        % (profile[i], doc.players[i], format_path(prefix)),
-                        where(path), 1)
-    for path, per in doc.stages.items():
-        for a in itertools.product(*per):
-            child = path + (a,)
-            if child not in doc.stages and child not in doc.payoffs:
-                raise GameSemanticError(
-                    "missing payoff (or stage) for %s" % format_path(child),
-                    where(path), 1)
-    for path, vec in doc.payoffs.items():
-        if len(vec) != n:
-            raise GameSemanticError(
-                "payoff at %s must list %d values" % (format_path(path), n),
-                where(path), 1)
+    try:
+        check_tree(players, stages, payoffs)
+    except GameError as exc:
+        # The game's own checks, reported at the line declaring the
+        # history at fault (line 1 if no line does).
+        raise GameSemanticError(str(exc), locations.get(exc.path, 1),
+                                1) from exc
+    return GameDoc(players, stages, payoffs)
 
 
 def _sort_key(path):
@@ -338,8 +289,7 @@ def serialize(doc):
 
 
 def elaborate(doc, strategy_cap=10 ** 6):
-    """Build the Game a document describes, re-validating everything."""
-    _check(doc)
+    """Build the Game a document describes (``Game`` checks the tree)."""
     try:
         return Game(doc.players, doc.stages, doc.payoffs,
                     strategy_cap=strategy_cap)

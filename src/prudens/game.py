@@ -15,7 +15,12 @@ from fractions import Fraction
 
 
 class GameError(Exception):
-    pass
+    """A game that cannot be built.  ``path``, when known, is the history
+    whose declaration is at fault (see :func:`check_tree`)."""
+
+    def __init__(self, msg, path=None):
+        super().__init__(msg)
+        self.path = path
 
 
 class SizeLimit(GameError):
@@ -27,6 +32,60 @@ def format_path(h):
     if not h:
         return "/"
     return "".join("/(" + ",".join(profile) + ")" for profile in h)
+
+
+def check_tree(players, actions, payoffs):
+    """Raise GameError unless ``actions`` and ``payoffs`` form a game tree
+    of ``players`` (see :class:`Game`).  Histories are checked shallowest
+    first, then in tuple order, so the fault reported does not depend on
+    the order of either mapping.  The error's ``path`` is the history
+    whose declaration is at fault: the stage for a missing child, ``()``
+    for a missing root."""
+    n = len(players)
+    if not n:
+        raise GameError("a game needs at least one player")
+    if () not in actions:
+        raise GameError("the root history must be nonterminal", ())
+    stages = []
+    for h in sorted(itertools.chain(actions, payoffs),
+                    key=lambda h: (len(h), h)):
+        if h in actions and h in payoffs:
+            raise GameError("history is both terminal and nonterminal: %s"
+                            % format_path(h), h)
+        if h:
+            # Shallower histories came first: the parent's own path and
+            # action sets are already checked.
+            per = actions.get(h[:-1])
+            if per is None:
+                raise GameError(
+                    "history %s has no parent" % format_path(h), h)
+            profile = h[-1]
+            if len(profile) != n or any(
+                    a not in acts for a, acts in zip(profile, per)):
+                raise GameError("profile %r not feasible on the way to %s"
+                                % (profile, format_path(h)), h)
+        if h in payoffs:
+            if len(payoffs[h]) != n:
+                raise GameError("payoff vector at %s must cover every player"
+                                % format_path(h), h)
+            continue
+        per = actions[h]
+        if len(per) != n:
+            raise GameError("action sets at %s must cover every player"
+                            % format_path(h), h)
+        for player, acts in zip(players, per):
+            if not acts:
+                raise GameError("empty action set for %s at %s"
+                                % (player, format_path(h)), h)
+            if len(set(acts)) != len(acts):
+                raise GameError("duplicate action for %s at %s"
+                                % (player, format_path(h)), h)
+        stages.append(h)
+    for h in stages:
+        for a in itertools.product(*actions[h]):
+            child = h + (a,)
+            if child not in actions and child not in payoffs:
+                raise GameError("missing child %s" % format_path(child), h)
 
 
 class Strategy:
@@ -91,22 +150,20 @@ class Game:
 
     ``actions`` maps each nonterminal history to a tuple (per player, in
     player order) of nonempty action tuples; ``payoffs`` maps each terminal
-    history to a tuple of Fractions.  Invariants are checked on
-    construction: the tree is prefix closed, every stage is the full
+    history to a tuple of Fractions.  :func:`check_tree` checks on
+    construction that the tree is prefix closed, every stage is the full
     product of the per-player action sets, and terminal/nonterminal
     histories partition the tree.
     """
 
     def __init__(self, players, actions, payoffs, strategy_cap=10 ** 6):
         self.players = tuple(players)
-        if not self.players:
-            raise GameError("a game needs at least one player")
         self.actions = {tuple(map(tuple, h)): tuple(tuple(acts) for acts in per)
                         for h, per in actions.items()}
         self.payoffs = {tuple(map(tuple, h)): tuple(Fraction(v) for v in per)
                         for h, per in payoffs.items()}
         self.strategy_cap = strategy_cap
-        self._validate()
+        check_tree(self.players, self.actions, self.payoffs)
         ordering = sorted(self.actions, key=self._history_sort_key)
         self.nonterminal = tuple(ordering)
         self.terminal = tuple(sorted(self.payoffs, key=self._history_sort_key))
@@ -114,7 +171,7 @@ class Game:
         self._strategies = {}
         self._form = None
 
-    # -- construction checks -------------------------------------------
+    # -- canonical history order ---------------------------------------
 
     def _history_sort_key(self, h):
         key = [len(h)]
@@ -123,48 +180,6 @@ class Game:
             per = self.actions[prefix]
             key.append(tuple(per[i].index(profile[i]) for i in range(len(self.players))))
         return tuple(key)
-
-    def _validate(self):
-        n = len(self.players)
-        if () not in self.actions:
-            raise GameError("the root history must be nonterminal")
-        overlap = set(self.actions) & set(self.payoffs)
-        if overlap:
-            raise GameError("history is both terminal and nonterminal: %s"
-                            % format_path(sorted(overlap)[0]))
-        everything = set(self.actions) | set(self.payoffs)
-        for h, per in self.actions.items():
-            if len(per) != n:
-                raise GameError("action sets at %s must cover every player"
-                                % format_path(h))
-            for i, acts in enumerate(per):
-                if not acts:
-                    raise GameError("empty action set for %s at %s"
-                                    % (self.players[i], format_path(h)))
-                if len(set(acts)) != len(acts):
-                    raise GameError("duplicate action for %s at %s"
-                                    % (self.players[i], format_path(h)))
-        # Shallowest first: every proper prefix of h is known to be
-        # nonterminal before h's profiles are read, and the error raised
-        # does not depend on the order of a set.
-        for h in sorted(everything, key=lambda h: (len(h), repr(h))):
-            if h and h[:-1] not in self.actions:
-                raise GameError("history %s has no parent" % format_path(h))
-            for depth, profile in enumerate(h):
-                per = self.actions[h[:depth]]
-                if len(profile) != n or any(
-                        profile[i] not in per[i] for i in range(n)):
-                    raise GameError("profile %r not feasible on the way to %s"
-                                    % (profile, format_path(h)))
-        for h, per in self.actions.items():
-            for a in itertools.product(*per):
-                child = h + (a,)
-                if child not in everything:
-                    raise GameError("missing child %s" % format_path(child))
-        for z, per in self.payoffs.items():
-            if len(per) != n:
-                raise GameError("payoff vector at %s must cover every player"
-                                % format_path(z))
 
     # -- basic structure ------------------------------------------------
 

@@ -22,7 +22,16 @@ WAIT = "w"
 
 def generate_random_game(seed, max_players=3, max_histories=12,
                          max_actions=3, max_strategies=6):
-    """A valid GameDoc, deterministic in the seed."""
+    """A valid GameDoc, deterministic in the seed.
+
+    Raises ValueError, before drawing, on bounds no document meets: fewer
+    than one player or strategy, or fewer than two actions while a player
+    may move.
+    """
+    if max_players < 1 or max_strategies < 1:
+        raise ValueError("a game needs a player and a strategy for each")
+    if max_actions < 2 <= max_strategies:
+        raise ValueError("a player who moves has at least two actions")
     rng = random.Random(seed)
     while True:
         doc = _build(rng, max_players, max_histories, max_actions,

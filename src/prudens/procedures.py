@@ -53,7 +53,7 @@ from fractions import Fraction
 
 from . import best_reply, dominance
 from .beliefs import (BeliefError, ConditioningFamily, ExplicitCPS, PriorCNPS,
-                      c_strongly_believes, condition_measure,
+                      c_strongly_believes, condition_ladder,
                       validate_chain_rule)
 from .hyperreal import Hyperreal, HyperrealError
 
@@ -386,23 +386,6 @@ def prudent_rationalizability_cnps(game):
 
 # -- explicit standard witnesses ----------------------------------------
 
-def _cps_witness_table(run, i, ladder):
-    """At each event, the conditional of the first justifier in the
-    ladder that gives the event positive mass: the standard part of the
-    ladder prior's conditional there (docs/exactness.md, "The CPS witness
-    is the standard part of the ladder")."""
-    table = {}
-    for ev, _ in run.families[i].events:
-        for measure in ladder:
-            table[ev] = condition_measure(measure, ev)
-            if table[ev] is not None:
-                break
-        else:
-            raise WitnessVerificationFailed(
-                "no justifier in the ladder reaches an event")
-    return table
-
-
 def _verify_cps_witness(run, belief, i, step):
     ok, violations = validate_chain_rule(belief)
     survivors = run.co_event(i, step - 1)
@@ -431,7 +414,8 @@ _FAMILIES = {
     PR_CNPS: (_ladder_prior,
               lambda family, prior: PriorCNPS(family, prior),
               _verify_cnps_witness),
-    PR_CPS: (_cps_witness_table,
+    PR_CPS: (lambda run, i, ladder: condition_ladder(run.families[i],
+                                                     ladder),
              lambda family, table: ExplicitCPS(family, table),
              _verify_cps_witness),
 }

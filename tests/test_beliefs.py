@@ -9,8 +9,8 @@ from prudens import dsl
 from prudens.beliefs import (BeliefError, ConditioningFamily, ExplicitCPS,
                              PriorCNPS, UnknownHistory, VacuousEventWarning,
                              c_strongly_believes, cautiously_believes,
-                             strongly_believes, validate_chain_rule,
-                             weakly_believes)
+                             condition_ladder, strongly_believes,
+                             validate_chain_rule, weakly_believes)
 from prudens.hyperreal import Hyperreal
 
 from conftest import small_games
@@ -318,7 +318,7 @@ class TestChainRule:
                 measure = {c: Fraction(rng.randrange(1, 5)) for c in cos}
                 total = sum(measure.values())
                 measure = {c: v / total for c, v in measure.items()}
-                cps = ExplicitCPS.by_conditioning(family, measure)
+                cps = ExplicitCPS(family, condition_ladder(family, [measure]))
                 ok, violations = validate_chain_rule(cps)
                 assert ok and not violations
 
@@ -327,7 +327,7 @@ class TestChainRule:
         family = ConditioningFamily(game, 1)
         cos = list(range(len(family.form.co_profiles[1])))
         measure = {c: Fraction(1, len(cos)) for c in cos}
-        cps = ExplicitCPS.by_conditioning(family, measure)
+        cps = ExplicitCPS(family, condition_ladder(family, [measure]))
         nested = [(d, c) for d, _ in family.events for c, _ in family.events
                   if d < c and len(d) >= 2]
         assert nested, "fixture needs a nested event with two profiles"
@@ -372,7 +372,8 @@ class TestStandardApproximation:
                 total = sum(weights)
                 measure = {c: w / total for c, w in zip(support, weights)}
                 try:
-                    cps = ExplicitCPS.by_conditioning(family, measure)
+                    cps = ExplicitCPS(family,
+                                      condition_ladder(family, [measure]))
                 except BeliefError:
                     continue  # some event got zero mass: not a CPS this way
                 for h in game.nonterminal:

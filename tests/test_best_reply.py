@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from prudens import dsl, procedures
 from prudens.beliefs import (BeliefError, ConditioningFamily, ExplicitCPS,
-                             PriorCNPS)
+                             PriorCNPS, condition_ladder)
 from prudens.best_reply import (ReplyAnalysis, StrategyDisallowsHistory,
                                 best_replies_to_measure, expected_payoff,
                                 sequential_best_replies,
@@ -244,7 +244,7 @@ class TestExplicitCPSBeliefs:
         family = ConditioningFamily(game, 1)
         k = len(family.form.co_profiles[1])
         measure = {c: Fraction(1, k) for c in range(k)}
-        cps = ExplicitCPS.by_conditioning(family, measure)
+        cps = ExplicitCPS(family, condition_ladder(family, [measure]))
         result = weak_sequential_best_replies(game, cps, 1)
         assert result
         form = game.strategic_form()
@@ -315,8 +315,8 @@ class TestIntegerKernel:
             yield i, layered_prior(form, i, rng)
             family = ConditioningFamily(game, i, form)
             try:
-                yield i, ExplicitCPS.by_conditioning(
-                    family, sparse_measure(form, i, rng))
+                yield i, ExplicitCPS(family, condition_ladder(
+                    family, [sparse_measure(form, i, rng)]))
             except BeliefError:
                 pass
 

@@ -42,6 +42,17 @@ class TestVerifyCommand:
         code, _ = run_cli(["verify", "no_such_game.seqgame"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["verify", "ia", "fmt"])
+    def test_non_utf8_file_is_a_parse_diagnostic(self, command, tmp_path,
+                                                 capsys):
+        bad = tmp_path / "latin.seqgame"
+        bad.write_bytes(b"players A\xff\nat / actions A: x\n"
+                        b"payoff /(x) = 0\n")
+        code, out = run_cli([command, str(bad)])
+        assert (code, out) == (3, "")
+        err = capsys.readouterr().err
+        assert str(bad) in err and "can't decode" in err
+
 
 class TestProcedureCommands:
     def test_ia_table_shows_elimination(self):
@@ -175,7 +186,9 @@ class TestFuzzCommand:
         assert not missing.exists()
 
     @pytest.mark.parametrize("flag,value", [
-        ("--jobs", "-3"), ("--jobs", "0"), ("--count", "-1")])
+        ("--jobs", "-3"), ("--jobs", "0"), ("--count", "-1"),
+        ("--players", "0"), ("--actions", "1"), ("--actions", "0"),
+        ("--max-strategies", "0"), ("--max-strategies", "-2")])
     def test_out_of_range_counts_are_usage_errors(self, flag, value,
                                                   monkeypatch, capsys):
         from prudens import procedures

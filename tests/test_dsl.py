@@ -6,6 +6,7 @@ from fractions import Fraction
 from prudens import corpus, generator
 from prudens.dsl import (GameDoc, GameSemanticError, GameSyntaxError,
                          elaborate, parse, serialize)
+from prudens.game import Game, GameError, format_path
 
 MINIMAL = """players A B
 matrix A: T B B: L R
@@ -149,6 +150,67 @@ payoff /(x,w) = 0, 0
 """
         with pytest.raises(GameSemanticError):
             parse(text)
+
+
+class TestAgreementWithGame:
+    """parse runs the game's own tree checks: a mutated document is
+    rejected exactly when Game rejects its mappings, with the same
+    message, at the line declaring the history at fault."""
+
+    KINDS = ("none", "drop-payoff", "drop-stage", "rename", "stray-payoff")
+
+    @staticmethod
+    def mutate(doc, kind, rng):
+        stages, payoffs = dict(doc.stages), dict(doc.payoffs)
+        histories = sorted(stages) + sorted(payoffs)
+        if kind == "drop-payoff":
+            del payoffs[rng.choice(sorted(payoffs))]
+        elif kind == "drop-stage":
+            del stages[rng.choice(sorted(stages)[1:] or [()])]
+        elif kind == "rename":
+            h = rng.choice([h for h in histories if h])
+            table = stages if h in stages else payoffs
+            depth = rng.randrange(len(h))
+            profile = list(h[depth])
+            profile[rng.randrange(len(profile))] = "zz"
+            table[h[:depth] + (tuple(profile),) + h[depth + 1:]] = \
+                table.pop(h)
+        elif kind == "stray-payoff":
+            h = rng.choice(histories)
+            stray = h if h in stages else h + (h[-1],)
+            payoffs[stray] = (Fraction(0),) * len(doc.players)
+        return GameDoc(doc.players, stages, payoffs)
+
+    def test_parse_reports_the_games_checks(self):
+        rng = random.Random(9)
+        seen = {}
+        for k in range(300):
+            kind = self.KINDS[k % len(self.KINDS)]
+            doc = self.mutate(generator.generate_random_game(9_000 + k),
+                              kind, rng)
+            text = serialize(doc)
+            expected = got = None
+            try:
+                Game(doc.players, doc.stages, doc.payoffs)
+            except GameError as exc:
+                expected = exc
+            try:
+                parse(text)
+            except GameSemanticError as exc:
+                got = exc
+            assert (got is None) == (expected is None), text
+            seen[kind, got is None] = seen.get((kind, got is None), 0) + 1
+            if got is None:
+                continue
+            assert got.msg == str(expected), text
+            declaring = [
+                n for n, line in enumerate(text.splitlines(), start=1)
+                if line.split()[1:2] == [format_path(expected.path)]]
+            # A path that is both a stage and a payoff is located at its
+            # later line; an undeclared root at line 1.
+            assert got.line == (declaring[-1] if declaring else 1), text
+        assert seen == {("none", True): 60,
+                        **{(kind, False): 60 for kind in self.KINDS[1:]}}
 
 
 class TestRobustness:

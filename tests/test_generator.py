@@ -1,6 +1,8 @@
 import math
 from collections import Counter
 
+import pytest
+
 from prudens import dsl, generator
 from prudens.game import StrategicForm
 from prudens.procedures import iterated_admissibility
@@ -85,4 +87,24 @@ def test_custom_bounds():
         assert len(game.players) <= 2
         assert len(game.nonterminal) <= 5
         assert all(len(game.strategies(i)) <= 4
+                   for i in range(len(game.players)))
+
+
+@pytest.mark.parametrize("bounds", [
+    dict(max_players=0), dict(max_players=-1), dict(max_actions=1),
+    dict(max_actions=0), dict(max_strategies=0),
+    dict(max_strategies=-4)])
+def test_unmeetable_bounds_raise(bounds):
+    """Bounds no document meets are refused before the first draw, not
+    redrawn forever or failed inside the draw."""
+    with pytest.raises(ValueError):
+        generator.generate_random_game(3, **bounds)
+
+
+def test_single_action_bound_with_single_strategies():
+    """One action per history is meetable when no player may move."""
+    for seed in range(20):
+        game = generator.generate_game(seed, max_actions=1,
+                                       max_strategies=1)
+        assert all(game.strategy_count(i) == 1
                    for i in range(len(game.players)))
