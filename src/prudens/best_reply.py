@@ -172,6 +172,6 @@ def weak_sequential_best_replies(game, belief, i):
 def best_replies_to_measure(form, i, measure):
     """Ids of strategies maximizing expected payoff against a standard
     measure (coid -> Fraction) over all of the player's strategies."""
-    twins = form.twin_classes(i)
+    twins = form.twin_classes(i, 0)
     layer = _scaled([measure.get(c, 0) for c in twins[0]])
     return _argmax(_layer_totals(twins, [layer])[1])

@@ -1,25 +1,30 @@
 """Command-line front end.
 
-    prudens ia|pr-cnps|pr-cps|verify|reduced <files...> [--format json|table]
+    prudens ia|pr-cnps|pr-cps|reduced <files...> [--format json|table]
+        [--timings]
+    prudens verify [files...] [--format json|table]
     prudens fuzz --seed N --count N [--jobs N] [--out-dir DIR]
     prudens fmt <files...> [--write]
 
 Exit status: 0 success, 2 usage problems (a file that cannot be read
 or, under ``fmt --write``, written; a ``fmt --write`` argument that is
 not a file as given, refused before anything is written; ``--jobs``,
-``--max-strategies`` or fuzz ``--players`` below 1, fuzz ``--actions``
-below 2 or ``--count`` below 0; a game with a player over
-``--max-strategies``; a fuzz ``--out-dir`` that is not a directory,
-found before the campaign starts), 3 parse diagnostics (a file that is
-not UTF-8 included), 4 an
-audit violation in ``verify``, ``ia``, ``pr-cnps``, ``pr-cps``,
+``--max-strategies`` or fuzz ``--players`` or ``--histories`` below 1,
+fuzz ``--actions`` below 2 or ``--count`` below 0; an option the command
+does not take, such as ``--timings`` on ``verify`` or ``fuzz``; a game
+with a player over ``--max-strategies`` or a profile space over
+``StrategicForm.PROFILE_CAP``, refused before any plan is enumerated; a
+fuzz ``--out-dir`` that is not a directory, found before the campaign
+starts; output that cannot be written, such as a closed stdout), 3
+parse diagnostics (a file that is not UTF-8 included), 4 an audit
+violation in ``verify``, ``ia``, ``pr-cnps``, ``pr-cps``,
 ``reduced`` or ``fuzz`` (fuzz writes the shrunk offending game into
 ``--out-dir``).  File arguments that do not exist are also resolved
 against the bundled corpus (or ``$PRUDENS_CORPUS``) when read;
 ``fmt --write`` never writes to the corpus.  ``verify`` with no files
 runs the whole corpus.  Reports are deterministic for a fixed (input,
-configuration, seed); ``--timings`` adds wall-clock fields at the cost
-of that.
+configuration, seed); ``--timings``, taken by the trace commands only,
+adds wall-clock fields to each trace at the cost of that.
 """
 
 import argparse
@@ -297,24 +302,22 @@ def build_parser():
                        default=None,
                        help="strategy-count cap (fuzz: generator bound, "
                             "default 6; otherwise enumeration cap)")
-        p.add_argument("--timings", action="store_true",
-                       help="include wall-clock fields (non-deterministic)")
 
-    p = sub.add_parser("ia", help="iterated admissibility trace")
-    common(p)
-    p = sub.add_parser("pr-cnps",
-                       help="cautious procedure, non-standard priors")
-    common(p)
-    p = sub.add_parser("pr-cps",
-                       help="cautious procedure, explicit standard systems")
-    common(p)
+    def trace_command(name, summary):
+        p = sub.add_parser(name, help=summary)
+        common(p)
+        p.add_argument("--timings", action="store_true",
+                       help="include wall-clock fields in each trace "
+                            "(trace commands only; non-deterministic)")
+
+    trace_command("ia", "iterated admissibility trace")
+    trace_command("pr-cnps", "cautious procedure, non-standard priors")
+    trace_command("pr-cps", "cautious procedure, explicit standard systems")
     p = sub.add_parser("verify",
                        help="run all procedures and cross-check (default: "
                             "whole corpus)")
     common(p, files_optional=True)
-    p = sub.add_parser("reduced",
-                       help="reduced-strategy variants (equivalence classes)")
-    common(p)
+    trace_command("reduced", "reduced-strategy variants (equivalence classes)")
 
     p = sub.add_parser("fuzz", help="random-game differential campaign")
     common(p, needs_files=False)
@@ -322,7 +325,7 @@ def build_parser():
     p.add_argument("--count", type=_int_at_least(0), default=100)
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--players", type=_int_at_least(1), default=3)
-    p.add_argument("--histories", type=int, default=12)
+    p.add_argument("--histories", type=_int_at_least(1), default=12)
     p.add_argument("--actions", type=_int_at_least(2), default=3)
     p.add_argument("--out-dir", default=".")
 
@@ -346,21 +349,27 @@ def main(argv=None):
             procedures.prudent_rationalizability_cps(game),),
         "reduced": procedures.reduced_variants,
     }
+    commands = {"verify": _cmd_verify, "fuzz": _cmd_fuzz, "fmt": _cmd_fmt}
     try:
         if args.command in runners:
-            return _cmd_procedure(args, runners[args.command])
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "fuzz":
-            return _cmd_fuzz(args)
-        if args.command == "fmt":
-            return _cmd_fmt(args)
+            status = _cmd_procedure(args, runners[args.command])
+        else:
+            status = commands[args.command](args)
+        # a closed stdout shows when the last buffered output is written
+        sys.stdout.flush()
+        return status
     except SystemExit as exc:
         return exc.code
     except SizeLimit as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    parser.error("unknown command")
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the interpreter's own flush of
+        # what is still buffered at exit stays quiet.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print("cannot write output: stdout was closed", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

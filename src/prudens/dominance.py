@@ -66,28 +66,25 @@ class Columns:
     """Distinct payoff columns of player i over a co-player restriction,
     and the twin classes of i's own strategies over them.
 
-    ``twin[r]`` is the least own strategy whose row in ``value`` equals
-    r's.  ``answers`` keeps each LP question's answer per twin class, so
-    that one Columns object poses each question once.
+    ``co_event`` is the restriction's set of co-profiles and ``co_ids``
+    the same sorted.  ``twin[r]`` is the least own strategy whose row in
+    ``value`` equals r's.  ``answers`` keeps each LP question's answer per
+    twin class, so that one Columns object poses each question once.
     """
 
-    __slots__ = ("co_ids", "groups", "value", "twin", "answers")
+    __slots__ = ("co_event", "co_ids", "groups", "value", "twin", "answers")
 
     def __init__(self, form, i, q_sets):
-        sets = {j: set(q_sets[j]) for j in range(form.n)}
-        self.co_ids = sorted(form.co_restriction(i, sets))
+        self.co_event = form.co_restriction(i, q_sets)
+        self.co_ids = sorted(self.co_event)
         payoff = form.payoff[i]
         count = form.counts[i]
         grouped = {}
-        order = []
         for coid in self.co_ids:
-            key = tuple(payoff[r][coid] for r in range(count))
-            if key not in grouped:
-                grouped[key] = []
-                order.append(key)
-            grouped[key].append(coid)
-        self.groups = [grouped[key] for key in order]
-        self.value = [[key[r] for key in order] for r in range(count)]
+            grouped.setdefault(tuple(payoff[r][coid] for r in range(count)),
+                               []).append(coid)
+        self.groups = list(grouped.values())
+        self.value = [[key[r] for key in grouped] for r in range(count)]
         first = {}
         self.twin = [first.setdefault(tuple(row), r)
                      for r, row in enumerate(self.value)]
@@ -232,7 +229,7 @@ def _justifier(cols, sid):
 def measure_justifies_ids(form, q_sets, i, sid, measure, cols=None):
     """Substitution check: exact support, total mass 1, argmax membership."""
     cols = _columns(form, i, q_sets, cols)
-    if sorted(c for c, p in measure.items() if p) != cols.co_ids:
+    if {c for c, p in measure.items() if p} != cols.co_event:
         return False
     if any(p < 0 for p in measure.values()):
         return False

@@ -193,10 +193,6 @@ class Game:
     def payoff(self, z, i):
         return self.payoffs[z][i]
 
-    def children(self, h):
-        per = self.actions[h]
-        return [h + (a,) for a in itertools.product(*per)]
-
     # -- strategies ------------------------------------------------------
 
     def strategy_count(self, i):
@@ -205,13 +201,18 @@ class Game:
             count *= len(self.actions[h][i])
         return count
 
+    def _capped_strategy_count(self, i):
+        """strategy_count(i), or SizeLimit if it exceeds the cap."""
+        count = self.strategy_count(i)
+        if count > self.strategy_cap:
+            raise SizeLimit("player %s has %d strategies (cap %d)"
+                            % (self.players[i], count, self.strategy_cap))
+        return count
+
     def strategies(self, i):
         """All complete plans of player i, in canonical lexicographic order."""
         if i not in self._strategies:
-            count = self.strategy_count(i)
-            if count > self.strategy_cap:
-                raise SizeLimit("player %s has %d strategies (cap %d)"
-                                % (self.players[i], count, self.strategy_cap))
+            self._capped_strategy_count(i)
             per_h = [self.actions[h][i] for h in self.nonterminal]
             self._strategies[i] = tuple(
                 Strategy(i, choices) for choices in itertools.product(*per_h))
@@ -291,19 +292,23 @@ class Game:
     def reduce_strategies(self, i):
         """Partition of S_i into behavioral-equivalence classes.
 
-        Each class lists its members in canonical order; the first member
-        (lexicographically least plan) is the class representative.
+        Classes, and the members of each, are in canonical order; the first
+        member (lexicographically least plan) is the class representative.
         """
         groups = {}
         for s in self.strategies(i):
             hs = self.allowed_histories(s)
             key = (hs, tuple(s.choices[self.h_index[h]] for h in hs))
             groups.setdefault(key, []).append(s)
-        return sorted(groups.values(),
-                      key=lambda cls: self.strategies(i).index(cls[0]))
+        return list(groups.values())
 
     def strategic_form(self):
+        """The full strategic form, built once.  Its size is checked from
+        the strategy counts before any plan is enumerated."""
         if self._form is None:
+            StrategicForm.check_profile_space(
+                [self._capped_strategy_count(i)
+                 for i in range(len(self.players))])
             self._form = StrategicForm(
                 self, [list(self.strategies(i))
                        for i in range(len(self.players))])
@@ -337,12 +342,7 @@ class StrategicForm:
         self.strats = [list(lst) for lst in strat_lists]
         self.index = [{s: k for k, s in enumerate(lst)} for lst in self.strats]
         self.counts = [len(lst) for lst in self.strats]
-        total = 1
-        for c in self.counts:
-            total *= c
-        if total > self.PROFILE_CAP:
-            raise SizeLimit("profile space %d exceeds cap %d"
-                            % (total, self.PROFILE_CAP))
+        self.check_profile_space(self.counts)
 
         self.co_players = [tuple(j for j in range(n) if j != i)
                            for i in range(n)]
@@ -381,14 +381,9 @@ class StrategicForm:
         self.events = []
         for i in range(n):
             seen = {}
-            order = []
-            for k in range(len(game.nonterminal)):
-                ev = self.co_allow[i][k]
-                if ev not in seen:
-                    seen[ev] = []
-                    order.append(ev)
-                seen[ev].append(k)
-            self.events.append([(ev, tuple(seen[ev])) for ev in order])
+            for k, ev in enumerate(self.co_allow[i]):
+                seen.setdefault(ev, []).append(k)
+            self.events.append([(ev, tuple(ks)) for ev, ks in seen.items()])
 
         self.allowed_hist = [
             [tuple(k for k in range(len(game.nonterminal))
@@ -399,11 +394,20 @@ class StrategicForm:
         self._replacement = None
         self._twins = [dict() for _ in range(n)]
 
-    def twin_classes(self, i, h_idx=None):
-        """Player i's strategies allowing history h_idx, grouped by payoff
-        row over its conditioning event, as integers.
+    @classmethod
+    def check_profile_space(cls, counts):
+        """SizeLimit unless the product of the strategy counts is within
+        PROFILE_CAP."""
+        total = math.prod(counts)
+        if total > cls.PROFILE_CAP:
+            raise SizeLimit("profile space %d exceeds cap %d"
+                            % (total, cls.PROFILE_CAP))
 
-        With h_idx None: all of i's strategies over all co-profiles.
+    def twin_classes(self, i, h_idx):
+        """Player i's strategies allowing history h_idx (all of them at
+        the root, history 0), grouped by payoff row over its conditioning
+        event, as integers.
+
         Returns (coids, den, classes): ``coids`` is the event in ascending
         order, and each class is (members, nums) with
         ``payoff[i][sid][coids[k]] == nums[k] / den`` for every member sid.
@@ -411,12 +415,8 @@ class StrategicForm:
         """
         cache = self._twins[i]
         if h_idx not in cache:
-            if h_idx is None:
-                coids = range(len(self.co_profiles[i]))
-                sids = range(self.counts[i])
-            else:
-                coids = sorted(self.co_allow[i][h_idx])
-                sids = sorted(self.allow[i][h_idx])
+            coids = sorted(self.co_allow[i][h_idx])
+            sids = sorted(self.allow[i][h_idx])
             payoff = self.payoff[i]
             groups = {}
             for sid in sids:

@@ -9,6 +9,7 @@ whose profile space exceeds ``StrategicForm.PROFILE_CAP`` is redrawn, like
 one over the per-player cap, so every document can be verified.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -25,11 +26,13 @@ def generate_random_game(seed, max_players=3, max_histories=12,
     """A valid GameDoc, deterministic in the seed.
 
     Raises ValueError, before drawing, on bounds no document meets: fewer
-    than one player or strategy, or fewer than two actions while a player
-    may move.
+    than one player, history or strategy, or fewer than two actions while
+    a player may move.
     """
     if max_players < 1 or max_strategies < 1:
         raise ValueError("a game needs a player and a strategy for each")
+    if max_histories < 1:
+        raise ValueError("a game needs a root history")
     if max_actions < 2 <= max_strategies:
         raise ValueError("a player who moves has at least two actions")
     rng = random.Random(seed)
@@ -73,12 +76,8 @@ def _build(rng, max_players, max_histories, max_actions, max_strategies):
             payoffs[h] = tuple(payoff_value() for _ in range(n))
             continue
         stages[h] = per
-        children = []
-        stack = [()]
-        for acts in per:
-            stack = [pre + (a,) for pre in stack for a in acts]
-        children = [h + (profile,) for profile in stack]
-        for child in children:
+        for profile in itertools.product(*per):
+            child = h + (profile,)
             room = len(stages) + len(frontier) < max_histories
             if depth + 1 < max_depth and room and rng.random() < 0.35:
                 frontier.append(child)

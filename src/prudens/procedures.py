@@ -193,19 +193,11 @@ class _Run:
         self.steps = [form.restriction_from_ids(step) for step in self.ids]
         self.families = [ConditioningFamily(form.game, i, form)
                          for i in range(form.n)]
-        self._co_events = {}
         self._q_sets = [[frozenset(part) for part in step]
                         for step in self.ids]
         self._justifiers = {}
         self._witnesses = {}
         self.exclusions = self._exclusions(certificates)
-
-    def co_event(self, i, level):
-        """Co-profiles of i consistent with the round-``level`` survivors."""
-        key = (i, level)
-        if key not in self._co_events:
-            self._co_events[key] = frozenset(self.columns[level][i].co_ids)
-        return self._co_events[key]
 
     def chain(self, i, sid, step):
         """sid's twin class at each level below step.  It fixes every
@@ -369,7 +361,7 @@ def _verify_cnps_witness(run, belief, i, step):
     checks = [("prior-full-support", belief.full_support),
               ("prior-sums-to-1", belief.total == 1)]
     for m in range(step):
-        ok = c_strongly_believes(belief, run.co_event(i, m))
+        ok = c_strongly_believes(belief, run.columns[m][i].co_event)
         checks.append(("c-strong-belief-in-round-%d-survivors" % m, ok))
     return checks
 
@@ -388,7 +380,7 @@ def prudent_rationalizability_cnps(game):
 
 def _verify_cps_witness(run, belief, i, step):
     ok, violations = validate_chain_rule(belief)
-    survivors = run.co_event(i, step - 1)
+    survivors = run.columns[step - 1][i].co_event
     ok_support = all(belief.support(ev) == survivors & ev
                      for ev, _ in belief.family.events if survivors & ev)
     return [("chain-rule", ok and not violations),

@@ -82,6 +82,22 @@ class TestProcedureCommands:
             {"ia", "pr-cnps"}
         assert all(r["trace"]["reduced"] for r in report["results"])
 
+    def test_timings_reach_every_trace(self):
+        code, out = run_cli(["ia", "weak_dom_2x2.seqgame",
+                             "centipede_3.seqgame", "--timings",
+                             "--format", "json"])
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert len(results) == 2
+        assert all("elimination_seconds" in r["trace"]["timings"]
+                   for r in results)
+
+    @pytest.mark.parametrize("command", [["verify"], ["fuzz", "--count", "1"]])
+    def test_timings_is_a_usage_error_without_traces(self, command, capsys):
+        code, out = run_cli(command + ["--timings"])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --timings" in capsys.readouterr().err
+
 
 class TestAuditFailures:
     """An audit failure in one file is reported as a VIOLATION with exit
@@ -188,6 +204,7 @@ class TestFuzzCommand:
     @pytest.mark.parametrize("flag,value", [
         ("--jobs", "-3"), ("--jobs", "0"), ("--count", "-1"),
         ("--players", "0"), ("--actions", "1"), ("--actions", "0"),
+        ("--histories", "0"), ("--histories", "-5"),
         ("--max-strategies", "0"), ("--max-strategies", "-2")])
     def test_out_of_range_counts_are_usage_errors(self, flag, value,
                                                   monkeypatch, capsys):
@@ -347,6 +364,22 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"][0]["ok"]
+
+
+def test_closed_stdout_is_a_usage_error():
+    """A reader that stops early gets exit 2 and one line, no traceback.
+    The report is larger than a pipe buffer, so writing it meets the
+    closed pipe."""
+    files = [str(p) for p in corpus.corpus_paths()]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "prudens.cli", "pr-cps", "--format", "json",
+         *files], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(16)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 2
+    assert "Traceback" not in err
+    assert "stdout was closed" in err
 
 
 def test_corpus_env_override(tmp_path, monkeypatch):

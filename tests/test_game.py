@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import prudens
 from prudens import dsl
-from prudens.game import Game, GameError, SizeLimit, Strategy, format_path
+from prudens.game import (Game, GameError, SizeLimit, StrategicForm, Strategy,
+                         format_path)
 
 from conftest import small_games
 from oracles import allows_by_path, realization_equivalent, tree_walk_payoff
@@ -57,6 +58,22 @@ class TestEnumeration:
         g = dsl.elaborate(doc, strategy_cap=3)
         with pytest.raises(SizeLimit):
             g.strategies(0)
+
+    def test_strategic_form_refuses_before_enumerating(self, monkeypatch):
+        """Both caps are checked from the strategy counts, the per-player
+        cap first, before any plan is built."""
+        small = dsl.elaborate(dsl.parse(TWO_STAGE))  # 4 x 1 profiles
+        capped = dsl.elaborate(dsl.parse(TWO_STAGE), strategy_cap=3)
+
+        def tripwire(game, i):
+            raise AssertionError("plans must not be enumerated")
+
+        monkeypatch.setattr(Game, "strategies", tripwire)
+        monkeypatch.setattr(StrategicForm, "PROFILE_CAP", 3)
+        with pytest.raises(SizeLimit, match="profile space 4 exceeds cap 3"):
+            small.strategic_form()
+        with pytest.raises(SizeLimit, match=r"has 4 strategies \(cap 3\)"):
+            capped.strategic_form()
 
 
 class TestPath:

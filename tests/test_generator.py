@@ -93,7 +93,8 @@ def test_custom_bounds():
 @pytest.mark.parametrize("bounds", [
     dict(max_players=0), dict(max_players=-1), dict(max_actions=1),
     dict(max_actions=0), dict(max_strategies=0),
-    dict(max_strategies=-4)])
+    dict(max_strategies=-4), dict(max_histories=0),
+    dict(max_histories=-5)])
 def test_unmeetable_bounds_raise(bounds):
     """Bounds no document meets are refused before the first draw, not
     redrawn forever or failed inside the draw."""
