@@ -10,13 +10,16 @@ entries together until the chain rule is validated.
 
 Conditioning events are the sets of co-player profiles allowing each
 history.  Two histories inducing the same set share one event; operators
-quantify over distinct events.
+quantify over distinct events.  They compare leading degrees and sum no
+masses: every validated mass is nonnegative, so a sum of masses starts
+at the least degree among its terms (docs/exactness.md, "Belief
+operators by leading degree").
 """
 
 import warnings
 from fractions import Fraction
 
-from .hyperreal import Hyperreal, ratio_st_is_zero
+from .hyperreal import Hyperreal
 
 
 class BeliefError(Exception):
@@ -33,27 +36,6 @@ class UnknownHistory(BeliefError):
 
 class VacuousEventWarning(UserWarning):
     """Cautious belief queried at a history that contradicts the event."""
-
-
-def _mass_infinitely_greater(x, y):
-    """Whether mass x exceeds every natural multiple of mass y.
-
-    Both masses come from the same system, so they share a type.  For
-    rational masses only a zero can be infinitely less likely.
-    """
-    if isinstance(x, Hyperreal):
-        if x.is_zero():
-            return False
-        return y.is_zero() or x.leading_degree() < y.leading_degree()
-    return x > 0 and y == 0
-
-
-def _mass_ratio_st_is_zero(num, den):
-    if isinstance(den, Hyperreal):
-        return ratio_st_is_zero(num, den)
-    if den == 0:
-        raise ZeroDivisionError("ratio against zero mass")
-    return num == 0
 
 
 class ConditioningFamily:
@@ -312,6 +294,20 @@ def cautiously_believes(belief, h, E):
                               warn_vacuous=True)
 
 
+def _depth(mass):
+    """Leading degree of a nonnegative mass: its least power of e for a
+    Hyperreal, 0 for a positive rational, None for zero."""
+    if isinstance(mass, Hyperreal):
+        return mass.leading_degree()
+    return 0 if mass else None
+
+
+def _positive_depths(belief, ev, ids):
+    """Depths of the positive masses of ids at event ev."""
+    depths = (_depth(belief.singleton_mass(ev, coid)) for coid in ids)
+    return [d for d in depths if d is not None]
+
+
 def _cautious_at_event(belief, ev, e_ids, warn_vacuous=False):
     inter = e_ids & ev
     if not inter:
@@ -320,11 +316,11 @@ def _cautious_at_event(belief, ev, e_ids, warn_vacuous=False):
                           "belief is reported false", VacuousEventWarning,
                           stacklevel=3)
         return False
-    comp = belief.mass_within(ev, ev - e_ids)
-    for coid in inter:
-        if not _mass_infinitely_greater(belief.singleton_mass(ev, coid), comp):
-            return False
-    return True
+    inside = [_depth(belief.singleton_mass(ev, coid)) for coid in inter]
+    if None in inside:
+        return False
+    outside = _positive_depths(belief, ev, ev - e_ids)
+    return not outside or max(inside) < min(outside)
 
 
 def c_strongly_believes(belief, E):
@@ -337,19 +333,14 @@ def c_strongly_believes(belief, E):
 def strongly_believes(belief, E):
     """Conditional probability exactly 1 on E wherever E is not contradicted."""
     e_ids = _event_ids(belief, E)
-    for ev, _ in belief.family.events:
-        inter = e_ids & ev
-        if not inter:
-            continue
-        if belief.mass_within(ev, inter) != belief.mass_within(ev, ev):
-            return False
-    return True
+    return not any(e_ids & ev and _positive_depths(belief, ev, ev - e_ids)
+                   for ev, _ in belief.family.events)
 
 
 def weakly_believes(belief, h, E):
     """Standard part of the conditional probability of E equals 1."""
     ev = belief.family.event_for_history(h)
     e_ids = _event_ids(belief, E)
-    comp = belief.mass_within(ev, ev - e_ids)
-    total = belief.mass_within(ev, ev)
-    return _mass_ratio_st_is_zero(comp, total)
+    outside = _positive_depths(belief, ev, ev - e_ids)
+    inside = _positive_depths(belief, ev, e_ids & ev)
+    return not outside or (bool(inside) and min(inside) < min(outside))

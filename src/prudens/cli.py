@@ -70,7 +70,7 @@ def _load_games(paths, cap):
     for name in paths:
         path, doc = _read_doc(name)
         # parse has run the game's tree checks, so this cannot fail
-        yield str(path), doc, dsl.elaborate(doc, strategy_cap=cap)
+        yield str(path), dsl.elaborate(doc, strategy_cap=cap)
 
 
 def _trace_entry(path, trace, timings):
@@ -98,7 +98,7 @@ def _print_trace_table(report):
 def _cmd_procedure(args, runner):
     results = []
     status = 0
-    for path, _doc, game in _load_games(args.files, args.max_strategies):
+    for path, game in _load_games(args.files, args.max_strategies):
         try:
             traces = runner(game)
         except procedures.EquivalenceViolation as exc:
@@ -116,7 +116,7 @@ def _cmd_verify(args):
     files = args.files or [str(p) for p in corpus.corpus_paths()]
     results = []
     status = 0
-    for path, _doc, game in _load_games(files, args.max_strategies):
+    for path, game in _load_games(files, args.max_strategies):
         try:
             rep = procedures.verify_equivalences(game)
         except procedures.EquivalenceViolation as exc:

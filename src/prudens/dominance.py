@@ -66,15 +66,18 @@ class Columns:
     """Distinct payoff columns of player i over a co-player restriction,
     and the twin classes of i's own strategies over them.
 
-    ``co_event`` is the restriction's set of co-profiles and ``co_ids``
-    the same sorted.  ``twin[r]`` is the least own strategy whose row in
+    ``q_sets`` is the restriction it was built from (one id set per
+    player), ``co_event`` its set of co-profiles and ``co_ids`` the same
+    sorted.  ``twin[r]`` is the least own strategy whose row in
     ``value`` equals r's.  ``answers`` keeps each LP question's answer per
     twin class, so that one Columns object poses each question once.
     """
 
-    __slots__ = ("co_event", "co_ids", "groups", "value", "twin", "answers")
+    __slots__ = ("q_sets", "co_event", "co_ids", "groups", "value", "twin",
+                 "answers")
 
     def __init__(self, form, i, q_sets):
+        self.q_sets = q_sets
         self.co_event = form.co_restriction(i, q_sets)
         self.co_ids = sorted(self.co_event)
         payoff = form.payoff[i]

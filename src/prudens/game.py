@@ -367,15 +367,9 @@ class StrategicForm:
             sid for sid, s in enumerate(self.strats[i])
             if game.allows(s, h)) for h in game.nonterminal]
             for i in range(n)]
-        self.co_allow = []
-        for i in range(n):
-            per_h = []
-            for k, h in enumerate(game.nonterminal):
-                allowed = [self.allow[j][k] for j in self.co_players[i]]
-                per_h.append(frozenset(
-                    self.co_index[i][co]
-                    for co in itertools.product(*allowed)))
-            self.co_allow.append(per_h)
+        self.co_allow = [[self.co_restriction(i, [a[k] for a in self.allow])
+                          for k in range(len(game.nonterminal))]
+                         for i in range(n)]
 
         # distinct conditioning events, tagged with the inducing histories
         self.events = []
@@ -458,12 +452,9 @@ class StrategicForm:
 
         ``sets`` maps co-player index j to a set of j-strategy ids.
         """
-        out = []
-        for coid, ids in enumerate(self.co_profiles[i]):
-            if all(ids[k] in sets[j]
-                   for k, j in enumerate(self.co_players[i])):
-                out.append(coid)
-        return frozenset(out)
+        index = self.co_index[i]
+        return frozenset(index[co] for co in itertools.product(
+            *(sets[j] for j in self.co_players[i])))
 
     def restriction_from_ids(self, id_sets):
         return ProductRestriction(

@@ -55,6 +55,7 @@ from . import best_reply, dominance
 from .beliefs import (BeliefError, ConditioningFamily, ExplicitCPS, PriorCNPS,
                       c_strongly_believes, condition_ladder,
                       validate_chain_rule)
+from .game import GameError, format_path
 from .hyperreal import Hyperreal, HyperrealError
 
 
@@ -193,8 +194,6 @@ class _Run:
         self.steps = [form.restriction_from_ids(step) for step in self.ids]
         self.families = [ConditioningFamily(form.game, i, form)
                          for i in range(form.n)]
-        self._q_sets = [[frozenset(part) for part in step]
-                        for step in self.ids]
         self._justifiers = {}
         self._witnesses = {}
         self.exclusions = self._exclusions(certificates)
@@ -213,15 +212,15 @@ class _Run:
         substitution."""
         key = (i, sid, level)
         if key not in self._justifiers:
-            q_sets = self._q_sets[level]
             cols = self.columns[level][i]
-            measure = dominance.justifier_ids(self.form, q_sets, i, sid, cols)
+            measure = dominance.justifier_ids(self.form, cols.q_sets, i, sid,
+                                              cols)
             if measure is None:
                 raise WitnessVerificationFailed(
                     "no justifier with support at round %d for %r"
                     % (level, self.form.strats[i][sid]))
             if not dominance.measure_justifies_ids(
-                    self.form, q_sets, i, sid, measure, cols):
+                    self.form, cols.q_sets, i, sid, measure, cols):
                 raise WitnessVerificationFailed(
                     "justifier failed substitution check")
             self._justifiers[key] = measure
@@ -243,9 +242,9 @@ class _Run:
         table = {}
         for (n, i, sid), mixture in certificates.items():
             strategy = form.strats[i][sid]
+            cols = self.columns[n - 1][i]
             if not dominance.mixture_dominates_ids(
-                    form, self._q_sets[n - 1], i, sid, mixture,
-                    self.columns[n - 1][i]):
+                    form, cols.q_sets, i, sid, mixture, cols):
                 raise self._violation("exclusion", n, i, strategy,
                                       ["dominance-substitution"])
             table[(n, i, strategy)] = ExclusionRecord(
@@ -442,9 +441,12 @@ def verify_equivalences(game):
 
 def sophistication_index(game, i, trace, h):
     """The deepest step whose surviving co-profiles remain consistent
-    with history h (well defined: step 0 is consistent with every h)."""
+    with the nonterminal history h (well defined: step 0 is consistent
+    with every h).  Raises GameError for any other h."""
+    k = game.h_index.get(h)
+    if k is None:
+        raise GameError("no nonterminal history %s" % format_path(h))
     form = game.strategic_form()
-    k = game.h_index[h]
     event = form.co_allow[i][k]
     best = 0
     for m in range(trace.fixpoint + 1):

@@ -1,6 +1,7 @@
 import itertools
 import random
 import warnings
+from collections import Counter
 
 import pytest
 from fractions import Fraction
@@ -11,12 +12,12 @@ from prudens.beliefs import (BeliefError, ConditioningFamily, ExplicitCPS,
                              c_strongly_believes, cautiously_believes,
                              condition_ladder, strongly_believes,
                              validate_chain_rule, weakly_believes)
-from prudens.hyperreal import Hyperreal
+from prudens.hyperreal import Hyperreal, infinitely_greater
 
 from conftest import small_games
 from oracles import (c_strongly_believes_intersection_form,
-                     sympy_cautiously_believes, sympy_chain_rule_holds,
-                     sympy_conditional)
+                     standard_part_conditional, sympy_cautiously_believes,
+                     sympy_chain_rule_holds, sympy_conditional)
 
 import sympy
 
@@ -260,6 +261,115 @@ def random_prior(game, i, rng, degree=2):
     prior = {coid: Hyperreal(cs, D) for coid, cs in enumerate(coeffs)}
     family = ConditioningFamily(game, i, form)
     return PriorCNPS(family, prior)
+
+
+def random_ladder(family, rng, rungs):
+    """Measures with random supports, the last with full support, as a
+    justifier ladder is built."""
+    cos = list(range(len(family.form.co_profiles[family.owner])))
+    ladder = []
+    for r in range(rungs):
+        support = cos if r == rungs - 1 else rng.sample(
+            cos, rng.randrange(1, len(cos) + 1))
+        weights = {c: Fraction(rng.randrange(1, 5)) for c in support}
+        total = sum(weights.values())
+        ladder.append({c: w / total for c, w in weights.items()})
+    return ladder
+
+
+def ladder_prior(family, ladder):
+    """nu_0 (1 - e - ... - e^{n-1}) + sum of e^ell nu_ell, the prior the
+    procedures build from a ladder: a co-profile first reached by rung ell
+    has leading degree ell."""
+    zero = Fraction(0)
+    prior = {}
+    for coid in range(len(family.form.co_profiles[family.owner])):
+        base = ladder[0].get(coid, zero)
+        prior[coid] = Hyperreal(
+            [base] + [nu.get(coid, zero) - base for nu in ladder[1:]],
+            len(ladder))
+    return PriorCNPS(family, prior)
+
+
+def cautious_by_sums(belief, ev, e_ids):
+    """Each mass of E at ev is infinitely greater than ev - E's sum."""
+    comp = belief.mass_within(ev, ev - e_ids)
+
+    def greater(x):
+        if isinstance(x, Hyperreal):
+            return infinitely_greater(x, comp)
+        return x > 0 and comp == 0
+    inter = e_ids & ev
+    return bool(inter) and all(greater(belief.singleton_mass(ev, c))
+                               for c in inter)
+
+
+def strong_by_sums(belief, e_ids):
+    return all(belief.mass_within(ev, e_ids & ev) == belief.mass_within(ev, ev)
+               for ev, _ in belief.family.events if e_ids & ev)
+
+
+def weak_by_support(belief, ev, e_ids):
+    """The standard part of the conditional at ev lives inside E."""
+    if belief.standard:
+        support = belief.support(ev)
+    else:
+        support = standard_part_conditional(belief.prior, ev)
+    return set(support) <= e_ids
+
+
+class TestOperatorsAtDepth:
+    """Ladder priors carry leading degrees 0-2, and their conditioned
+    tables hold zero masses: every operator on either system agrees with
+    its definition through ``mass_within`` sums or standard parts."""
+
+    def test_operators_match_definitions(self, corpus_games):
+        rng = random.Random(2)
+        games = [corpus_games[k] for k in sorted(corpus_games)]
+        games += small_games(8)
+        outcomes = Counter()
+        depths = set()
+        for game in games:
+            for i in range(len(game.players)):
+                family = ConditioningFamily(game, i)
+                cos = list(range(len(family.form.co_profiles[i])))
+                for _ in range(4):
+                    ladder = random_ladder(family, rng, rng.randrange(1, 4))
+                    prior = ladder_prior(family, ladder)
+                    cps = ExplicitCPS(family,
+                                      condition_ladder(family, ladder))
+                    depths |= {m.leading_degree()
+                               for m in prior.prior.values()}
+                    for belief in (prior, cps):
+                        for _ in range(5):
+                            e_ids = frozenset(rng.sample(
+                                cos, rng.randrange(len(cos) + 1)))
+                            held = c_strongly_believes(belief, e_ids)
+                            assert held == \
+                                c_strongly_believes_intersection_form(
+                                    belief, e_ids)
+                            outcomes["c-strong", held] += 1
+                            held = strongly_believes(belief, e_ids)
+                            assert held == strong_by_sums(belief, e_ids)
+                            outcomes["strong", held] += 1
+                            for h in game.nonterminal:
+                                ev = family.event_for_history(h)
+                                with warnings.catch_warnings():
+                                    warnings.simplefilter(
+                                        "ignore", VacuousEventWarning)
+                                    held = cautiously_believes(
+                                        belief, h, e_ids)
+                                assert held == cautious_by_sums(
+                                    belief, ev, e_ids)
+                                outcomes["cautious", held] += 1
+                                held = weakly_believes(belief, h, e_ids)
+                                assert held == weak_by_support(
+                                    belief, ev, e_ids)
+                                outcomes["weak", held] += 1
+        assert depths == {0, 1, 2}
+        assert all(outcomes[op, held] > 0 for held in (True, False)
+                   for op in ("c-strong", "strong", "cautious", "weak"))
+        assert sum(outcomes.values()) >= 6000
 
 
 class TestConditional:

@@ -175,6 +175,14 @@ def test_infinitely_greater_matches_ratio_test(a, b):
 
 
 @given(polys, polys)
+def test_nonnegative_sum_starts_at_least_leading_degree(a, b):
+    x, y = nonneg(a), nonneg(b)
+    degrees = [d for d in (x.leading_degree(), y.leading_degree())
+               if d is not None]
+    assert (x + y).leading_degree() == min(degrees, default=None)
+
+
+@given(polys, polys)
 def test_equality_iff_identical_coefficients(a, b):
     assert (a == b) == (a.coeffs == b.coeffs)
     assert (a.compare(b) == 0) == (a.coeffs == b.coeffs)

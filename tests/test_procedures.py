@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import pytest
 from fractions import Fraction
@@ -8,6 +9,7 @@ from prudens import corpus, dsl
 from prudens.beliefs import c_strongly_believes, validate_chain_rule
 from prudens.best_reply import (sequential_best_replies,
                                 weak_sequential_best_replies)
+from prudens.game import GameError, format_path
 from prudens.procedures import (EquivalenceViolation, WitnessVerificationFailed,
                                 iterated_admissibility,
                                 prudent_rationalizability_cnps,
@@ -521,6 +523,14 @@ payoff /(In,w)/(w,R) = 0, 2
         assert trace.fixpoint >= 1
         h = (("In", "w"),)
         assert sophistication_index(game, 1, trace, h) == 0
+
+    def test_terminal_or_unknown_history_is_a_game_error(self,
+                                                          corpus_games):
+        game = corpus_games["centipede_3"]
+        trace = iterated_admissibility(game)
+        for h in (game.terminal[0], (("x", "zzz"),)):
+            with pytest.raises(GameError, match=re.escape(format_path(h))):
+                sophistication_index(game, 0, trace, h)
 
     def test_best_rationalization_of_final_witnesses(self, corpus_games):
         """Final-step justifiers hold the cautious-strong-belief ladder up
