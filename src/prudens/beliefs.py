@@ -19,7 +19,7 @@ operators by leading degree").
 import warnings
 from fractions import Fraction
 
-from .hyperreal import Hyperreal
+from .hyperreal import Hyperreal, as_fraction
 
 
 class BeliefError(Exception):
@@ -153,7 +153,7 @@ class ExplicitCPS:
         for ev, dist in self.table.items():
             total = Fraction(0)
             for coid, p in dist.items():
-                p = Fraction(p)
+                p = as_fraction(p)
                 if p < 0:
                     raise BeliefError("negative probability")
                 if p > 0 and coid not in ev:

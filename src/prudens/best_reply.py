@@ -64,49 +64,47 @@ def _argmax(classes):
 
 
 class ReplyAnalysis:
-    """Per-history conditional argmax sets for one (belief, player) pair."""
+    """Per-history conditional argmax sets for one (belief, player) pair.
+    Raises BestReplyError unless the player holds the belief."""
 
     def __init__(self, form, belief, i):
+        owner = belief.family.owner
+        if i != owner:
+            raise BestReplyError("a belief of %s queried as %s's"
+                                 % (form.game.players[owner],
+                                    form.game.players[i]))
         self.form = form
         self.belief = belief
         self.i = i
-        self._totals = {}
-        self._values = {}
         self._argmax = {}
         self._weak_sequential = None
 
     def _class_totals(self, h_idx):
-        if h_idx not in self._totals:
-            form, i = self.form, self.i
-            twins = form.twin_classes(i, h_idx)
-            coids = twins[0]
-            masses = self.belief.conditional_ids(form.co_allow[i][h_idx])
-            if self.belief.standard:
-                layers = [_scaled([masses.get(c, 0) for c in coids])]
-            else:
-                coeffs = [masses[c].coeffs for c in coids]
-                width = max(map(len, coeffs), default=0)
-                layers = [_scaled([cs[d] if d < len(cs) else 0
-                                   for cs in coeffs])
-                          for d in range(width)]
-            self._totals[h_idx] = _layer_totals(twins, layers)
-        return self._totals[h_idx]
+        form, i = self.form, self.i
+        twins = form.twin_classes(i, h_idx)
+        coids = twins[0]
+        masses = self.belief.conditional_ids(form.co_allow[i][h_idx])
+        if self.belief.standard:
+            layers = [_scaled([masses.get(c, 0) for c in coids])]
+        else:
+            coeffs = [masses[c].coeffs for c in coids]
+            width = max(map(len, coeffs), default=0)
+            layers = [_scaled([cs[d] if d < len(cs) else 0 for cs in coeffs])
+                      for d in range(width)]
+        return _layer_totals(twins, layers)
 
     def _value_row(self, h_idx):
         """Conditional expected payoff of every strategy allowing h_idx."""
-        if h_idx not in self._values:
-            dens, classes = self._class_totals(h_idx)
-            out = {}
-            for members, totals in classes:
-                values = [Fraction(t, d) for t, d in zip(totals, dens)]
-                if self.belief.standard:
-                    value = values[0]
-                else:
-                    value = Hyperreal(values, self.belief.degree_bound)
-                for sid in members:
-                    out[sid] = value
-            self._values[h_idx] = out
-        return self._values[h_idx]
+        dens, classes = self._class_totals(h_idx)
+        out = {}
+        for members, totals in classes:
+            values = [Fraction(t, d) for t, d in zip(totals, dens)]
+            if self.belief.standard:
+                value = values[0]
+            else:
+                value = Hyperreal(values, self.belief.degree_bound)
+            out.update(dict.fromkeys(members, value))
+        return out
 
     def value(self, sid, h_idx):
         row = self._value_row(h_idx)

@@ -1,10 +1,18 @@
 """Command-line front end.
 
     prudens ia|pr-cnps|pr-cps|reduced <files...> [--format json|table]
-        [--timings]
-    prudens verify [files...] [--format json|table]
+        [--max-strategies N] [--timings]
+    prudens verify [files...] [--format json|table] [--max-strategies N]
     prudens fuzz --seed N --count N [--jobs N] [--out-dir DIR]
+        [--max-strategies N]
     prudens fmt <files...> [--write]
+
+``verify`` and the trace commands run through one per-file loop: each
+file is loaded, the command gives its report entries, and an audit
+violation becomes the file's error entry instead (``verify``'s with
+``"ok": false``).  ``--max-strategies`` is the per-player strategy cap,
+``Game.STRATEGY_CAP`` by default; under ``fuzz`` it bounds the generator
+instead, default 6.
 
 Exit status: 0 success, 2 usage problems (a file that cannot be read
 or, under ``fmt --write``, written; a ``fmt --write`` argument that is
@@ -37,7 +45,7 @@ from pathlib import Path
 
 from . import corpus, dsl, generator, procedures, shrink
 from .dsl import GameDocError
-from .game import SizeLimit
+from .game import Game, SizeLimit
 
 SCHEMA = 1
 
@@ -64,21 +72,6 @@ def _read_doc(name):
         raise SystemExit(3)
 
 
-def _load_games(paths, cap):
-    if cap is None:
-        cap = 10 ** 6
-    for name in paths:
-        path, doc = _read_doc(name)
-        # parse has run the game's tree checks, so this cannot fail
-        yield str(path), dsl.elaborate(doc, strategy_cap=cap)
-
-
-def _trace_entry(path, trace, timings):
-    entry = {"file": path, "trace": trace.to_json(include_timings=timings)}
-    entry["all_verified"] = trace.all_verified()
-    return entry
-
-
 def _print_trace_table(report):
     for entry in report["results"]:
         if "error" in entry:
@@ -95,57 +88,41 @@ def _print_trace_table(report):
                  len(trace["exclusions"]), entry["all_verified"]))
 
 
-def _cmd_procedure(args, runner):
+def _verify_entries(game, args):
+    rep = procedures.verify_equivalences(game)
+    keys = ("fixpoint", "step_sizes", "witnesses", "exclusions",
+            "all_verified")
+    return [dict({key: rep[key] for key in keys}, ok=True)]
+
+
+def _print_verify_table(report):
+    for entry in report["results"]:
+        if entry["ok"]:
+            print("%-50s N=%d sizes=%s verified=%s"
+                  % (entry["file"], entry["fixpoint"],
+                     "".join(str(tuple(s)) for s in entry["step_sizes"]),
+                     entry["all_verified"]))
+        else:
+            print("%-50s VIOLATION: %s" % (entry["file"], entry["error"]))
+
+
+def _cmd_files(args):
+    """A per-file command: each file's report entries from the command's
+    ``entries``, or on an audit violation its error entry (exit 4)."""
     results = []
     status = 0
-    for path, game in _load_games(args.files, args.max_strategies):
+    for name in args.files or [str(p) for p in corpus.corpus_paths()]:
+        path, doc = _read_doc(name)
+        # parse has run the game's tree checks, so this cannot fail
+        game = dsl.elaborate(doc, strategy_cap=args.max_strategies)
         try:
-            traces = runner(game)
+            entries = args.entries(game, args)
         except procedures.EquivalenceViolation as exc:
-            results.append({"file": path, "error": str(exc)})
+            entries = [dict(args.violation, error=str(exc))]
             status = 4
-            continue
-        results.extend(_trace_entry(path, trace, args.timings)
-                       for trace in traces)
+        results.extend(dict(entry, file=str(path)) for entry in entries)
     report = {"schema": SCHEMA, "command": args.command, "results": results}
-    _emit(report, args.format, _print_trace_table)
-    return status
-
-
-def _cmd_verify(args):
-    files = args.files or [str(p) for p in corpus.corpus_paths()]
-    results = []
-    status = 0
-    for path, game in _load_games(files, args.max_strategies):
-        try:
-            rep = procedures.verify_equivalences(game)
-        except procedures.EquivalenceViolation as exc:
-            results.append({"file": path, "ok": False, "error": str(exc)})
-            status = 4
-            continue
-        entry = {
-            "file": path,
-            "ok": True,
-            "fixpoint": rep["fixpoint"],
-            "step_sizes": [list(s) for s in rep["step_sizes"]],
-            "witnesses": rep["witnesses"],
-            "exclusions": rep["exclusions"],
-            "all_verified": rep["all_verified"],
-        }
-        results.append(entry)
-    report = {"schema": SCHEMA, "command": "verify", "results": results}
-
-    def table(rep):
-        for entry in rep["results"]:
-            if entry["ok"]:
-                print("%-50s N=%d sizes=%s verified=%s"
-                      % (entry["file"], entry["fixpoint"],
-                         "".join(str(tuple(s)) for s in entry["step_sizes"]),
-                         entry["all_verified"]))
-            else:
-                print("%-50s VIOLATION: %s" % (entry["file"], entry["error"]))
-
-    _emit(report, args.format, table)
+    _emit(report, args.format, args.table)
     return status
 
 
@@ -187,8 +164,7 @@ def _cmd_fuzz(args):
         "max_players": args.players,
         "max_histories": args.histories,
         "max_actions": args.actions,
-        "max_strategies": args.max_strategies
-        if args.max_strategies is not None else 6,
+        "max_strategies": args.max_strategies,
     }
     tasks = [(args.seed, index, bounds) for index in range(args.count)]
     if args.jobs > 1:
@@ -291,36 +267,52 @@ def build_parser():
                     "games")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_files=True, files_optional=False):
-        if needs_files:
-            nargs = "*" if files_optional else "+"
-            p.add_argument("files", nargs=nargs,
-                           help=".seqgame files (bare names resolve against "
-                                "the corpus)")
+    def options(p, cap, cap_help):
         p.add_argument("--format", choices=("json", "table"), default="table")
         p.add_argument("--max-strategies", type=_int_at_least(1),
-                       default=None,
-                       help="strategy-count cap (fuzz: generator bound, "
-                            "default 6; otherwise enumeration cap)")
+                       default=cap, help=cap_help + " (default %(default)d)")
 
-    def trace_command(name, summary):
+    def per_file(name, summary, entries, table, files="+", **violation):
+        """A command run by ``_cmd_files``: ``entries(game, args)`` gives a
+        file's report entries, ``violation`` the extra fields of its error
+        entry."""
         p = sub.add_parser(name, help=summary)
-        common(p)
+        p.add_argument("files", nargs=files,
+                       help=".seqgame files (bare names resolve against "
+                            "the corpus)")
+        options(p, Game.STRATEGY_CAP,
+                "most strategies a player may have; a game over it is "
+                "refused before any plan is listed")
+        p.set_defaults(func=_cmd_files, entries=entries, table=table,
+                       violation=violation)
+        return p
+
+    def trace_command(name, summary, run):
+        def entries(game, args):
+            return [{"trace": trace.to_json(include_timings=args.timings),
+                     "all_verified": trace.all_verified()}
+                    for trace in run(game)]
+        p = per_file(name, summary, entries, _print_trace_table)
         p.add_argument("--timings", action="store_true",
                        help="include wall-clock fields in each trace "
                             "(trace commands only; non-deterministic)")
 
-    trace_command("ia", "iterated admissibility trace")
-    trace_command("pr-cnps", "cautious procedure, non-standard priors")
-    trace_command("pr-cps", "cautious procedure, explicit standard systems")
-    p = sub.add_parser("verify",
-                       help="run all procedures and cross-check (default: "
-                            "whole corpus)")
-    common(p, files_optional=True)
-    trace_command("reduced", "reduced-strategy variants (equivalence classes)")
+    trace_command("ia", "iterated admissibility trace",
+                  lambda game: [procedures.iterated_admissibility(game)])
+    trace_command("pr-cnps", "cautious procedure, non-standard priors",
+                  lambda game: [
+                      procedures.prudent_rationalizability_cnps(game)])
+    trace_command("pr-cps", "cautious procedure, explicit standard systems",
+                  lambda game: [
+                      procedures.prudent_rationalizability_cps(game)])
+    per_file("verify", "run all procedures and cross-check (default: "
+                       "whole corpus)",
+             _verify_entries, _print_verify_table, files="*", ok=False)
+    trace_command("reduced", "reduced-strategy variants (equivalence classes)",
+                  procedures.reduced_variants)
 
     p = sub.add_parser("fuzz", help="random-game differential campaign")
-    common(p, needs_files=False)
+    options(p, 6, "most strategies a generated player may have")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=_int_at_least(0), default=100)
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
@@ -328,10 +320,12 @@ def build_parser():
     p.add_argument("--histories", type=_int_at_least(1), default=12)
     p.add_argument("--actions", type=_int_at_least(2), default=3)
     p.add_argument("--out-dir", default=".")
+    p.set_defaults(func=_cmd_fuzz)
 
     p = sub.add_parser("fmt", help="canonical reformatting")
     p.add_argument("files", nargs="+")
     p.add_argument("--write", action="store_true")
+    p.set_defaults(func=_cmd_fmt)
     return parser
 
 
@@ -341,20 +335,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code
-    runners = {
-        "ia": lambda game: (procedures.iterated_admissibility(game),),
-        "pr-cnps": lambda game: (
-            procedures.prudent_rationalizability_cnps(game),),
-        "pr-cps": lambda game: (
-            procedures.prudent_rationalizability_cps(game),),
-        "reduced": procedures.reduced_variants,
-    }
-    commands = {"verify": _cmd_verify, "fuzz": _cmd_fuzz, "fmt": _cmd_fmt}
     try:
-        if args.command in runners:
-            status = _cmd_procedure(args, runners[args.command])
-        else:
-            status = commands[args.command](args)
+        status = args.func(args)
         # a closed stdout shows when the last buffered output is written
         sys.stdout.flush()
         return status

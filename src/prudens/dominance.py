@@ -33,6 +33,7 @@ from fractions import Fraction
 
 from . import lp
 from .best_reply import best_replies_to_measure
+from .hyperreal import as_fraction
 
 
 class DominanceError(Exception):
@@ -46,7 +47,8 @@ class MixedStrategy:
 
     def __init__(self, player, weights):
         self.player = player
-        self.weights = {s: Fraction(w) for s, w in weights.items() if w}
+        weights = {s: as_fraction(w) for s, w in weights.items()}
+        self.weights = {s: w for s, w in weights.items() if w}
         if any(w < 0 for w in self.weights.values()):
             raise DominanceError("negative mixture weight")
         if sum(self.weights.values()) != 1:

@@ -288,7 +288,7 @@ def serialize(doc):
     return "\n".join(out) + "\n"
 
 
-def elaborate(doc, strategy_cap=10 ** 6):
+def elaborate(doc, strategy_cap=Game.STRATEGY_CAP):
     """Build the Game a document describes (``Game`` checks the tree)."""
     try:
         return Game(doc.players, doc.stages, doc.payoffs,
@@ -297,6 +297,6 @@ def elaborate(doc, strategy_cap=10 ** 6):
         raise GameSemanticError(str(exc), 0, 0) from exc
 
 
-def load(path, strategy_cap=10 ** 6):
+def load(path, strategy_cap=Game.STRATEGY_CAP):
     with open(path, "r", encoding="utf-8") as fh:
         return elaborate(parse(fh.read()), strategy_cap=strategy_cap)

@@ -11,7 +11,8 @@ history, including histories the strategy itself precludes.
 
 import itertools
 import math
-from fractions import Fraction
+
+from .hyperreal import as_fraction
 
 
 class GameError(Exception):
@@ -150,17 +151,20 @@ class Game:
 
     ``actions`` maps each nonterminal history to a tuple (per player, in
     player order) of nonempty action tuples; ``payoffs`` maps each terminal
-    history to a tuple of Fractions.  :func:`check_tree` checks on
+    history to a tuple of ints or Fractions.  :func:`check_tree` checks on
     construction that the tree is prefix closed, every stage is the full
     product of the per-player action sets, and terminal/nonterminal
-    histories partition the tree.
+    histories partition the tree.  ``strategy_cap`` is the most strategies
+    a player may have before any plan is listed (:class:`SizeLimit`).
     """
 
-    def __init__(self, players, actions, payoffs, strategy_cap=10 ** 6):
+    STRATEGY_CAP = 10 ** 6
+
+    def __init__(self, players, actions, payoffs, strategy_cap=STRATEGY_CAP):
         self.players = tuple(players)
         self.actions = {tuple(map(tuple, h)): tuple(tuple(acts) for acts in per)
                         for h, per in actions.items()}
-        self.payoffs = {tuple(map(tuple, h)): tuple(Fraction(v) for v in per)
+        self.payoffs = {tuple(map(tuple, h)): tuple(map(as_fraction, per))
                         for h, per in payoffs.items()}
         self.strategy_cap = strategy_cap
         check_tree(self.players, self.actions, self.payoffs)

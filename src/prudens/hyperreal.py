@@ -30,7 +30,9 @@ class ZeroDenominator(HyperrealError):
     """Ratio test against a zero denominator."""
 
 
-def _as_fraction(x):
+def as_fraction(x):
+    """x as a Fraction.  Raises TypeError, naming x, unless x is an int or
+    a Fraction: a float is never exact data."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -50,7 +52,7 @@ class Hyperreal:
     __slots__ = ("coeffs", "degree_bound")
 
     def __init__(self, coeffs=(), degree_bound=8):
-        coeffs = [_as_fraction(c) for c in coeffs]
+        coeffs = [as_fraction(c) for c in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         if degree_bound < 0:
@@ -68,7 +70,7 @@ class Hyperreal:
 
     @classmethod
     def from_rational(cls, q, degree_bound=8):
-        return cls((_as_fraction(q),), degree_bound)
+        return cls((as_fraction(q),), degree_bound)
 
     @classmethod
     def zero(cls, degree_bound=8):
@@ -118,7 +120,7 @@ class Hyperreal:
                                  % (self.degree_bound, other.degree_bound))
             return other
         if isinstance(other, (int, Fraction)):
-            return Hyperreal((_as_fraction(other),), self.degree_bound)
+            return Hyperreal((as_fraction(other),), self.degree_bound)
         return NotImplemented
 
     def __add__(self, other):
@@ -188,7 +190,7 @@ class Hyperreal:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Hyperreal((_as_fraction(other),), self.degree_bound)
+            other = Hyperreal((as_fraction(other),), self.degree_bound)
         if not isinstance(other, Hyperreal):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -210,6 +212,10 @@ class Hyperreal:
         return self.compare(other) >= 0
 
     def __hash__(self):
+        # A value equal to a rational hashes as that rational, as __eq__
+        # requires.
+        if len(self.coeffs) <= 1:
+            return hash(self.coefficient(0))
         return hash(self.coeffs)
 
     def __bool__(self):

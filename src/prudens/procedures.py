@@ -175,8 +175,9 @@ class ProcedureTrace:
 
 
 class _Run:
-    """One audited run of a game: the elimination steps, their exclusion
-    table, and the witness families, each built on first use."""
+    """One audited run of a game: the elimination steps and their
+    exclusion table, checked on construction, and the justifiers, each
+    built on first use, that the witness families are built from."""
 
     def __init__(self, form, reduced=False):
         self.form = form
@@ -195,7 +196,6 @@ class _Run:
         self.families = [ConditioningFamily(form.game, i, form)
                          for i in range(form.n)]
         self._justifiers = {}
-        self._witnesses = {}
         self.exclusions = self._exclusions(certificates)
 
     def chain(self, i, sid, step):
@@ -274,47 +274,44 @@ class _Run:
         member's ladder, its sid-independent checks and one reply
         analysis; each still has its own best-reply membership checked.
         """
-        if procedure not in self._witnesses:
-            t0 = time.perf_counter()
-            assemble, build, audit = _FAMILIES[procedure]
-            form = self.form
-            table = {}
-            for n in range(1, self.fixpoint + 2):
-                for i in range(form.n):
-                    shared = {}
-                    for sid in self.ids[n][i]:
-                        strategy = form.strats[i][sid]
-                        chain = self.chain(i, sid, n)
-                        stage = "justifiers"
-                        try:
-                            ladder = [self.justifier(i, sid, n - 1 - ell)
-                                      for ell in range(n)]
-                            if chain not in shared:
-                                data = assemble(self, i, ladder)
-                                stage = "belief-valid"
-                                belief = build(self.families[i], data)
-                                stage = "audit"
-                                shared[chain] = (
-                                    belief, audit(self, belief, i, n),
-                                    best_reply.ReplyAnalysis(form, belief, i))
+        t0 = time.perf_counter()
+        assemble, build, audit = _FAMILIES[procedure]
+        form = self.form
+        table = {}
+        for n in range(1, self.fixpoint + 2):
+            for i in range(form.n):
+                shared = {}
+                for sid in self.ids[n][i]:
+                    strategy = form.strats[i][sid]
+                    chain = self.chain(i, sid, n)
+                    stage = "justifiers"
+                    try:
+                        ladder = [self.justifier(i, sid, n - 1 - ell)
+                                  for ell in range(n)]
+                        if chain not in shared:
+                            data = assemble(self, i, ladder)
+                            stage = "belief-valid"
+                            belief = build(self.families[i], data)
                             stage = "audit"
-                            belief, checks, analysis = shared[chain]
-                            checks = checks + [(
-                                "weak-sequential-best-reply",
-                                sid in analysis.weak_sequential_ids())]
-                        except _AUDIT_ERRORS as exc:
-                            raise self._violation(
-                                procedure + " witness", n, i, strategy,
-                                [stage], exc) from exc
-                        failed = [name for name, ok in checks if not ok]
-                        if failed:
-                            raise self._violation(
-                                procedure + " witness", n, i, strategy,
-                                failed)
-                        table[(n, i, strategy)] = WitnessRecord(
-                            n, i, strategy, belief, checks)
-            self._witnesses[procedure] = (table, time.perf_counter() - t0)
-        return self._witnesses[procedure]
+                            shared[chain] = (
+                                belief, audit(self, belief, i, n),
+                                best_reply.ReplyAnalysis(form, belief, i))
+                        stage = "audit"
+                        belief, checks, analysis = shared[chain]
+                        checks = checks + [(
+                            "weak-sequential-best-reply",
+                            sid in analysis.weak_sequential_ids())]
+                    except _AUDIT_ERRORS as exc:
+                        raise self._violation(
+                            procedure + " witness", n, i, strategy,
+                            [stage], exc) from exc
+                    failed = [name for name, ok in checks if not ok]
+                    if failed:
+                        raise self._violation(
+                            procedure + " witness", n, i, strategy, failed)
+                    table[(n, i, strategy)] = WitnessRecord(
+                        n, i, strategy, belief, checks)
+        return table, time.perf_counter() - t0
 
     def trace(self, procedure):
         """The procedure's view of this run: the shared steps and

@@ -462,6 +462,14 @@ class TestChainRule:
         belief = random_prior(game, 0, rng, degree=2)
         assert sympy_chain_rule_holds(belief)
 
+    def test_float_mass_is_a_type_error(self, corpus_games):
+        game = corpus_games["matching_pennies"]
+        family = ConditioningFamily(game, 0)
+        ((ev, _),) = family.events
+        first, second = sorted(ev)
+        with pytest.raises(TypeError, match="0.5"):
+            ExplicitCPS(family, {ev: {first: 0.5, second: Fraction(1, 2)}})
+
     def test_incomplete_table_rejected(self, corpus_games):
         game = corpus_games["centipede_3"]
         family = ConditioningFamily(game, 0)

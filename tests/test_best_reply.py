@@ -6,7 +6,8 @@ from fractions import Fraction
 from prudens import dsl, procedures
 from prudens.beliefs import (BeliefError, ConditioningFamily, ExplicitCPS,
                              PriorCNPS, condition_ladder)
-from prudens.best_reply import (ReplyAnalysis, StrategyDisallowsHistory,
+from prudens.best_reply import (BestReplyError, ReplyAnalysis,
+                                StrategyDisallowsHistory,
                                 best_replies_to_measure, expected_payoff,
                                 sequential_best_replies,
                                 weak_sequential_best_replies)
@@ -80,6 +81,22 @@ class TestExpectedPayoff:
                         want = naive_expected_payoff(
                             g, i, r, h, lambda co: ids[co])
                         assert got == want
+
+
+class TestBeliefOwner:
+    """A belief answers its holder's questions only: read as another
+    player's, its co-profile ids would name the wrong profiles."""
+
+    @pytest.mark.parametrize("query", [
+        lambda game, belief, i: expected_payoff(
+            game, belief, i, game.strategies(i)[0], ()),
+        sequential_best_replies, weak_sequential_best_replies])
+    def test_other_players_belief_is_refused(self, corpus_games, query):
+        game = corpus_games["matching_pennies"]
+        belief = random_prior(game, 0, random.Random(3))
+        query(game, belief, 0)
+        with pytest.raises(BestReplyError, match="queried as"):
+            query(game, belief, 1)
 
 
 class TestSequentialBestReplies:

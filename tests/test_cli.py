@@ -122,16 +122,18 @@ class TestAuditFailures:
 
     @pytest.mark.parametrize("command,check", [
         ("ia", "exclusion-coverage"), ("pr-cnps", "justifiers"),
-        ("pr-cps", "justifiers"), ("reduced", "justifiers")])
+        ("pr-cps", "justifiers"), ("reduced", "justifiers"),
+        ("verify", "justifiers")])
     def test_violation_exit_code(self, command, check, monkeypatch):
         self._break(command, monkeypatch)
         code, out = run_cli([command, "weak_dom_2x2.seqgame",
                              "--format", "json"])
         assert code == 4
         (entry,) = json.loads(out)["results"]
-        assert set(entry) == {"file", "error"}
-        assert check in entry["error"]
-        assert entry["file"].endswith("weak_dom_2x2.seqgame")
+        assert check in entry.pop("error")
+        assert entry.pop("file").endswith("weak_dom_2x2.seqgame")
+        # verify's entries all carry "ok"
+        assert entry == ({"ok": False} if command == "verify" else {})
         code, out = run_cli([command, "weak_dom_2x2.seqgame"])
         assert code == 4
         assert "VIOLATION" in out

@@ -361,6 +361,13 @@ class TestMixedStrategy:
         m = MixedStrategy(0, {s: Fraction(1, 2), t: Fraction(1, 2)})
         assert m.support() == {s, t}
 
+    def test_float_weight_is_a_type_error(self, corpus_games):
+        game = corpus_games["matching_pennies"]
+        s, t = game.strategies(0)
+        for weights in ({s: 0.5, t: Fraction(1, 2)}, {s: 0.0, t: 1}):
+            with pytest.raises(TypeError, match="expected int or Fraction"):
+                MixedStrategy(0, weights)
+
     def test_strategy_outside_restriction_rejected(self, corpus_games):
         game = corpus_games["weak_dom_2x2"]
         top = by_name(game, 0, "T")

@@ -220,6 +220,17 @@ class TestValidation:
         with pytest.raises(GameError):
             Game(("A",), {(): (("x", "y"),)}, {(("x",),): (Fraction(0),)})
 
+    def test_float_payoff_is_a_type_error(self):
+        """A float is not exact data: it is refused, not stored as the
+        binary fraction nearest it."""
+        actions = {(): (("x", "y"), ("w",))}
+        with pytest.raises(TypeError, match="0.1"):
+            Game(("A", "B"), actions,
+                 {(("x", "w"),): (0.1, 1), (("y", "w"),): (0, 1)})
+        game = Game(("A", "B"), actions, {(("x", "w"),): (Fraction(1, 10), 1),
+                                          (("y", "w"),): (0, 1)})
+        assert game.payoffs[(("x", "w"),)] == (Fraction(1, 10), 1)
+
     def test_terminal_and_nonterminal_conflict(self):
         with pytest.raises(GameError):
             Game(("A",), {(): (("x",),), (("x",),): (("z",),)},

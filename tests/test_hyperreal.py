@@ -191,3 +191,24 @@ def test_equality_iff_identical_coefficients(a, b):
 @given(polys)
 def test_render_parse_identity(a):
     assert parse_hyperreal(a.render(), D) == a
+
+
+def forms(value):
+    """value as Hyperreals of two degree bounds and, when it is rational,
+    as a Fraction and (if whole) an int."""
+    out = [value, Hyperreal(value.coeffs, D + 1)]
+    if value.degree() in (None, 0):
+        q = value.standard_part()
+        out.append(q)
+        if q.denominator == 1:
+            out.append(int(q))
+    return out
+
+
+@given(polys.flatmap(lambda v: st.tuples(st.sampled_from(forms(v)),
+                                         st.sampled_from(forms(v)))))
+def test_equal_values_hash_equally(pair):
+    a, b = pair
+    assert a == b
+    assert hash(a) == hash(b)
+    assert {a: "x"}.get(b) == "x"
