@@ -19,7 +19,7 @@ operators by leading degree").
 import warnings
 from fractions import Fraction
 
-from .hyperreal import Hyperreal, as_fraction
+from .hyperreal import Hyperreal, as_fraction, exact_sum
 
 
 class BeliefError(Exception):
@@ -61,7 +61,10 @@ class PriorCNPS:
     ``prior`` maps each co-profile id to a positive Hyperreal; the values
     sum to exactly 1.  Conditionals are plain restrictions.  The support
     and the total found while validating are kept as ``full_support`` and
-    ``total``, which audits report instead of summing again.
+    ``total``, which audits report instead of summing again.  Both are
+    read in one pass over the coefficients: a mass is positive when its
+    first nonzero coefficient is, and the total sums each degree's
+    coefficients over their common denominator.
     """
 
     standard = False
@@ -72,18 +75,31 @@ class PriorCNPS:
         form, i = family.form, family.owner
         if set(self.prior) != set(range(len(form.co_profiles[i]))):
             raise BeliefError("prior must cover every co-player profile")
-        self.total = None
+        self.degree_bound = None
+        self.full_support = True
+        layers = []  # per degree, the masses' coefficients
         for mass in self.prior.values():
             if not isinstance(mass, Hyperreal):
                 raise BeliefError("prior values must be Hyperreal")
-            self.total = mass if self.total is None else self.total + mass
-        self.full_support = all(mass > 0 for mass in self.prior.values())
+            if self.degree_bound is None:
+                self.degree_bound = mass.degree_bound
+            elif mass.degree_bound != self.degree_bound:
+                raise ValueError("degree bound mismatch: %d vs %d"
+                                 % (self.degree_bound, mass.degree_bound))
+            lead = 0
+            for k, c in enumerate(mass.coeffs):
+                if k == len(layers):
+                    layers.append([])
+                layers[k].append(c)
+                lead = lead or c.numerator
+            self.full_support = self.full_support and lead > 0
+        self.total = Hyperreal([exact_sum(layer) for layer in layers],
+                               self.degree_bound)
         if not self.full_support:
             raise BeliefError("prior must have full support")
         if self.total != 1:
             raise BeliefError("prior masses must sum to 1, got %s"
                               % self.total)
-        self.degree_bound = next(iter(self.prior.values())).degree_bound
 
     @classmethod
     def from_profile_map(cls, game, owner, mapping):
@@ -139,7 +155,8 @@ class PriorCNPS:
 
 
 class ExplicitCPS:
-    """Explicit array of standard conditional measures, one per event."""
+    """Explicit array of standard conditional measures, one per event,
+    keyed by exactly the family's conditioning events."""
 
     standard = True
 
@@ -150,8 +167,10 @@ class ExplicitCPS:
         for ev in events:
             if ev not in self.table:
                 raise IncompleteTable("missing conditioning event")
+        if len(self.table) > len(events):
+            raise BeliefError("table has an entry for a set that is not a "
+                              "conditioning event")
         for ev, dist in self.table.items():
-            total = Fraction(0)
             for coid, p in dist.items():
                 p = as_fraction(p)
                 if p < 0:
@@ -160,8 +179,7 @@ class ExplicitCPS:
                     raise BeliefError(
                         "measure puts weight outside its conditioning event")
                 dist[coid] = p
-                total += p
-            if total != 1:
+            if exact_sum(list(dist.values())) != 1:
                 raise BeliefError("conditional measure must sum to 1")
 
     def conditional_ids(self, event_ids):
@@ -211,7 +229,7 @@ class ExplicitCPS:
 def condition_measure(measure, event_ids):
     """A measure (coid -> Fraction) conditioned on an event, keeping its
     positive masses; None when the event has zero mass."""
-    total = sum((measure.get(c, Fraction(0)) for c in event_ids), Fraction(0))
+    total = exact_sum([measure[c] for c in event_ids if c in measure])
     if total == 0:
         return None
     return {c: measure[c] / total

@@ -17,10 +17,18 @@ instance rather than assuming it.
 
 Co-player profiles with identical payoff columns are interchangeable in
 both problems, so the solvers work over distinct columns (with measures
-spread back uniformly within each group) and try pure-strategy dominance
-and a unique-best-response filter before setting up any tableau.  Own
-strategies with identical rows over those columns (twins, such as the
-behaviourally equivalent plans of a sequential game) get the same answer
+spread back uniformly within each group).  Before setting up any
+tableau they settle what they can from the measure uniform over those
+columns, read off one row sum per own strategy: a strategy whose row
+sum is the largest of all gets that measure as its justifier, which is
+the LP's unique optimum, and one whose row sum is the largest in its
+own restriction is a best reply there to a full-support measure, so no
+mixture dominates it (docs/exactness.md, "Questions the uniform measure
+settles").  The slack solver then tries pure-strategy dominance and a
+unique-best-response filter.
+
+Own strategies with identical rows over those columns (twins, such as
+the behaviourally equivalent plans of a sequential game) get the same answer
 from both solvers, so a :class:`Columns` solves each question once per
 twin class and hands the answer to every member; each member's answer is
 still substituted on its own (see docs/exactness.md, "Twin-shared LP
@@ -33,7 +41,7 @@ from fractions import Fraction
 
 from . import lp
 from .best_reply import best_replies_to_measure
-from .hyperreal import as_fraction
+from .hyperreal import as_fraction, exact_sum
 
 
 class DominanceError(Exception):
@@ -71,12 +79,14 @@ class Columns:
     ``q_sets`` is the restriction it was built from (one id set per
     player), ``co_event`` its set of co-profiles and ``co_ids`` the same
     sorted.  ``twin[r]`` is the least own strategy whose row in
-    ``value`` equals r's.  ``answers`` keeps each LP question's answer per
-    twin class, so that one Columns object poses each question once.
+    ``value`` equals r's, and ``row_sum[r]`` the sum of that row, r's
+    payoff against the measure uniform over the distinct columns times
+    their number.  ``answers`` keeps each LP question's answer per twin
+    class, so that one Columns object poses each question once.
     """
 
     __slots__ = ("q_sets", "co_event", "co_ids", "groups", "value", "twin",
-                 "answers")
+                 "row_sum", "answers")
 
     def __init__(self, form, i, q_sets):
         self.q_sets = q_sets
@@ -93,6 +103,7 @@ class Columns:
         first = {}
         self.twin = [first.setdefault(tuple(row), r)
                      for r, row in enumerate(self.value)]
+        self.row_sum = [exact_sum(row) for row in self.value]
         self.answers = {}
 
     def shared(self, question, solve):
@@ -118,14 +129,21 @@ def dominating_mixture_ids(form, q_sets, i, sid, cols=None):
         raise DominanceError("strategy must belong to its own restriction")
     cols = _columns(form, i, q_sets, cols)
     return cols.shared(("slack", cols.twin[sid]),
-                       lambda: _dominating_mixture(cols.value,
-                                                   sorted(q_sets[i]), sid))
+                       lambda: _dominating_mixture(cols, sorted(q_sets[i]),
+                                                   sid))
 
 
-def _dominating_mixture(value, q_i, sid):
+def _dominating_mixture(cols, q_i, sid):
+    value = cols.value
     own = value[sid]
     ngroups = len(own)
 
+    # a best reply among Q_i to the full-support measure uniform over the
+    # distinct columns is undominated (a row dominating sid purely has a
+    # larger row sum, so this filter never hides a pure dominance)
+    best = cols.row_sum[sid]
+    if all(cols.row_sum[r] <= best for r in q_i):
+        return None
     # pure dominance needs no tableau
     for r in q_i:
         if r == sid:
@@ -139,8 +157,6 @@ def _dominating_mixture(value, q_i, sid):
         target = own[g]
         if all(value[r][g] < target for r in q_i if r != sid):
             return None
-    if len(q_i) == 1:
-        return None
 
     zero, one = lp.ZERO, lp.ONE
     # columns: sigma weights over Q_i, then one slack per distinct column
@@ -187,7 +203,10 @@ def justifier_ids(form, q_sets, i, sid, cols=None):
     own row other than sid's: a repeated row restates an inequality and
     sid's own row states 0 >= 0, so the optimum and the None decision are
     those of one constraint per rival, though the vertex returned may
-    differ.  Twins pose the identical LP and so share the answer.
+    differ.  When sid's row sum over the distinct columns is the largest,
+    the measure uniform over them is that LP's unique optimum and is
+    returned without a tableau.  Twins pose the identical LP and so share
+    the answer.
     """
     cols = _columns(form, i, q_sets, cols)
     return cols.shared(("justifier", cols.twin[sid]),
@@ -195,6 +214,36 @@ def justifier_ids(form, q_sets, i, sid, cols=None):
 
 
 def _justifier(cols, sid):
+    ngroups = len(cols.groups)
+    if ngroups and cols.row_sum[sid] == max(cols.row_sum):
+        # the uniform point m = 1/G, w = 0 is feasible, hence the unique
+        # optimum: G m + sum(w) = 1 and w >= 0 force m <= 1/G
+        uniform = Fraction(1, ngroups)
+        weights = [(uniform, members) for members in cols.groups]
+    else:
+        result = lp.solve(justifier_problem(cols, sid))
+        if result.status == "infeasible":
+            return None
+        if result.status != "optimal":
+            raise DominanceError("justifier LP cannot be unbounded")
+        if result.value <= 0:
+            return None
+        m = result.x[0]
+        weights = [(m + result.x[1 + g], members)
+                   for g, members in enumerate(cols.groups)]
+    measure = {}
+    for mass, members in weights:
+        share = mass / len(members)
+        for coid in members:
+            measure[coid] = share
+    return measure
+
+
+def justifier_problem(cols, sid):
+    """The justifier LP of own strategy sid over cols, as posed to the
+    simplex: maximize m subject to G m + sum_g w_g = 1 and one row
+    sum_g (value[sid][g] - value[r][g]) (m + w_g) - s_r = 0 per rival r,
+    over m, w, s >= 0."""
     value = cols.value
     own = value[sid]
     ngroups = len(own)
@@ -208,27 +257,13 @@ def _justifier(cols, sid):
     rows = [[Fraction(ngroups)] + [one] * ngroups + [zero] * len(others)]
     rhs = [one]
     for j, r in enumerate(others):
-        diff = [own[g] - value[r][g] for g in range(ngroups)]
-        row = [sum(diff, Fraction(0))]
-        row += diff
+        row = [cols.row_sum[sid] - cols.row_sum[r]]
+        row += [own[g] - value[r][g] for g in range(ngroups)]
         row += [-one if j == k else zero for k in range(len(others))]
         rows.append(row)
         rhs.append(zero)
     objective = [one] + [zero] * (ngroups + len(others))
-    result = lp.solve(lp.LPProblem(objective, rows, rhs))
-    if result.status == "infeasible":
-        return None
-    if result.status != "optimal":
-        raise DominanceError("justifier LP cannot be unbounded")
-    if result.value <= 0:
-        return None
-    m = result.x[0]
-    measure = {}
-    for g, members in enumerate(cols.groups):
-        share = (m + result.x[1 + g]) / len(members)
-        for coid in members:
-            measure[coid] = share
-    return measure
+    return lp.LPProblem(objective, rows, rhs)
 
 
 def measure_justifies_ids(form, q_sets, i, sid, measure, cols=None):
@@ -238,7 +273,7 @@ def measure_justifies_ids(form, q_sets, i, sid, measure, cols=None):
         return False
     if any(p < 0 for p in measure.values()):
         return False
-    if sum(measure.values()) != 1:
+    if exact_sum(list(measure.values())) != 1:
         return False
     return sid in best_replies_to_measure(form, i, measure)
 

@@ -10,6 +10,7 @@ degree above the bound raises :class:`DegreeOverflow`; nothing is ever
 silently truncated, since truncation can flip comparisons.
 """
 
+import math
 import re
 from fractions import Fraction
 
@@ -38,6 +39,15 @@ def as_fraction(x):
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError("expected int or Fraction, got %r" % (x,))
+
+
+def exact_sum(values):
+    """The exact sum of a list of rationals, added as integers over their
+    least common denominator: one Fraction is normalized, not one per
+    term."""
+    scale = math.lcm(*[v.denominator for v in values])
+    return Fraction(sum(v.numerator * (scale // v.denominator)
+                        for v in values), scale)
 
 
 class Hyperreal:

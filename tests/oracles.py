@@ -12,6 +12,8 @@ per-strategy Fraction sums that ``best_reply`` replaces with integer
 twin-class sums.  ``full_justifier_problem`` is the justifier LP with
 one constraint per rival, the construction whose repeated rows
 ``dominance`` drops; its optimum must be the deduplicated LP's.
+``full_slack_problem`` is the slack LP over every co-profile, with no
+columns merged.
 """
 
 import itertools
@@ -396,6 +398,27 @@ def full_justifier_problem(value, sid):
         rows.append([sum(diff, _ZERO)] + diff + slack)
         rhs.append(_ZERO)
     objective = [_ONE] + [_ZERO] * (ngroups + len(others))
+    return lp.LPProblem(objective, rows, rhs)
+
+
+def full_slack_problem(form, q_sets, i, sid):
+    """The slack LP of sid against Q_{-i} with one row and one slack
+    column per co-profile, equal columns included: maximize sum_c t_c
+    subject to sum_r sigma_r = 1 and, for every co-profile c,
+    sum_r sigma_r u_i(r, c) - t_c = u_i(sid, c), over sigma on Q_i and
+    t >= 0.  sid is weakly dominated exactly when the optimum is
+    positive."""
+    q_i = sorted(q_sets[i])
+    co = [form.co_index[i][ids] for ids in itertools.product(
+        *(sorted(q_sets[j]) for j in form.co_players[i]))]
+    payoff = form.payoff[i]
+    rows = [[_ONE] * len(q_i) + [_ZERO] * len(co)]
+    rhs = [_ONE]
+    for k, c in enumerate(co):
+        slack = [-_ONE if k == j else _ZERO for j in range(len(co))]
+        rows.append([payoff[r][c] for r in q_i] + slack)
+        rhs.append(payoff[sid][c])
+    objective = [_ZERO] * len(q_i) + [_ONE] * len(co)
     return lp.LPProblem(objective, rows, rhs)
 
 

@@ -476,6 +476,18 @@ class TestChainRule:
         with pytest.raises(BeliefError):
             ExplicitCPS(family, {})
 
+    def test_entry_for_a_non_event_rejected(self, corpus_games):
+        game = corpus_games["matching_pennies"]
+        family = ConditioningFamily(game, 0)
+        ((ev, _),) = family.events
+        first, second = sorted(ev)
+        half = Fraction(1, 2)
+        table = {ev: {first: half, second: half}}
+        assert ExplicitCPS(family, table).table == table
+        table[frozenset({first})] = {first: Fraction(1)}
+        with pytest.raises(BeliefError, match="not a conditioning event"):
+            ExplicitCPS(family, table)
+
 
 class TestStandardApproximation:
     def test_cautious_iff_support_contained(self, corpus_games):
@@ -528,3 +540,71 @@ def test_prior_must_be_exact(corpus_games):
             co_profile(game, 0, "h"): Hyperreal.one(D),
             co_profile(game, 0, "t"): Hyperreal.zero(D),  # not full support
         })
+
+
+def prior_checks_by_sums(prior):
+    """The prior's total, or the error PriorCNPS must raise, found by
+    adding the masses as Hyperreals and comparing each with 0."""
+    total = None
+    for mass in prior.values():
+        if not isinstance(mass, Hyperreal):
+            raise BeliefError("prior values must be Hyperreal")
+        total = mass if total is None else total + mass
+    if not all(mass > 0 for mass in prior.values()):
+        raise BeliefError("prior must have full support")
+    if total != 1:
+        raise BeliefError("prior masses must sum to 1, got %s" % total)
+    return total
+
+
+def outcome(build, prior):
+    try:
+        return build(prior)
+    except (BeliefError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_prior_checks_match_hyperreal_sums(corpus_games):
+    """Random priors, most summing to 1, with masses deeper than degree
+    0, negative or zero leading coefficients, mixed denominators, a
+    stray degree bound or a non-Hyperreal value: PriorCNPS keeps the
+    total and raises the error that Hyperreal addition and comparison
+    give."""
+    game = corpus_games["centipede_3"]
+    family = ConditioningFamily(game, 0)
+    k = len(family.form.co_profiles[0])
+    rng = random.Random(2024)
+    seen = Counter()
+
+    def coefficient():
+        return Fraction(rng.randrange(-1, 6), rng.choice([1, 2, 3, 6, 7]))
+
+    for _ in range(400):
+        D = rng.randrange(0, 4)
+        coeffs = [[coefficient() if rng.random() < 0.7 else Fraction(0)
+                   for _ in range(rng.randrange(0, D + 2))]
+                  for _ in range(k)]
+        width = max(D + 1, max(map(len, coeffs)))
+        if rng.random() < 0.8:
+            last = [Fraction(d == 0) - sum((cs[d] for cs in coeffs[:-1]
+                                            if d < len(cs)), Fraction(0))
+                    for d in range(width)]
+            coeffs[-1] = last
+        prior = {coid: Hyperreal(cs, max(D, len(cs) - 1))
+                 for coid, cs in enumerate(coeffs)}
+        stray = rng.randrange(k)
+        if rng.random() < 0.05:
+            prior[stray] = Fraction(1, k)
+        elif rng.random() < 0.05:
+            prior[stray] = Hyperreal(coeffs[stray], width + 1)
+        want = outcome(prior_checks_by_sums, prior)
+        got = outcome(lambda p: PriorCNPS(family, p).total, prior)
+        assert got == want
+        if isinstance(got, Hyperreal):
+            belief = PriorCNPS(family, prior)
+            assert belief.full_support
+            assert belief.degree_bound == prior[0].degree_bound
+            seen["valid"] += 1
+        else:
+            seen[got[1].split(",")[0].split(":")[0]] += 1
+    assert seen["valid"] >= 20 and len(seen) == 5, seen

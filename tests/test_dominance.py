@@ -12,7 +12,8 @@ from prudens.procedures import iterated_admissibility
 
 from conftest import small_games
 from oracles import (brute_iterated_admissibility, fraction_simplex,
-                     full_justifier_problem, vertex_weakly_dominated)
+                     full_justifier_problem, full_slack_problem,
+                     vertex_weakly_dominated)
 
 
 def by_name(game, i, name):
@@ -201,8 +202,8 @@ class TestTwinSharing:
 def posed_justifiers(game):
     """(q_sets, cols, i, sid, problem, measure) for every own strategy of
     every player at every level of the elimination, eliminated ones
-    included: the justifier LP each poses through the unshared route and
-    the measure returned."""
+    included: the justifier LP built for it, whether or not the simplex
+    is asked to solve it, and the measure the unshared route returns."""
     form = game.strategic_form()
     steps, _, _ = dominance.iterated_elimination_ids(form)
     out = []
@@ -211,10 +212,9 @@ def posed_justifiers(game):
         for i in range(form.n):
             cols = dominance.Columns(form, i, q_sets)
             for sid in range(form.counts[i]):
-                with mock.patch.object(lp, "solve", wraps=lp.solve) as solve:
-                    measure = dominance.justifier_ids(form, q_sets, i, sid)
-                (call,) = solve.call_args_list
-                out.append((q_sets, cols, i, sid, call.args[0], measure))
+                problem = dominance.justifier_problem(cols, sid)
+                measure = dominance.justifier_ids(form, q_sets, i, sid)
+                out.append((q_sets, cols, i, sid, problem, measure))
     return form, out
 
 
@@ -295,6 +295,82 @@ class TestDeduplicatedJustifier:
         assert [vertex[g] * 11 for g in range(5)] == [2, 2, 2, 3, 2]
         for nu in (measure, vertex):
             assert dominance.measure_justifies_ids(form, q_sets, 0, 3, nu)
+
+
+def spread(cols, nu):
+    """Masses per distinct column spread uniformly over its co-profiles."""
+    return {coid: nu[g] / len(members)
+            for g, members in enumerate(cols.groups) for coid in members}
+
+
+class TestUniformMeasure:
+    """Questions settled without a tableau by the measure uniform over the
+    distinct columns, whose payoffs are the row sums over G."""
+
+    def test_row_sums(self, corpus_games):
+        for game in lp_games(corpus_games)[:10]:
+            form = game.strategic_form()
+            for i in range(form.n):
+                cols = dominance.Columns(
+                    form, i, [frozenset(range(c)) for c in form.counts])
+                assert cols.row_sum == [sum(row, Fraction(0))
+                                        for row in cols.value]
+
+    def test_shortcut_justifier_is_the_lp_optimum(self, corpus_games):
+        """Where sid's row sum is the largest of all own rows, no tableau
+        is built, and the one-row-per-rival LP, solved by the reference
+        simplex, has the same measure as its optimum.  Elsewhere the
+        simplex is asked once."""
+        seen = {"shortcut": 0, "lp": 0}
+        for game in lp_games(corpus_games):
+            form, posed = posed_justifiers(game)
+            for q_sets, cols, i, sid, _, _ in posed:
+                with mock.patch.object(lp, "solve", wraps=lp.solve) as solve:
+                    measure = dominance.justifier_ids(form, q_sets, i, sid)
+                if cols.row_sum[sid] != max(cols.row_sum):
+                    assert solve.call_count == 1
+                    seen["lp"] += 1
+                    continue
+                assert solve.call_count == 0
+                full = fraction_simplex(full_justifier_problem(cols.value,
+                                                               sid))
+                ngroups = len(cols.groups)
+                assert full.status == "optimal"
+                assert full.value == Fraction(1, ngroups)
+                assert measure == spread(
+                    cols, [full.x[0] + full.x[1 + g] for g in range(ngroups)])
+                assert dominance.measure_justifies_ids(form, q_sets, i, sid,
+                                                       measure)
+                seen["shortcut"] += 1
+        assert seen["shortcut"] >= 400 and seen["lp"] >= 500, seen
+
+    def test_slack_filter_fires_only_below_a_zero_optimum(self,
+                                                          corpus_games):
+        """Where sid's row sum is the largest over Q_i, no tableau is
+        built and the slack LP over every co-profile has optimum <= 0:
+        no mixture on Q_i dominates sid."""
+        seen = 0
+        for game in lp_games(corpus_games):
+            form = game.strategic_form()
+            steps, _, columns = dominance.iterated_elimination_ids(form)
+            for level, step in enumerate(steps[:-1]):
+                q_sets = [frozenset(part) for part in step]
+                for i in range(form.n):
+                    cols = columns[level][i]
+                    best = max(cols.row_sum[r] for r in q_sets[i])
+                    for sid in sorted(q_sets[i]):
+                        if cols.row_sum[sid] != best:
+                            continue
+                        with mock.patch.object(lp, "solve") as solve:
+                            assert dominance.dominating_mixture_ids(
+                                form, q_sets, i, sid) is None
+                        assert solve.call_count == 0
+                        result = fraction_simplex(full_slack_problem(
+                            form, q_sets, i, sid))
+                        assert result.status == "optimal"
+                        assert result.value <= 0
+                        seen += 1
+        assert seen >= 350, seen
 
 
 class TestIteratedAdmissibility:
