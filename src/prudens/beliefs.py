@@ -8,6 +8,10 @@ positive normalizing factor).  An :class:`ExplicitCPS` is an explicit
 per-event array of standard (rational-valued) measures; nothing ties its
 entries together until the chain rule is validated.
 
+Nothing outside this module decodes a mass: both classes answer
+``layers`` (integer layers, one per power of e for a prior and one for a
+table, for ``best_reply``'s dot products) and ``leading_degree``.
+
 Conditioning events are the sets of co-player profiles allowing each
 history.  Two histories inducing the same set share one event; operators
 quantify over distinct events.  They compare leading degrees and sum no
@@ -19,7 +23,8 @@ operators by leading degree").
 import warnings
 from fractions import Fraction
 
-from .hyperreal import Hyperreal, as_fraction, exact_sum
+from .game import format_path
+from .hyperreal import Hyperreal, as_fraction, exact_sum, scaled
 
 
 class BeliefError(Exception):
@@ -59,12 +64,11 @@ class PriorCNPS:
     """Belief system generated by conditioning a full-support prior.
 
     ``prior`` maps each co-profile id to a positive Hyperreal; the values
-    sum to exactly 1.  Conditionals are plain restrictions.  The support
-    and the total found while validating are kept as ``full_support`` and
-    ``total``, which audits report instead of summing again.  Both are
-    read in one pass over the coefficients: a mass is positive when its
-    first nonzero coefficient is, and the total sums each degree's
-    coefficients over their common denominator.
+    sum to exactly 1.  Conditionals are plain restrictions.  One pass
+    over the coefficients keeps per-degree integer layers over all
+    co-profiles and one leading degree per co-profile.  ``full_support``
+    and ``total``, which audits report instead of summing again, are
+    read from them.
     """
 
     standard = False
@@ -76,9 +80,8 @@ class PriorCNPS:
         if set(self.prior) != set(range(len(form.co_profiles[i]))):
             raise BeliefError("prior must cover every co-player profile")
         self.degree_bound = None
-        self.full_support = True
-        layers = []  # per degree, the masses' coefficients
-        for mass in self.prior.values():
+        coeffs = [None] * len(self.prior)
+        for coid, mass in self.prior.items():
             if not isinstance(mass, Hyperreal):
                 raise BeliefError("prior values must be Hyperreal")
             if self.degree_bound is None:
@@ -86,14 +89,17 @@ class PriorCNPS:
             elif mass.degree_bound != self.degree_bound:
                 raise ValueError("degree bound mismatch: %d vs %d"
                                  % (self.degree_bound, mass.degree_bound))
-            lead = 0
-            for k, c in enumerate(mass.coeffs):
-                if k == len(layers):
-                    layers.append([])
-                layers[k].append(c)
-                lead = lead or c.numerator
-            self.full_support = self.full_support and lead > 0
-        self.total = Hyperreal([exact_sum(layer) for layer in layers],
+            coeffs[coid] = mass.coeffs
+        width = max(map(len, coeffs))
+        self._layers = [scaled(layer) for layer in zip(
+            *[cs + (0,) * (width - len(cs)) for cs in coeffs])]
+        self._depths = [next((d for d, c in enumerate(cs) if c), None)
+                        for cs in coeffs]
+        self.full_support = all(
+            d is not None and self._layers[d][0][coid] > 0
+            for coid, d in enumerate(self._depths))
+        self.total = Hyperreal([Fraction(sum(ints), den)
+                                for ints, den in self._layers],
                                self.degree_bound)
         if not self.full_support:
             raise BeliefError("prior must have full support")
@@ -104,16 +110,18 @@ class PriorCNPS:
     @classmethod
     def from_profile_map(cls, game, owner, mapping):
         family = ConditioningFamily(game, owner)
-        form = family.form
-        prior = {}
-        for co_profile, mass in mapping.items():
-            ids = tuple(form.index[j][s]
-                        for j, s in zip(form.co_players[owner], co_profile))
-            prior[form.co_index[owner][ids]] = mass
+        prior = {_coid(family.form, owner, co_profile): mass
+                 for co_profile, mass in mapping.items()}
         return cls(family, prior)
 
-    def conditional_ids(self, event_ids):
-        return {coid: self.prior[coid] for coid in event_ids}
+    def layers(self, event_ids, coids):
+        """The masses of coids (ids in the event) as integer layers, one
+        (ints, den) per power of e, each den shared by all co-profiles."""
+        return [([ints[c] for c in coids], den) for ints, den in self._layers]
+
+    def leading_degree(self, event_ids, coid):
+        """Least power of e in coid's mass at the event, None outside it."""
+        return self._depths[coid] if coid in event_ids else None
 
     def conditional(self, h):
         """Unnormalized conditional at h: the prior restricted to the
@@ -128,16 +136,11 @@ class PriorCNPS:
                 for coid in sorted(ev)}
 
     def mass_within(self, event_ids, subset_ids):
-        total = Hyperreal.zero(self.degree_bound)
-        for coid in subset_ids:
-            if coid in event_ids:
-                total = total + self.prior[coid]
-        return total
+        return sum((self.prior[c] for c in subset_ids if c in event_ids),
+                   Hyperreal.zero(self.degree_bound))
 
     def singleton_mass(self, event_ids, coid):
-        if coid not in event_ids:
-            return Hyperreal.zero(self.degree_bound)
-        return self.prior[coid]
+        return self.mass_within(event_ids, (coid,))
 
     def to_json(self):
         form, i = self.family.form, self.family.owner
@@ -182,8 +185,14 @@ class ExplicitCPS:
             if exact_sum(list(dist.values())) != 1:
                 raise BeliefError("conditional measure must sum to 1")
 
-    def conditional_ids(self, event_ids):
-        return dict(self.table[frozenset(event_ids)])
+    def layers(self, event_ids, coids):
+        """The event's probabilities of coids as one layer [(ints, den)]."""
+        dist = self.table[frozenset(event_ids)]
+        return [scaled([dist.get(c, 0) for c in coids])]
+
+    def leading_degree(self, event_ids, coid):
+        """0 for a positive probability at the event, None for zero."""
+        return 0 if self.table[frozenset(event_ids)].get(coid) else None
 
     def conditional(self, h):
         """The stored (normalized) conditional measure at h, keyed by
@@ -216,7 +225,7 @@ class ExplicitCPS:
             dist = self.table[ev]
             out["events"].append({
                 "histories": [
-                    _path_text(game.nonterminal[k]) for k in h_idxs],
+                    format_path(game.nonterminal[k]) for k in h_idxs],
                 "distribution": [
                     {"profile": [s.name() for s in
                                  form.co_profile_strategies(i, coid)],
@@ -253,11 +262,6 @@ def condition_ladder(family, ladder):
     return table
 
 
-def _path_text(h):
-    from .game import format_path
-    return format_path(h)
-
-
 # -- chain rule --------------------------------------------------------
 
 def validate_chain_rule(cps):
@@ -288,20 +292,29 @@ def validate_chain_rule(cps):
 
 # -- belief operators --------------------------------------------------
 
+def _coid(form, owner, co_profile):
+    """The id of a co-profile given as strategies, one per co-player of
+    owner in order.  Raises BeliefError, naming it, for anything else."""
+    try:
+        return form.co_index[owner][tuple(
+            form.index[j][s] for j, s in
+            zip(form.co_players[owner], co_profile, strict=True))]
+    except (KeyError, TypeError, ValueError):
+        raise BeliefError("%r is not a co-profile of player %s"
+                          % (co_profile, form.game.players[owner])) from None
+
+
 def _event_ids(belief, E):
-    """Normalize an event to a frozenset of co-profile ids."""
-    if isinstance(E, frozenset) and all(isinstance(x, int) for x in E):
-        return E
+    """Normalize an event, given by co-profile ids or co-profiles, to a
+    frozenset of ids.  Raises BeliefError for an id out of range or a
+    co-profile that is not the owner's; the empty event is valid."""
     form, i = belief.family.form, belief.family.owner
-    ids = set()
-    for co_profile in E:
-        if isinstance(co_profile, int):
-            ids.add(co_profile)
-            continue
-        key = tuple(form.index[j][s]
-                    for j, s in zip(form.co_players[i], co_profile))
-        ids.add(form.co_index[i][key])
-    return frozenset(ids)
+    ids = frozenset(c if isinstance(c, int) else _coid(form, i, c)
+                    for c in E)
+    if ids and not 0 <= min(ids) <= max(ids) < len(form.co_profiles[i]):
+        raise BeliefError("event %s names a co-profile id that player %s "
+                          "lacks" % (sorted(ids), form.game.players[i]))
+    return ids
 
 
 def cautiously_believes(belief, h, E):
@@ -312,17 +325,9 @@ def cautiously_believes(belief, h, E):
                               warn_vacuous=True)
 
 
-def _depth(mass):
-    """Leading degree of a nonnegative mass: its least power of e for a
-    Hyperreal, 0 for a positive rational, None for zero."""
-    if isinstance(mass, Hyperreal):
-        return mass.leading_degree()
-    return 0 if mass else None
-
-
 def _positive_depths(belief, ev, ids):
-    """Depths of the positive masses of ids at event ev."""
-    depths = (_depth(belief.singleton_mass(ev, coid)) for coid in ids)
+    """Leading degrees of the positive masses of ids at event ev."""
+    depths = (belief.leading_degree(ev, coid) for coid in ids)
     return [d for d in depths if d is not None]
 
 
@@ -334,7 +339,7 @@ def _cautious_at_event(belief, ev, e_ids, warn_vacuous=False):
                           "belief is reported false", VacuousEventWarning,
                           stacklevel=3)
         return False
-    inside = [_depth(belief.singleton_mass(ev, coid)) for coid in inter]
+    inside = [belief.leading_degree(ev, coid) for coid in inter]
     if None in inside:
         return False
     outside = _positive_depths(belief, ev, ev - e_ids)

@@ -7,9 +7,9 @@ are kept unnormalized; argmax sets are invariant to the common scaling.
 Every expected payoff is computed in integers.  The strategic form groups
 the player's strategies into twin classes, one per distinct payoff row
 over the conditioning event, with the rows scaled to integers over one
-common denominator (``StrategicForm.twin_classes``).  The masses are
-split into layers (one for a standard measure, one per power of e for
-``Hyperreal`` masses), each scaled to integers over its own common
+common denominator (``StrategicForm.twin_classes``).  The belief hands
+out its masses as integer layers (``layers``: one for a standard
+measure, one per power of e for a prior), each over a common
 denominator.  One integer dot product per class and layer then serves
 every member of the class: argmax sets compare these totals directly,
 since all classes share each layer's denominator, and a value is built
@@ -21,11 +21,10 @@ requires the strategy itself to be optimal at the histories it allows;
 it never separates behaviorally equivalent strategies.
 """
 
-import math
 from fractions import Fraction
 from operator import mul
 
-from .hyperreal import Hyperreal
+from .hyperreal import Hyperreal, scaled
 
 
 class BestReplyError(Exception):
@@ -36,21 +35,14 @@ class StrategyDisallowsHistory(BestReplyError):
     pass
 
 
-def _scaled(values):
-    """Rationals as integers over their least common denominator: (ints, den)."""
-    den = math.lcm(*(v.denominator for v in values if v))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def _layer_totals(twins, layers):
     """Per twin class, one integer dot product per mass layer.
 
-    ``twins`` is a ``StrategicForm.twin_classes`` triple and ``layers`` a
-    list of (ints, den) aligned with its co-profile ids.  Returns (dens,
+    ``twins`` is a ``StrategicForm.twin_classes`` triple and ``layers``
+    a belief's ``layers`` over its co-profile ids.  Returns (dens,
     [(members, totals)]): a class's value in layer d is totals[d] /
-    dens[d], with dens[d] > 0 shared by every class, so comparing the
-    totals tuples lexicographically compares the values.
-    """
+    dens[d], dens[d] > 0 shared by every class, so comparing totals
+    tuples lexicographically compares the values."""
     _, row_den, classes = twins
     return ([row_den * den for _, den in layers],
             [(members, tuple(sum(map(mul, nums, ints)) for ints, _ in layers))
@@ -80,18 +72,9 @@ class ReplyAnalysis:
         self._weak_sequential = None
 
     def _class_totals(self, h_idx):
-        form, i = self.form, self.i
-        twins = form.twin_classes(i, h_idx)
-        coids = twins[0]
-        masses = self.belief.conditional_ids(form.co_allow[i][h_idx])
-        if self.belief.standard:
-            layers = [_scaled([masses.get(c, 0) for c in coids])]
-        else:
-            coeffs = [masses[c].coeffs for c in coids]
-            width = max(map(len, coeffs), default=0)
-            layers = [_scaled([cs[d] if d < len(cs) else 0 for cs in coeffs])
-                      for d in range(width)]
-        return _layer_totals(twins, layers)
+        twins = self.form.twin_classes(self.i, h_idx)
+        return _layer_totals(twins, self.belief.layers(
+            self.form.co_allow[self.i][h_idx], twins[0]))
 
     def _value_row(self, h_idx):
         """Conditional expected payoff of every strategy allowing h_idx."""
@@ -99,10 +82,8 @@ class ReplyAnalysis:
         out = {}
         for members, totals in classes:
             values = [Fraction(t, d) for t, d in zip(totals, dens)]
-            if self.belief.standard:
-                value = values[0]
-            else:
-                value = Hyperreal(values, self.belief.degree_bound)
+            value = values[0] if self.belief.standard else \
+                Hyperreal(values, self.belief.degree_bound)
             out.update(dict.fromkeys(members, value))
         return out
 
@@ -171,5 +152,5 @@ def best_replies_to_measure(form, i, measure):
     """Ids of strategies maximizing expected payoff against a standard
     measure (coid -> Fraction) over all of the player's strategies."""
     twins = form.twin_classes(i, 0)
-    layer = _scaled([measure.get(c, 0) for c in twins[0]])
+    layer = scaled([measure.get(c, 0) for c in twins[0]])
     return _argmax(_layer_totals(twins, [layer])[1])

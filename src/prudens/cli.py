@@ -10,9 +10,10 @@
 ``verify`` and the trace commands run through one per-file loop: each
 file is loaded, the command gives its report entries, and an audit
 violation becomes the file's error entry instead (``verify``'s with
-``"ok": false``).  ``--max-strategies`` is the per-player strategy cap,
-``Game.STRATEGY_CAP`` by default; under ``fuzz`` it bounds the generator
-instead, default 6.
+``"ok": false``), as does a game over a size cap, marked ``"refused":
+true`` (REFUSED in tables).  ``--max-strategies`` is the per-player
+strategy cap, ``Game.STRATEGY_CAP`` by default; under ``fuzz`` it bounds
+the generator instead, default 6.
 
 Exit status: 0 success, 2 usage problems (a file that cannot be read
 or, under ``fmt --write``, written; a ``fmt --write`` argument that is
@@ -21,13 +22,14 @@ not a file as given, refused before anything is written; ``--jobs``,
 fuzz ``--actions`` below 2 or ``--count`` below 0; an option the command
 does not take, such as ``--timings`` on ``verify`` or ``fuzz``; a game
 with a player over ``--max-strategies`` or a profile space over
-``StrategicForm.PROFILE_CAP``, refused before any plan is enumerated; a
-fuzz ``--out-dir`` that is not a directory, found before the campaign
+``StrategicForm.PROFILE_CAP``, refused before any plan is enumerated
+and, under a per-file command, reported in the file's entry; a fuzz
+``--out-dir`` that is not a directory, found before the campaign
 starts; output that cannot be written, such as a closed stdout), 3
 parse diagnostics (a file that is not UTF-8 included), 4 an audit
 violation in ``verify``, ``ia``, ``pr-cnps``, ``pr-cps``,
-``reduced`` or ``fuzz`` (fuzz writes the shrunk offending game into
-``--out-dir``).  File arguments that do not exist are also resolved
+``reduced`` or ``fuzz``, also when a file was refused (fuzz writes the
+shrunk offending game into ``--out-dir``).  File arguments that do not exist are also resolved
 against the bundled corpus (or ``$PRUDENS_CORPUS``) when read;
 ``fmt --write`` never writes to the corpus.  ``verify`` with no files
 runs the whole corpus.  Reports are deterministic for a fixed (input,
@@ -75,7 +77,8 @@ def _read_doc(name):
 def _print_trace_table(report):
     for entry in report["results"]:
         if "error" in entry:
-            print("== %s VIOLATION: %s" % (entry["file"], entry["error"]))
+            print("== %s %s: %s" % (entry["file"], entry.get(
+                "refused") and "REFUSED" or "VIOLATION", entry["error"]))
             continue
         trace = entry["trace"]
         print("== %s [%s]" % (entry["file"], trace["procedure"]))
@@ -103,12 +106,14 @@ def _print_verify_table(report):
                      "".join(str(tuple(s)) for s in entry["step_sizes"]),
                      entry["all_verified"]))
         else:
-            print("%-50s VIOLATION: %s" % (entry["file"], entry["error"]))
+            print("%-50s %s: %s" % (entry["file"], entry.get(
+                "refused") and "REFUSED" or "VIOLATION", entry["error"]))
 
 
 def _cmd_files(args):
     """A per-file command: each file's report entries from the command's
-    ``entries``, or on an audit violation its error entry (exit 4)."""
+    ``entries``, or its error entry on an audit violation (exit 4) or a
+    game over a size cap (refused, exit 2 unless a violation occurred)."""
     results = []
     status = 0
     for name in args.files or [str(p) for p in corpus.corpus_paths()]:
@@ -120,6 +125,9 @@ def _cmd_files(args):
         except procedures.EquivalenceViolation as exc:
             entries = [dict(args.violation, error=str(exc))]
             status = 4
+        except SizeLimit as exc:
+            entries = [dict(args.violation, error=str(exc), refused=True)]
+            status = status or 2
         results.extend(dict(entry, file=str(path)) for entry in entries)
     report = {"schema": SCHEMA, "command": args.command, "results": results}
     _emit(report, args.format, args.table)

@@ -324,17 +324,10 @@ def iterated_elimination_ids(form):
 
 # -- public surface ----------------------------------------------------
 
-def _q_sets_from_restriction(form, Q):
-    out = []
-    for i in range(form.n):
-        out.append(frozenset(form.index[i][s] for s in Q.part(i)))
-    return out
-
-
 def weakly_dominated(game, Q, i, s):
     """A MixedStrategy on Q_i dominating s with respect to Q, or None."""
     form = game.strategic_form()
-    q_sets = _q_sets_from_restriction(form, Q)
+    q_sets = form.ids_from_restriction(Q)
     mixture = dominating_mixture_ids(form, q_sets, i, form.index[i][s])
     if mixture is None:
         return None
@@ -348,7 +341,7 @@ def justifying_full_support_measure(game, Q, i, s):
     """A measure on co-profiles with support exactly Q_{-i} making s a
     best reply among all of S_i, or None when no such measure exists."""
     form = game.strategic_form()
-    q_sets = _q_sets_from_restriction(form, Q)
+    q_sets = form.ids_from_restriction(Q)
     sid = form.index[i][s]
     measure = justifier_ids(form, q_sets, i, sid)
     if measure is None:

@@ -12,7 +12,7 @@ history, including histories the strategy itself precludes.
 import itertools
 import math
 
-from .hyperreal import as_fraction
+from .hyperreal import as_fraction, scaled
 
 
 class GameError(Exception):
@@ -420,11 +420,11 @@ class StrategicForm:
             for sid in sids:
                 row = payoff[sid]
                 groups.setdefault(tuple(row[c] for c in coids), []).append(sid)
-            den = math.lcm(*(u.denominator for key in groups for u in key))
+            nums, den = scaled([u for key in groups for u in key])
+            width = len(coids)
             classes = [(tuple(members),
-                        tuple(u.numerator * (den // u.denominator)
-                              for u in key))
-                       for key, members in groups.items()]
+                        tuple(nums[k * width:(k + 1) * width]))
+                       for k, members in enumerate(groups.values())]
             cache[h_idx] = (tuple(coids), den, classes)
         return cache[h_idx]
 
@@ -464,3 +464,9 @@ class StrategicForm:
         return ProductRestriction(
             [tuple(self.strats[i][sid] for sid in sorted(id_sets[i]))
              for i in range(self.n)])
+
+    def ids_from_restriction(self, restriction):
+        """Per player, the restriction's strategy ids (inverse of
+        ``restriction_from_ids``)."""
+        return [frozenset(self.index[i][s] for s in restriction.part(i))
+                for i in range(self.n)]

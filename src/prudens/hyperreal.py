@@ -8,6 +8,9 @@ so a value is positive iff its lowest nonzero coefficient is positive.
 All arithmetic is exact.  An operation whose result would need a term of
 degree above the bound raises :class:`DegreeOverflow`; nothing is ever
 silently truncated, since truncation can flip comparisons.
+
+``scaled`` is the one place where rationals become integers over their
+common denominator, for the simplex, the payoff rows and the beliefs.
 """
 
 import math
@@ -41,13 +44,20 @@ def as_fraction(x):
     raise TypeError("expected int or Fraction, got %r" % (x,))
 
 
+def scaled(values):
+    """A list of rationals (Fractions or ints) as integers over their
+    least common denominator: (ints, den) with ``ints[k] / den ==
+    values[k]``; ``[]`` gives ``([], 1)``."""
+    den = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def exact_sum(values):
     """The exact sum of a list of rationals, added as integers over their
     least common denominator: one Fraction is normalized, not one per
     term."""
-    scale = math.lcm(*[v.denominator for v in values])
-    return Fraction(sum(v.numerator * (scale // v.denominator)
-                        for v in values), scale)
+    ints, den = scaled(values)
+    return Fraction(sum(ints), den)
 
 
 class Hyperreal:

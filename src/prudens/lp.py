@@ -10,20 +10,21 @@ y.A <= 0 and y.b > 0 for infeasible systems.
 The tableau holds integers.  Every constraint row and the rhs are
 multiplied by one common denominator L (artificial columns keep their
 coefficient 1), and the phase-2 costs by the common denominator of the
-objective.  Each row of the integer tableau, and the z row, is D times
-the scaled problem's rational tableau row, where D > 0 is the absolute
-determinant of the current basis; a pivot divides by the previous D
-exactly (Edmonds 1967, Bareiss 1968).  The pivot sequence is the
-rational simplex's: scaling all rows by one L multiplies the phase-1
-objective by L and every ratio of a ratio test by the same factor, and
-D > 0 changes no sign, so each comparison Bland's rule makes has the
-same outcome.  Points, values and Farkas witnesses are read back as
+objective (``hyperreal.scaled``).  Each row of the integer tableau, and
+the z row, is D times the scaled problem's rational tableau row, where
+D > 0 is the absolute determinant of the current basis; a pivot divides
+by the previous D exactly (Edmonds 1967, Bareiss 1968).  The pivot
+sequence is the rational simplex's: scaling all rows by one L multiplies
+the phase-1 objective by L and every ratio of a ratio test by the same
+factor, and D > 0 changes no sign, so each comparison Bland's rule makes
+has the same outcome.  Points, values and Farkas witnesses are read back as
 Fractions over D.  docs/exactness.md gives both arguments in full.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .hyperreal import scaled
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -52,15 +53,6 @@ class LPResult:
     x: list = None        # optimal point (status == "optimal")
     value: Fraction = None
     farkas: list = None   # infeasibility witness (status == "infeasible")
-
-
-def _scale(values):
-    """The least positive integer turning every entry of values integral."""
-    return math.lcm(*{v.denominator for v in values})
-
-
-def _integral(values, scale):
-    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def _pivot(rows, r, c, det):
@@ -131,11 +123,11 @@ def solve(problem):
     problem.check()
     n = len(problem.objective)
     m = len(problem.rows)
-    scale = _scale([v for row in problem.rows for v in row]
-                   + list(problem.rhs))
+    cells, _ = scaled([v for row in problem.rows for v in row]
+                      + list(problem.rhs))
     tab = []
-    for r, (row, b) in enumerate(zip(problem.rows, problem.rhs)):
-        body = _integral(list(row) + [b], scale)
+    for r, b in enumerate(problem.rhs):
+        body = cells[r * n:(r + 1) * n] + [cells[m * n + r]]
         if b < 0:
             body = [-v for v in body]
         tab.append(body[:n] + [1 if k == r else 0 for k in range(m)]
@@ -172,7 +164,7 @@ def solve(problem):
         r += 1
 
     # phase 2 on structural columns
-    costs = _integral(problem.objective, _scale(problem.objective))
+    costs, _ = scaled(problem.objective)
     zrow = [-det * c for c in costs] + [0]
     for j, row in zip(basis, tab):
         cb = costs[j]

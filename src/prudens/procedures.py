@@ -170,8 +170,12 @@ class ProcedureTrace:
         return out
 
     def _ordered(self, table):
-        return [table[key] for key in sorted(
-            table, key=lambda k: (k[0], k[1], k[2].choices))]
+        return [table[key] for key in sorted(table, key=_record_order)]
+
+
+def _record_order(key):
+    """Order of witness and exclusion keys: step, player, choices."""
+    return key[0], key[1], key[2].choices
 
 
 class _Run:
@@ -257,8 +261,7 @@ class _Run:
                       for sid in set(self.ids[n - 1][i]) - set(self.ids[n][i])}
         mismatched = eliminated ^ set(table)
         if mismatched:
-            n, i, strategy = min(mismatched,
-                                 key=lambda k: (k[0], k[1], k[2].choices))
+            n, i, strategy = min(mismatched, key=_record_order)
             raise self._violation("exclusion", n, i, strategy,
                                   ["exclusion-coverage"])
         return table
@@ -447,8 +450,7 @@ def sophistication_index(game, i, trace, h):
     event = form.co_allow[i][k]
     best = 0
     for m in range(trace.fixpoint + 1):
-        sets = {j: set(form.index[j][s] for s in trace.steps[m].part(j))
-                for j in range(form.n)}
+        sets = form.ids_from_restriction(trace.steps[m])
         if form.co_restriction(i, sets) & event:
             best = m
     return best

@@ -482,7 +482,10 @@ def fraction_value_row(form, belief, i, h_idx):
     Fraction sum per strategy: the loop ``best_reply`` replaced with
     integer twin-class sums, which must give the same values."""
     event = form.co_allow[i][h_idx]
-    masses = belief.conditional_ids(event)
+    if belief.standard:
+        masses = belief.table[event]
+    else:
+        masses = {c: belief.prior[c] for c in event}
     payoff = form.payoff[i]
     out = {}
     if belief.standard:

@@ -340,6 +340,7 @@ class TestOperatorsAtDepth:
                                       condition_ladder(family, ladder))
                     depths |= {m.leading_degree()
                                for m in prior.prior.values()}
+                    self.check_stored_masses(family, prior, cps)
                     for belief in (prior, cps):
                         for _ in range(5):
                             e_ids = frozenset(rng.sample(
@@ -371,12 +372,95 @@ class TestOperatorsAtDepth:
                    for op in ("c-strong", "strong", "cautious", "weak"))
         assert sum(outcomes.values()) >= 6000
 
+    @staticmethod
+    def check_stored_masses(family, prior, cps):
+        """``leading_degree`` is each mass's own leading degree (0 or None
+        on a table, None outside the event), and ``layers`` gives back
+        every coefficient exactly."""
+        for ev, _ in family.events:
+            coids = sorted(ev)
+            dist = cps.table[ev]
+            for coid in range(len(family.form.co_profiles[family.owner])):
+                inside = coid in ev
+                assert prior.leading_degree(ev, coid) == (
+                    prior.prior[coid].leading_degree() if inside else None)
+                assert cps.leading_degree(ev, coid) == (
+                    0 if dist.get(coid) else None)
+            layers = prior.layers(ev, coids)
+            assert all(len(prior.prior[c].coeffs) <= len(layers)
+                       for c in coids)
+            for k, coid in enumerate(coids):
+                assert [Fraction(ints[k], den) for ints, den in layers] == \
+                    [prior.prior[coid].coefficient(d)
+                     for d in range(len(layers))]
+            (ints, den), = cps.layers(ev, coids)
+            assert [Fraction(n, den) for n in ints] == \
+                [dist.get(c, 0) for c in coids]
+
+
+class TestMalformedEvents:
+    """An event naming an id or a co-profile that is not the owner's is a
+    BeliefError naming it, under every operator and in
+    ``PriorCNPS.from_profile_map``; the empty event is valid."""
+
+    @staticmethod
+    def beliefs(game):
+        rng = random.Random(17)
+        belief = random_prior(game, 0, rng)
+        family = belief.family
+        cps = ExplicitCPS(family, condition_ladder(
+            family, [{0: Fraction(1, 2), 1: Fraction(1, 2)}]))
+        return belief, cps
+
+    @staticmethod
+    def operators(belief, E):
+        return [lambda: c_strongly_believes(belief, E),
+                lambda: strongly_believes(belief, E),
+                lambda: weakly_believes(belief, (), E),
+                lambda: cautiously_believes(belief, (), E)]
+
+    def test_bad_events_raise(self, corpus_games):
+        game = corpus_games["weak_dom_2x2"]
+        other = corpus_games["matching_pennies"]
+        left = co_profile(game, 0, "L")
+        cases = {
+            r"event \[99\] names a co-profile id that player Row lacks":
+                frozenset({99}),
+            r"event \[-1, 0\] names": frozenset({-1, 0}),
+            "not a co-profile of player Row": frozenset(
+                {(other.strategies(1)[0],)}),
+            "is not a co-profile": frozenset({(game.strategies(0)[0],)}),
+            "is not a co-profile of": frozenset({left + left}),
+        }
+        for belief in self.beliefs(game):
+            assert len(belief.family.form.co_profiles[0]) == 2
+            for message, E in cases.items():
+                for ask in self.operators(belief, E):
+                    with pytest.raises(BeliefError, match=message):
+                        ask()
+
+    def test_empty_event_is_valid(self, corpus_games):
+        game = corpus_games["weak_dom_2x2"]
+        for belief in self.beliefs(game):
+            assert c_strongly_believes(belief, frozenset())
+            assert strongly_believes(belief, frozenset())
+            assert not weakly_believes(belief, (), frozenset())
+            with pytest.warns(VacuousEventWarning):
+                assert not cautiously_believes(belief, (), frozenset())
+
+    def test_profile_map_refuses_long_co_profile(self, corpus_games):
+        game = corpus_games["weak_dom_2x2"]
+        left = co_profile(game, 0, "L")
+        right = co_profile(game, 0, "R")
+        half = Hyperreal.from_rational(Fraction(1, 2), 2)
+        with pytest.raises(BeliefError, match="not a co-profile of player"):
+            PriorCNPS.from_profile_map(game, 0, {left + right: half,
+                                                 right: half})
+
 
 class TestConditional:
     def test_root_restriction_is_prior(self, three_plans):
         game, belief = three_plans
-        ev = belief.family.event_for_history(())
-        assert belief.conditional_ids(ev) == belief.prior
         by_profile = belief.conditional(())
         assert len(by_profile) == 3
         assert sorted(by_profile.values(), key=lambda v: v.coeffs) == \
@@ -388,9 +472,8 @@ class TestConditional:
         belief = random_prior(game, 0, rng)
         for h in game.nonterminal:
             ev = belief.family.event_for_history(h)
-            masses = belief.conditional_ids(ev)
             total = Hyperreal.zero(belief.degree_bound)
-            for m in masses.values():
+            for m in belief.conditional(h).values():
                 total = total + m
             assert total == belief.mass_within(ev, ev)
             assert total > 0

@@ -12,7 +12,7 @@ from prudens.best_reply import (BestReplyError, ReplyAnalysis,
                                 sequential_best_replies,
                                 weak_sequential_best_replies)
 from prudens.game import Game
-from prudens.hyperreal import Hyperreal
+from prudens.hyperreal import Hyperreal, scaled
 
 from conftest import small_games
 from oracles import (fraction_best_replies_to_measure, fraction_value_row,
@@ -181,9 +181,11 @@ class TestScalingInvariance:
             self.degree_bound = base.degree_bound
             self.family = base.family
 
-        def conditional_ids(self, event_ids):
-            return {c: self.factor * m
-                    for c, m in self.base.conditional_ids(event_ids).items()}
+        def layers(self, event_ids, coids):
+            masses = [self.factor * self.base.prior[c] for c in coids]
+            width = max(len(m.coeffs) for m in masses)
+            return [scaled([m.coefficient(d) for m in masses])
+                    for d in range(width)]
 
     @pytest.mark.parametrize("factor_coeffs", [(3,), (Fraction(2, 7),),
                                                (1, 1), (Fraction(1, 2), 3)])
@@ -351,11 +353,11 @@ class TestIntegerKernel:
                 assert analysis.argmax_ids(k) == frozenset(
                     sid for sid, v in want.items() if v == best)
                 event = form.co_allow[i][k]
-                masses = belief.conditional_ids(event)
                 if belief.standard:
+                    masses = belief.table[event]
                     seen["zero-mass"] |= any(not masses.get(c) for c in event)
                 else:
-                    for mass in masses.values():
+                    for mass in map(belief.prior.get, event):
                         cs = mass.coeffs
                         seen["negative-coefficient"] |= any(c < 0 for c in cs)
                         seen["interior-zero"] |= 0 in cs

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +138,46 @@ class TestAuditFailures:
         code, out = run_cli([command, "weak_dom_2x2.seqgame"])
         assert code == 4
         assert "VIOLATION" in out
+
+
+class TestRefusedFiles:
+    """A game over a size cap gets a refused error entry of its own, and
+    every other file keeps its entries."""
+
+    PAIR = ["weak_dom_2x2.seqgame", "centipede_3.seqgame"]
+    CAP = ["--max-strategies", "2"]
+    REASON = "player P1 has 4 strategies (cap 2)"
+
+    @pytest.mark.parametrize("command", ["verify", "ia"])
+    def test_refused_file_keeps_the_report(self, command):
+        code, out = run_cli([command] + self.PAIR + self.CAP
+                            + ["--format", "json"])
+        assert code == 2
+        kept, refused = json.loads(out)["results"]
+        assert kept["file"].endswith("weak_dom_2x2.seqgame")
+        assert kept["all_verified"] and "error" not in kept
+        assert refused.pop("file").endswith("centipede_3.seqgame")
+        assert refused.pop("error") == self.REASON
+        assert refused == ({"ok": False, "refused": True}
+                           if command == "verify" else {"refused": True})
+        code, out = run_cli([command] + self.PAIR + self.CAP)
+        assert code == 2
+        assert "REFUSED: " + self.REASON in out
+        assert "VIOLATION" not in out
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_violation_outranks_refusal(self, order, monkeypatch):
+        TestAuditFailures._break("verify", monkeypatch)
+        code, out = run_cli(["verify"] + self.PAIR[::order] + self.CAP
+                            + ["--format", "json"])
+        assert code == 4
+        by_file = {Path(r.pop("file")).name: r
+                   for r in json.loads(out)["results"]}
+        violated = by_file["weak_dom_2x2.seqgame"]
+        assert "justifiers" in violated.pop("error")
+        assert violated == {"ok": False}
+        assert by_file["centipede_3.seqgame"] == {
+            "ok": False, "refused": True, "error": self.REASON}
 
 
 class TestFuzzCommand:

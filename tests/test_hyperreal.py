@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from prudens.hyperreal import (DegreeOverflow, Hyperreal, NegativeInput,
                                ZeroDenominator, exact_sum, infinitely_greater,
-                               parse_hyperreal, ratio_st_is_zero)
+                               parse_hyperreal, ratio_st_is_zero, scaled)
 
 D = 8
 
@@ -187,6 +187,25 @@ def test_exact_sum_is_the_fraction_sum(values):
     total = exact_sum(values)
     assert isinstance(total, Fraction)
     assert total == sum(values, Fraction(0))
+
+
+def test_scaled_empty_list():
+    assert scaled([]) == ([], 1)
+
+
+@given(st.lists(st.fractions(max_denominator=60) | st.integers()))
+def test_scaled_is_exact_over_least_common_denominator(values):
+    ints, den = scaled(values)
+    assert all(type(n) is int for n in ints) and den >= 1
+    assert [Fraction(n, den) for n in ints] == values
+    # den is the least common denominator: it makes every value integral,
+    # and no den / p does, for any p > 1 dividing it (every prime factor
+    # of den divides some denominator, so p <= 60 covers them)
+    assert all(den % Fraction(v).denominator == 0 for v in values)
+    for p in range(2, 61):
+        if den % p == 0:
+            assert not all((den // p) % Fraction(v).denominator == 0
+                           for v in values)
 
 
 @given(polys, polys)

@@ -10,6 +10,7 @@ from prudens.beliefs import c_strongly_believes, validate_chain_rule
 from prudens.best_reply import (sequential_best_replies,
                                 weak_sequential_best_replies)
 from prudens.game import GameError, format_path
+from prudens.hyperreal import Hyperreal
 from prudens.procedures import (EquivalenceViolation, WitnessVerificationFailed,
                                 iterated_admissibility,
                                 prudent_rationalizability_cnps,
@@ -395,6 +396,28 @@ class TestCnpsWitnesses:
                 for mass in rec.belief.prior.values():
                     degree = mass.degree()
                     assert degree is None or degree <= trace.fixpoint
+
+    def test_audit_reads_stored_leading_degrees(self, corpus_games,
+                                                monkeypatch):
+        """The priors keep one leading degree per co-profile, so the audit
+        never scans a Hyperreal for it."""
+        calls = []
+        scan = Hyperreal.leading_degree
+
+        def counted(mass):
+            calls.append(mass)
+            return scan(mass)
+
+        monkeypatch.setattr(Hyperreal, "leading_degree", counted)
+        games = [corpus_games[name] for name in sorted(corpus_games)]
+        games += small_games(30, max_players=3, max_strategies=6,
+                             max_histories=8)
+        deep = 0
+        for game in games:
+            rep = verify_equivalences(game)
+            deep += rep["witnesses"]["pr-cnps"] * (rep["fixpoint"] > 0)
+        assert deep > 0  # priors with more than one rung were audited
+        assert calls == []
 
 
 class TestCpsWitnesses:
