@@ -10,7 +10,10 @@ entries together until the chain rule is validated.
 
 Nothing outside this module decodes a mass: both classes answer
 ``layers`` (integer layers, one per power of e for a prior and one for a
-table, for ``best_reply``'s dot products) and ``leading_degree``.
+table, for ``best_reply``'s dot products) and ``leading_degree``.  A
+prior's ``standard_part`` is the explicit table of its conditionals'
+standard parts, read off its layers (docs/exactness.md, "The CPS witness
+is the standard part of the ladder").
 
 Conditioning events are the sets of co-player profiles allowing each
 history.  Two histories inducing the same set share one event; operators
@@ -135,12 +138,16 @@ class PriorCNPS:
         return {form.co_profile_strategies(i, coid): self.prior[coid]
                 for coid in sorted(ev)}
 
-    def mass_within(self, event_ids, subset_ids):
-        return sum((self.prior[c] for c in subset_ids if c in event_ids),
-                   Hyperreal.zero(self.degree_bound))
-
-    def singleton_mass(self, event_ids, coid):
-        return self.mass_within(event_ids, (coid,))
+    def standard_part(self):
+        """The standard part of the conditional at each event, as an
+        explicit table: the event's layer of least depth over its sum
+        there, where every deeper co-profile has coefficient 0."""
+        table = {}
+        for ev, _ in self.family.events:
+            ints = self._layers[min(self._depths[c] for c in ev)][0]
+            total = sum(ints[c] for c in ev)
+            table[ev] = {c: Fraction(ints[c], total) for c in ev if ints[c]}
+        return table
 
     def to_json(self):
         form, i = self.family.form, self.family.owner
@@ -203,14 +210,6 @@ class ExplicitCPS:
         return {form.co_profile_strategies(i, coid): p
                 for coid, p in sorted(dist.items())}
 
-    def mass_within(self, event_ids, subset_ids):
-        dist = self.table[frozenset(event_ids)]
-        return sum((dist.get(coid, Fraction(0)) for coid in subset_ids),
-                   Fraction(0))
-
-    def singleton_mass(self, event_ids, coid):
-        return self.table[frozenset(event_ids)].get(coid, Fraction(0))
-
     def support(self, event_ids):
         dist = self.table[frozenset(event_ids)]
         return frozenset(c for c, p in dist.items() if p > 0)
@@ -235,33 +234,6 @@ class ExplicitCPS:
         return out
 
 
-def condition_measure(measure, event_ids):
-    """A measure (coid -> Fraction) conditioned on an event, keeping its
-    positive masses; None when the event has zero mass."""
-    total = exact_sum([measure[c] for c in event_ids if c in measure])
-    if total == 0:
-        return None
-    return {c: measure[c] / total
-            for c in event_ids if measure.get(c, Fraction(0)) > 0}
-
-
-def condition_ladder(family, ladder):
-    """An explicit table: at each event of the family, the conditional of
-    the first measure in ``ladder`` giving the event positive mass.
-    Raises BeliefError if none does.  On a justifier ladder this is the
-    standard part of the ladder prior's conditional (docs/exactness.md,
-    "The CPS witness is the standard part of the ladder")."""
-    table = {}
-    for ev, _ in family.events:
-        for measure in ladder:
-            table[ev] = condition_measure(measure, ev)
-            if table[ev] is not None:
-                break
-        else:
-            raise BeliefError("no measure in the ladder reaches an event")
-    return table
-
-
 # -- chain rule --------------------------------------------------------
 
 def validate_chain_rule(cps):
@@ -273,18 +245,17 @@ def validate_chain_rule(cps):
     where each violation is (coid, D, C, lhs, rhs).
     """
     events = [ev for ev, _ in cps.family.events]
-    for ev in events:
-        if frozenset(ev) not in cps.table:
-            raise IncompleteTable("missing conditioning event")
     violations = []
     for c_ev in events:
+        on_c = cps.table[c_ev]
         for d_ev in events:
             if d_ev == c_ev or not d_ev <= c_ev:
                 continue
-            d_in_c = cps.mass_within(c_ev, d_ev)
+            on_d = cps.table[d_ev]
+            d_in_c = sum(on_c.get(coid, 0) for coid in d_ev)
             for coid in d_ev:
-                lhs = cps.singleton_mass(c_ev, coid)
-                rhs = cps.singleton_mass(d_ev, coid) * d_in_c
+                lhs = on_c.get(coid, 0)
+                rhs = on_d.get(coid, 0) * d_in_c
                 if lhs != rhs:
                     violations.append((coid, d_ev, c_ev, lhs, rhs))
     return (not violations), violations

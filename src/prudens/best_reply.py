@@ -128,10 +128,11 @@ def expected_payoff(game, belief, i, r, h):
     normalized for explicit standard systems.  r must allow h.
     """
     form = belief.family.form
+    sid = form.strategy_id(i, r)
     analysis = ReplyAnalysis(form, belief, i)
     if h not in game.h_index:
         raise BestReplyError("unknown nonterminal history %r" % (h,))
-    return analysis.value(form.index[i][r], game.h_index[h])
+    return analysis.value(sid, game.h_index[h])
 
 
 def sequential_best_replies(game, belief, i):

@@ -327,11 +327,12 @@ def iterated_elimination_ids(form):
 def weakly_dominated(game, Q, i, s):
     """A MixedStrategy on Q_i dominating s with respect to Q, or None."""
     form = game.strategic_form()
+    sid = form.strategy_id(i, s)
     q_sets = form.ids_from_restriction(Q)
-    mixture = dominating_mixture_ids(form, q_sets, i, form.index[i][s])
+    mixture = dominating_mixture_ids(form, q_sets, i, sid)
     if mixture is None:
         return None
-    if not mixture_dominates_ids(form, q_sets, i, form.index[i][s], mixture):
+    if not mixture_dominates_ids(form, q_sets, i, sid, mixture):
         raise DominanceError("dominating mixture failed substitution check")
     return MixedStrategy(i, {form.strats[i][r]: w
                              for r, w in mixture.items()})
@@ -341,8 +342,8 @@ def justifying_full_support_measure(game, Q, i, s):
     """A measure on co-profiles with support exactly Q_{-i} making s a
     best reply among all of S_i, or None when no such measure exists."""
     form = game.strategic_form()
+    sid = form.strategy_id(i, s)
     q_sets = form.ids_from_restriction(Q)
-    sid = form.index[i][s]
     measure = justifier_ids(form, q_sets, i, sid)
     if measure is None:
         return None

@@ -465,8 +465,24 @@ class StrategicForm:
             [tuple(self.strats[i][sid] for sid in sorted(id_sets[i]))
              for i in range(self.n)])
 
+    def player(self, i, s=None):
+        """i, if it is a player index; else GameError naming i and s."""
+        if isinstance(i, int) and 0 <= i < self.n:
+            return i
+        raise GameError("no player %r%s: the game has players 0..%d" % (
+            i, "" if s is None else " for strategy %r" % (s,), self.n - 1))
+
+    def strategy_id(self, i, s):
+        """The id of strategy s of player i.  Raises GameError, naming
+        both, unless i is a player index and s one of its strategies."""
+        sid = self.index[self.player(i, s)].get(s)
+        if sid is None:
+            raise GameError("%r is not a strategy of player %s"
+                            % (s, self.game.players[i]))
+        return sid
+
     def ids_from_restriction(self, restriction):
         """Per player, the restriction's strategy ids (inverse of
         ``restriction_from_ids``)."""
-        return [frozenset(self.index[i][s] for s in restriction.part(i))
+        return [frozenset(self.strategy_id(i, s) for s in restriction.part(i))
                 for i in range(self.n)]

@@ -36,12 +36,12 @@ coincide step by step on the given game.  Every audit failure raises an
 :class:`EquivalenceViolation` naming its step, player, strategy and
 failed checks.
 
-Both witness families are built from the survivor's ladder nu_0, ...,
-nu_{n-1}.  The prior weighs nu_ell by e^ell and gives nu_0 the
-complementary weight 1 - e - ... - e^{n-1}, so the masses sum to exactly
-1 without dividing polynomials.  The explicit system takes, at each
-event, the conditional of the first nu_ell giving the event positive
-mass, which is the standard part of the prior's conditional there.
+Both witness families read one prior per chain, built from the ladder
+nu_0, ..., nu_{n-1}.  The prior weighs nu_ell by e^ell and gives nu_0
+the complementary weight 1 - e - ... - e^{n-1}, so the masses sum to
+exactly 1 without dividing polynomials.  The explicit system is its
+standard part: at each event, the conditional of the first nu_ell
+giving the event positive mass.
 Best-reply membership is checked with the weak sequential correspondence
 (optimality at every history the strategy allows); see the package docs
 for why the strict replacement form cannot support the step equalities.
@@ -53,8 +53,7 @@ from fractions import Fraction
 
 from . import best_reply, dominance
 from .beliefs import (BeliefError, ConditioningFamily, ExplicitCPS, PriorCNPS,
-                      c_strongly_believes, condition_ladder,
-                      validate_chain_rule)
+                      c_strongly_believes, validate_chain_rule)
 from .game import GameError, format_path
 from .hyperreal import Hyperreal, HyperrealError
 
@@ -200,6 +199,7 @@ class _Run:
         self.families = [ConditioningFamily(form.game, i, form)
                          for i in range(form.n)]
         self._justifiers = {}
+        self._priors = {}
         self.exclusions = self._exclusions(certificates)
 
     def chain(self, i, sid, step):
@@ -229,6 +229,15 @@ class _Run:
                     "justifier failed substitution check")
             self._justifiers[key] = measure
         return self._justifiers[key]
+
+    def prior(self, i, n, chain, ladder):
+        """The ladder prior of i's step-n survivors with this chain, built
+        from the first member's ladder; both witness families read it."""
+        key = (i, n, chain)
+        if key not in self._priors:
+            self._priors[key] = PriorCNPS(self.families[i],
+                                          _ladder_prior(self, i, ladder))
+        return self._priors[key]
 
     def _violation(self, what, n, i, strategy, checks, exc=None):
         msg = "%s at step %d for %s of player %s failed: %s" % (
@@ -278,7 +287,7 @@ class _Run:
         analysis; each still has its own best-reply membership checked.
         """
         t0 = time.perf_counter()
-        assemble, build, audit = _FAMILIES[procedure]
+        build, audit = _FAMILIES[procedure]
         form = self.form
         table = {}
         for n in range(1, self.fixpoint + 2):
@@ -292,9 +301,8 @@ class _Run:
                         ladder = [self.justifier(i, sid, n - 1 - ell)
                                   for ell in range(n)]
                         if chain not in shared:
-                            data = assemble(self, i, ladder)
                             stage = "belief-valid"
-                            belief = build(self.families[i], data)
+                            belief = build(self, i, n, chain, ladder)
                             stage = "audit"
                             shared[chain] = (
                                 belief, audit(self, belief, i, n),
@@ -378,36 +386,34 @@ def prudent_rationalizability_cnps(game):
 # -- explicit standard witnesses ----------------------------------------
 
 def _verify_cps_witness(run, belief, i, step):
-    ok, violations = validate_chain_rule(belief)
+    ok, _ = validate_chain_rule(belief)
     survivors = run.columns[step - 1][i].co_event
     ok_support = all(belief.support(ev) == survivors & ev
                      for ev, _ in belief.family.events if survivors & ev)
-    return [("chain-rule", ok and not violations),
+    return [("chain-rule", ok),
             ("support-matches-surviving-co-profiles", ok_support)]
 
 
 def prudent_rationalizability_cps(game):
     """The cautious procedure with explicit standard conditional systems.
 
-    Witnesses condition the survivor's justifier ladder at each event
-    and are re-verified against the chain rule, the support
-    condition at every history, and best-reply membership.
+    Witnesses are the standard parts of the survivors' ladder priors and
+    are re-verified against the chain rule, the support condition at
+    every history, and best-reply membership.
     """
     return _Run(game.strategic_form()).trace(PR_CPS)
 
 
-# Per witness family: the belief's data, assembled from a survivor's
-# justifier ladder, the belief, and its sid-independent audit; best-reply
-# membership is checked per survivor by ``_Run.witnesses``.  The classes
-# are looked up when called, so that replacing the module attribute takes
-# effect.
+# Per witness family: the belief of a (player, step, chain), built from
+# the first member's justifier ladder, and its sid-independent audit;
+# best-reply membership is checked per survivor by ``_Run.witnesses``.
+# The classes are looked up when called, so that replacing the module
+# attribute takes effect.
 _FAMILIES = {
-    PR_CNPS: (_ladder_prior,
-              lambda family, prior: PriorCNPS(family, prior),
-              _verify_cnps_witness),
-    PR_CPS: (lambda run, i, ladder: condition_ladder(run.families[i],
-                                                     ladder),
-             lambda family, table: ExplicitCPS(family, table),
+    PR_CNPS: (_Run.prior, _verify_cnps_witness),
+    PR_CPS: (lambda run, i, n, chain, ladder: ExplicitCPS(
+                 run.families[i],
+                 run.prior(i, n, chain, ladder).standard_part()),
              _verify_cps_witness),
 }
 
@@ -442,12 +448,13 @@ def verify_equivalences(game):
 def sophistication_index(game, i, trace, h):
     """The deepest step whose surviving co-profiles remain consistent
     with the nonterminal history h (well defined: step 0 is consistent
-    with every h).  Raises GameError for any other h."""
+    with every h).  Raises GameError for any other h or a player index
+    out of range."""
     k = game.h_index.get(h)
     if k is None:
         raise GameError("no nonterminal history %s" % format_path(h))
     form = game.strategic_form()
-    event = form.co_allow[i][k]
+    event = form.co_allow[form.player(i)][k]
     best = 0
     for m in range(trace.fixpoint + 1):
         sets = form.ids_from_restriction(trace.steps[m])

@@ -13,7 +13,11 @@ twin-class sums.  ``full_justifier_problem`` is the justifier LP with
 one constraint per rival, the construction whose repeated rows
 ``dominance`` drops; its optimum must be the deduplicated LP's.
 ``full_slack_problem`` is the slack LP over every co-profile, with no
-columns merged.
+columns merged.  ``condition_ladder`` conditions a lexicographic
+probability system rung by rung, the construction that
+``PriorCNPS.standard_part`` replaces with one read of the prior's
+least-degree layer, and ``mass_within`` and ``singleton_mass`` sum a
+belief's masses, which the library's operators never do.
 """
 
 import itertools
@@ -22,6 +26,7 @@ from fractions import Fraction
 import sympy
 
 from prudens import lp
+from prudens.beliefs import BeliefError
 from prudens.hyperreal import Hyperreal, infinitely_greater
 
 
@@ -222,6 +227,48 @@ def sympy_cautiously_believes(belief, h, event_ids):
     return True
 
 
+def mass_within(belief, event_ids, subset_ids):
+    """The mass of subset_ids at an event, summed: a Hyperreal restriction
+    of a prior, or a rational from an explicit table."""
+    if belief.standard:
+        dist = belief.table[frozenset(event_ids)]
+        return sum((dist.get(c, Fraction(0)) for c in subset_ids),
+                   Fraction(0))
+    return sum((belief.prior[c] for c in subset_ids if c in event_ids),
+               Hyperreal.zero(belief.degree_bound))
+
+
+def singleton_mass(belief, event_ids, coid):
+    return mass_within(belief, event_ids, (coid,))
+
+
+def condition_measure(measure, event_ids):
+    """A measure (coid -> Fraction) conditioned on an event, keeping its
+    positive masses; None when the event has zero mass."""
+    total = sum((measure.get(c, Fraction(0)) for c in event_ids),
+                Fraction(0))
+    if total == 0:
+        return None
+    return {c: measure[c] / total
+            for c in event_ids if measure.get(c, Fraction(0)) > 0}
+
+
+def condition_ladder(family, ladder):
+    """Lexicographic conditioning of a ladder of measures (Blume,
+    Brandenburger and Dekel 1991): at each event of the family, the
+    conditional of the first measure giving the event positive mass.
+    Raises BeliefError if none does."""
+    table = {}
+    for ev, _ in family.events:
+        for measure in ladder:
+            table[ev] = condition_measure(measure, ev)
+            if table[ev] is not None:
+                break
+        else:
+            raise BeliefError("no measure in the ladder reaches an event")
+    return table
+
+
 def c_strongly_believes_intersection_form(belief, event_ids):
     """Cautious strong belief in an event (a set of co-profile ids), with
     the complement's mass taken over (ev - E) & ev at each event ev."""
@@ -229,9 +276,9 @@ def c_strongly_believes_intersection_form(belief, event_ids):
         inter = event_ids & ev
         if not inter:
             continue
-        comp = belief.mass_within(ev, (frozenset(ev) - event_ids) & ev)
+        comp = mass_within(belief, ev, (frozenset(ev) - event_ids) & ev)
         for coid in inter:
-            single = belief.singleton_mass(ev, coid)
+            single = singleton_mass(belief, ev, coid)
             if isinstance(single, Hyperreal):
                 if not infinitely_greater(single, comp):
                     return False

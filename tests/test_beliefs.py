@@ -10,12 +10,13 @@ from prudens import dsl
 from prudens.beliefs import (BeliefError, ConditioningFamily, ExplicitCPS,
                              PriorCNPS, UnknownHistory, VacuousEventWarning,
                              c_strongly_believes, cautiously_believes,
-                             condition_ladder, strongly_believes,
-                             validate_chain_rule, weakly_believes)
+                             strongly_believes, validate_chain_rule,
+                             weakly_believes)
 from prudens.hyperreal import Hyperreal, infinitely_greater
 
 from conftest import small_games
 from oracles import (c_strongly_believes_intersection_form,
+                     condition_ladder, mass_within, singleton_mass,
                      standard_part_conditional, sympy_cautiously_believes,
                      sympy_chain_rule_holds, sympy_conditional)
 
@@ -263,6 +264,24 @@ def random_prior(game, i, rng, degree=2):
     return PriorCNPS(family, prior)
 
 
+def layered_prior(form, i, rng):
+    """Full-support prior of degree 3 whose e^1 layer is zero everywhere
+    and whose higher layers mix negative, zero and positive coefficients
+    (each layer above 0 sums to zero, so the total is 1)."""
+    k = len(form.co_profiles[i])
+    weights = [rng.randrange(0, 4) * 2 + 1 for _ in range(k)]
+    total = sum(weights)
+    coeffs = [[Fraction(w, total), Fraction(0)] for w in weights]
+    for _ in range(2):
+        draws = [Fraction(rng.randrange(-2, 3), rng.choice((1, 3)))
+                 for _ in range(k - 1)]
+        draws.append(-sum(draws, Fraction(0)))
+        for c in range(k):
+            coeffs[c].append(draws[c] / (5 * total))
+    prior = {coid: Hyperreal(cs, 3) for coid, cs in enumerate(coeffs)}
+    return PriorCNPS(ConditioningFamily(form.game, i, form), prior)
+
+
 def random_ladder(family, rng, rungs):
     """Measures with random supports, the last with full support, as a
     justifier ladder is built."""
@@ -293,19 +312,20 @@ def ladder_prior(family, ladder):
 
 def cautious_by_sums(belief, ev, e_ids):
     """Each mass of E at ev is infinitely greater than ev - E's sum."""
-    comp = belief.mass_within(ev, ev - e_ids)
+    comp = mass_within(belief, ev, ev - e_ids)
 
     def greater(x):
         if isinstance(x, Hyperreal):
             return infinitely_greater(x, comp)
         return x > 0 and comp == 0
     inter = e_ids & ev
-    return bool(inter) and all(greater(belief.singleton_mass(ev, c))
+    return bool(inter) and all(greater(singleton_mass(belief, ev, c))
                                for c in inter)
 
 
 def strong_by_sums(belief, e_ids):
-    return all(belief.mass_within(ev, e_ids & ev) == belief.mass_within(ev, ev)
+    return all(mass_within(belief, ev, e_ids & ev)
+               == mass_within(belief, ev, ev)
                for ev, _ in belief.family.events if e_ids & ev)
 
 
@@ -321,7 +341,7 @@ def weak_by_support(belief, ev, e_ids):
 class TestOperatorsAtDepth:
     """Ladder priors carry leading degrees 0-2, and their conditioned
     tables hold zero masses: every operator on either system agrees with
-    its definition through ``mass_within`` sums or standard parts."""
+    its definition through ``oracles.mass_within`` sums or standard parts."""
 
     def test_operators_match_definitions(self, corpus_games):
         rng = random.Random(2)
@@ -336,8 +356,9 @@ class TestOperatorsAtDepth:
                 for _ in range(4):
                     ladder = random_ladder(family, rng, rng.randrange(1, 4))
                     prior = ladder_prior(family, ladder)
-                    cps = ExplicitCPS(family,
-                                      condition_ladder(family, ladder))
+                    table = prior.standard_part()
+                    assert table == condition_ladder(family, ladder)
+                    cps = ExplicitCPS(family, table)
                     depths |= {m.leading_degree()
                                for m in prior.prior.values()}
                     self.check_stored_masses(family, prior, cps)
@@ -375,11 +396,13 @@ class TestOperatorsAtDepth:
     @staticmethod
     def check_stored_masses(family, prior, cps):
         """``leading_degree`` is each mass's own leading degree (0 or None
-        on a table, None outside the event), and ``layers`` gives back
-        every coefficient exactly."""
+        on a table, None outside the event), ``layers`` gives back
+        every coefficient exactly, and the table conditioned from the
+        ladder is the standard part of the prior's conditionals."""
         for ev, _ in family.events:
             coids = sorted(ev)
             dist = cps.table[ev]
+            assert dist == standard_part_conditional(prior.prior, ev)
             for coid in range(len(family.form.co_profiles[family.owner])):
                 inside = coid in ev
                 assert prior.leading_degree(ev, coid) == (
@@ -396,6 +419,32 @@ class TestOperatorsAtDepth:
             (ints, den), = cps.layers(ev, coids)
             assert [Fraction(n, den) for n in ints] == \
                 [dist.get(c, 0) for c in coids]
+
+
+class TestStandardPart:
+    """``PriorCNPS.standard_part`` on priors whose layers above degree 0
+    hold negative, zero and positive coefficients: the limit of each
+    normalised conditional (``oracles.standard_part_conditional``).
+    Ladder priors are checked in ``TestOperatorsAtDepth``."""
+
+    def test_layered_and_random_priors(self, corpus_games):
+        rng = random.Random(6)
+        negative = False
+        for game in [corpus_games[k] for k in sorted(corpus_games)]:
+            form = game.strategic_form()
+            for i in range(form.n):
+                for prior in (layered_prior(form, i, rng),
+                              random_prior(game, i, rng)):
+                    negative |= any(c < 0 for m in prior.prior.values()
+                                    for c in m.coeffs)
+                    table = prior.standard_part()
+                    events = [ev for ev, _ in prior.family.events]
+                    assert list(table) == events
+                    for ev in events:
+                        assert table[ev] == standard_part_conditional(
+                            prior.prior, ev)
+                    ExplicitCPS(prior.family, table)
+        assert negative
 
 
 class TestMalformedEvents:
@@ -475,7 +524,7 @@ class TestConditional:
             total = Hyperreal.zero(belief.degree_bound)
             for m in belief.conditional(h).values():
                 total = total + m
-            assert total == belief.mass_within(ev, ev)
+            assert total == mass_within(belief, ev, ev)
             assert total > 0
 
     def test_agrees_with_symbolic_normalization(self, corpus_games):
@@ -486,8 +535,8 @@ class TestConditional:
             belief = random_prior(game, 0, rng, degree=2)
             for ev, _hs in belief.family.events:
                 for coid in ev:
-                    lib = belief.singleton_mass(ev, coid)
-                    total = belief.mass_within(ev, ev)
+                    lib = singleton_mass(belief, ev, coid)
+                    total = mass_within(belief, ev, ev)
                     sym = sympy_conditional(belief, ev, frozenset([coid]),
                                             eps)
                     lib_sym = (sum(sympy.Rational(c.numerator, c.denominator)
@@ -598,7 +647,7 @@ class TestStandardApproximation:
                         if not inter:
                             continue
                         singles_positive = all(
-                            cps.singleton_mass(ev, c) > 0 for c in inter)
+                            singleton_mass(cps, ev, c) > 0 for c in inter)
                         if singles_positive:
                             expected = cps.support(ev) <= e_ids
                             assert cautiously_believes(belief_or(cps), h,

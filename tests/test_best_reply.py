@@ -5,19 +5,19 @@ from fractions import Fraction
 
 from prudens import dsl, procedures
 from prudens.beliefs import (BeliefError, ConditioningFamily, ExplicitCPS,
-                             PriorCNPS, condition_ladder)
+                             PriorCNPS)
 from prudens.best_reply import (BestReplyError, ReplyAnalysis,
                                 StrategyDisallowsHistory,
                                 best_replies_to_measure, expected_payoff,
                                 sequential_best_replies,
                                 weak_sequential_best_replies)
-from prudens.game import Game
+from prudens.game import Game, GameError
 from prudens.hyperreal import Hyperreal, scaled
 
 from conftest import small_games
-from oracles import (fraction_best_replies_to_measure, fraction_value_row,
-                     naive_expected_payoff)
-from test_beliefs import co_profile, random_prior
+from oracles import (condition_ladder, fraction_best_replies_to_measure,
+                     fraction_value_row, naive_expected_payoff)
+from test_beliefs import co_profile, layered_prior, random_prior
 
 
 def tilted_prior(game, i, top_name, D=2):
@@ -81,6 +81,15 @@ class TestExpectedPayoff:
                         want = naive_expected_payoff(
                             g, i, r, h, lambda co: ids[co])
                         assert got == want
+
+
+    def test_other_players_strategy_is_a_game_error(self, corpus_games):
+        game = corpus_games["centipede_3"]
+        belief = random_prior(game, 0, random.Random(2))
+        foreign = game.strategies(1)[0]
+        with pytest.raises(GameError, match="is not a strategy of player %s"
+                           % game.players[0]):
+            expected_payoff(game, belief, 0, foreign, ())
 
 
 class TestBeliefOwner:
@@ -283,24 +292,6 @@ def int_payoff_game():
                (go, left, ("a", "w")): (3, 0),
                (go, left, ("b", "w")): (-4, 5)}
     return Game(("A", "B"), actions, payoffs)
-
-
-def layered_prior(form, i, rng):
-    """Full-support prior of degree 3 whose e^1 layer is zero everywhere
-    and whose higher layers mix negative, zero and positive coefficients
-    (each layer above 0 sums to zero, so the total is 1)."""
-    k = len(form.co_profiles[i])
-    weights = [rng.randrange(0, 4) * 2 + 1 for _ in range(k)]
-    total = sum(weights)
-    coeffs = [[Fraction(w, total), Fraction(0)] for w in weights]
-    for _ in range(2):
-        draws = [Fraction(rng.randrange(-2, 3), rng.choice((1, 3)))
-                 for _ in range(k - 1)]
-        draws.append(-sum(draws, Fraction(0)))
-        for c in range(k):
-            coeffs[c].append(draws[c] / (5 * total))
-    prior = {coid: Hyperreal(cs, 3) for coid, cs in enumerate(coeffs)}
-    return PriorCNPS(ConditioningFamily(form.game, i, form), prior)
 
 
 def sparse_measure(form, i, rng):

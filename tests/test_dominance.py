@@ -1,4 +1,5 @@
 import itertools
+import re
 from unittest import mock
 
 import pytest
@@ -7,7 +8,7 @@ from fractions import Fraction
 from prudens import dominance, dsl, lp
 from prudens.dominance import (MixedStrategy, justifying_full_support_measure,
                                weakly_dominated)
-from prudens.game import ProductRestriction
+from prudens.game import GameError, ProductRestriction
 from prudens.procedures import iterated_admissibility
 
 from conftest import small_games
@@ -73,6 +74,36 @@ class TestWeaklyDominated:
                         got = weakly_dominated(g, Q, i, s)
                         assert (got is not None) == \
                             vertex_weakly_dominated(g, Q, i, s)
+
+
+class TestForeignArguments:
+    """A strategy of another player, or a player index the game lacks, is
+    a GameError naming both, not a bare KeyError or IndexError."""
+
+    @pytest.mark.parametrize("query", [weakly_dominated,
+                                       justifying_full_support_measure])
+    def test_other_players_strategy(self, corpus_games, query):
+        game = corpus_games["centipede_3"]
+        foreign = game.strategies(1)[0]
+        with pytest.raises(GameError, match="%s is not a strategy of "
+                           "player %s" % (re.escape(repr(foreign)),
+                                          game.players[0])):
+            query(game, game.full_restriction(), 0, foreign)
+
+    def test_player_index_out_of_range(self, corpus_games):
+        game = corpus_games["centipede_3"]
+        s = game.strategies(0)[0]
+        for i in (7, -1):
+            with pytest.raises(GameError, match="no player %d for strategy "
+                               "%s" % (i, re.escape(repr(s)))):
+                weakly_dominated(game, game.full_restriction(), i, s)
+
+    def test_restriction_of_another_game(self, corpus_games):
+        game = corpus_games["centipede_3"]
+        other = corpus_games["matching_pennies"]
+        with pytest.raises(GameError, match="is not a strategy of player"):
+            game.strategic_form().ids_from_restriction(
+                other.full_restriction())
 
 
 class TestJustifier:

@@ -7,15 +7,23 @@ Each module is parsed with ``ast`` and three rules are checked:
 * a mass's coefficients are decoded in one place: ``.coeffs`` is read only
   in ``hyperreal.py`` and ``beliefs.py``;
 * no module imports or reads another prudens module's underscore name.
+
+A fourth rule keeps the soundness notes reachable: every section of
+``docs/exactness.md`` that a citation names by title, from ``src/``,
+``tests/`` or the README, or from inside the doc itself, is one of its
+``##`` headings.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import prudens
 
 PACKAGE = Path(prudens.__file__).resolve().parent
 MODULES = {path.stem: path for path in sorted(PACKAGE.glob("*.py"))}
+ROOT = Path(__file__).resolve().parent.parent
+DOC = ROOT / "docs" / "exactness.md"
 
 
 def trees():
@@ -76,6 +84,53 @@ def test_no_module_reaches_into_anothers_private_names():
                   and isinstance(node.value, ast.Name)
                   and node.value.id in modules]
     assert not found, found
+
+
+# A title in quotes, after the doc's name and a comma, or after "see"
+# inside the doc.  A title may wrap, across comment lines too.
+_CITED = re.compile(r'docs/exactness\.md,[\s#]*"([^"]+)"')
+_SEE = re.compile(r'\bsee[\s#]+"([^"]+)"')
+
+
+def cited_titles(text, pattern):
+    """(line, title) per citation in text, a wrapped title joined by
+    single spaces."""
+    for match in pattern.finditer(text):
+        title = " ".join(re.sub(r"\n\s*#", " ", match[1]).split())
+        yield text.count("\n", 0, match.start()) + 1, title
+
+
+def citations():
+    """(file:line, title) for every title cited in the doc."""
+    sources = [(path, _CITED) for folder in ("src", "tests")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    sources += [(ROOT / "README.md", _CITED), (DOC, _SEE)]
+    for path, pattern in sources:
+        for line, title in cited_titles(path.read_text(encoding="utf-8"),
+                                        pattern):
+            yield "%s:%d" % (path.relative_to(ROOT), line), title
+
+
+def test_citations_wrap_across_comment_lines():
+    text = ('x = 1\n    # as shown (docs/exactness.md,' ' "One belief\n'
+            '    #   per justifier\n    # chain")\n')
+    assert list(cited_titles(text, _CITED)) == [
+        (2, "One belief per justifier chain")]
+    assert list(cited_titles('(see\n  "Degree\n  budget")', _SEE)) == [
+        (1, "Degree budget")]
+
+
+def test_doc_citations_name_existing_sections():
+    headings = {line[3:].strip() for line in
+                DOC.read_text(encoding="utf-8").splitlines()
+                if line.startswith("## ")}
+    found = list(citations())
+    missing = ["%s cites %r" % (where, title) for where, title in found
+               if title not in headings]
+    assert not missing, missing
+    # the lint reads the package, the tests and the doc's own references
+    assert {where.split("/")[0] for where, _ in found} >= {"src", "docs"}
+    assert len(found) >= 8
 
 
 def test_lint_sees_the_package():

@@ -6,7 +6,8 @@ import pytest
 from fractions import Fraction
 
 from prudens import corpus, dsl
-from prudens.beliefs import c_strongly_believes, validate_chain_rule
+from prudens.beliefs import (BeliefError, c_strongly_believes,
+                             validate_chain_rule)
 from prudens.best_reply import (sequential_best_replies,
                                 weak_sequential_best_replies)
 from prudens.game import GameError, format_path
@@ -439,7 +440,8 @@ class TestCpsWitnesses:
         each pr-cps witness equals the standard part of the conditional
         of the pr-cnps prior stored for the same (step, player,
         strategy), including events only a lower rung of the ladder
-        reaches."""
+        reaches.  The table is the prior's ``standard_part``, and the
+        pr-cps trace built alone reports the same witnesses."""
         lower_rung = 0
         games = list(corpus_games.values()) + small_games(
             40, max_players=3, max_strategies=6, max_histories=8)
@@ -448,7 +450,11 @@ class TestCpsWitnesses:
             cnps = traces["pr-cnps"].witnesses
             cps = traces["pr-cps"].witnesses
             assert cnps.keys() == cps.keys()
+            assert prudent_rationalizability_cps(game).to_json() == \
+                traces["pr-cps"].to_json()
             for key, rec in cps.items():
+                assert rec.belief.table == \
+                    cnps[key].belief.standard_part(), key
                 prior = cnps[key].belief.prior
                 for ev, _ in rec.belief.family.events:
                     got = {c: p for c, p in rec.belief.table[ev].items()
@@ -458,6 +464,37 @@ class TestCpsWitnesses:
                     lower_rung += min(prior[c].leading_degree()
                                       for c in ev) > 0
         assert lower_rung > 0
+
+    def test_prior_fails_at_belief_valid(self, corpus_games, monkeypatch):
+        """Built alone, the CPS family builds each chain's prior once, and
+        a prior that fails validation is reported at stage
+        ``belief-valid``."""
+        from prudens import procedures
+        game = corpus_games["centipede_3"]
+        built = []
+        real = procedures.PriorCNPS
+
+        def counted(family, prior):
+            built.append(real(family, prior))
+            return built[-1]
+
+        monkeypatch.setattr(procedures, "PriorCNPS", counted)
+        trace = prudent_rationalizability_cps(game)
+        assert len(built) == len({id(rec.belief)
+                                  for rec in trace.witnesses.values()})
+        assert len(built) < len(trace.witnesses)
+
+        def refuse(family, prior):
+            raise BeliefError("prior refused")
+
+        monkeypatch.setattr(procedures, "PriorCNPS", refuse)
+        for entry in (prudent_rationalizability_cps,
+                      prudent_rationalizability_cnps):
+            with pytest.raises(EquivalenceViolation) as info:
+                entry(game)
+            assert (info.value.step, info.value.checks) == (
+                1, ["belief-valid"])
+            assert "prior refused" in str(info.value)
 
     def test_step1_witness_has_full_root_support(self, corpus_games):
         game = corpus_games["prisoners_dilemma"]
@@ -554,6 +591,15 @@ payoff /(In,w)/(w,R) = 0, 2
         for h in (game.terminal[0], (("x", "zzz"),)):
             with pytest.raises(GameError, match=re.escape(format_path(h))):
                 sophistication_index(game, 0, trace, h)
+
+    def test_player_index_out_of_range_is_a_game_error(self,
+                                                       corpus_games):
+        game = corpus_games["centipede_3"]
+        trace = iterated_admissibility(game)
+        for i in (5, -1):
+            with pytest.raises(GameError, match="no player %d: the game has "
+                               "players 0..1" % i):
+                sophistication_index(game, i, trace, ())
 
     def test_best_rationalization_of_final_witnesses(self, corpus_games):
         """Final-step justifiers hold the cautious-strong-belief ladder up
