@@ -17,15 +17,12 @@ instance rather than assuming it.
 
 Co-player profiles with identical payoff columns are interchangeable in
 both problems, so the solvers work over distinct columns (with measures
-spread back uniformly within each group).  Before setting up any
-tableau they settle what they can from the measure uniform over those
-columns, read off one row sum per own strategy: a strategy whose row
-sum is the largest of all gets that measure as its justifier, which is
-the LP's unique optimum, and one whose row sum is the largest in its
-own restriction is a best reply there to a full-support measure, so no
-mixture dominates it (docs/exactness.md, "Questions the uniform measure
-settles").  The slack solver then tries pure-strategy dominance and a
-unique-best-response filter.
+spread back uniformly within each group).  A strategy whose row sum
+over those columns is the largest of all gets the measure uniform over
+them as its justifier, the LP's unique optimum, without a tableau.  The
+slack solver keeps a strategy that has a justifier and poses its tableau
+only for one that has none (docs/exactness.md, "Questions the uniform
+measure settles").
 
 Own strategies with identical rows over those columns (twins, such as
 the behaviourally equivalent plans of a sequential game) get the same answer
@@ -113,6 +110,11 @@ class Columns:
         answer = self.answers[question]
         return None if answer is None else dict(answer)
 
+    def justifier(self, sid):
+        """``justifier_ids``'s answer for sid, solved once per twin class."""
+        return self.shared(("justifier", self.twin[sid]),
+                           lambda: _justifier(self, sid))
+
 
 def _columns(form, i, q_sets, cols):
     return cols if cols is not None else Columns(form, i, q_sets)
@@ -121,9 +123,11 @@ def _columns(form, i, q_sets, cols):
 def dominating_mixture_ids(form, q_sets, i, sid, cols=None):
     """A mixture on Q_i weakly dominating sid against Q_{-i}, or None.
 
-    Maximizes the total dominance slack subject to the weak inequalities;
-    sid is dominated exactly when the optimum is positive.  sid enters
-    only through its own row, so its twins in Q_i share the answer.
+    A purely dominating row of Q_i is returned as is and a strategy with
+    a justifier is kept; otherwise the total dominance slack is maximized
+    subject to the weak inequalities, and sid is dominated exactly when
+    the optimum is positive.  sid enters only through its own row, so
+    its twins in Q_i share the answer.
     """
     if sid not in q_sets[i]:
         raise DominanceError("strategy must belong to its own restriction")
@@ -138,12 +142,6 @@ def _dominating_mixture(cols, q_i, sid):
     own = value[sid]
     ngroups = len(own)
 
-    # a best reply among Q_i to the full-support measure uniform over the
-    # distinct columns is undominated (a row dominating sid purely has a
-    # larger row sum, so this filter never hides a pure dominance)
-    best = cols.row_sum[sid]
-    if all(cols.row_sum[r] <= best for r in q_i):
-        return None
     # pure dominance needs no tableau
     for r in q_i:
         if r == sid:
@@ -152,11 +150,9 @@ def _dominating_mixture(cols, q_i, sid):
         if all(other[g] >= own[g] for g in range(ngroups)) \
                 and any(other[g] > own[g] for g in range(ngroups)):
             return {r: Fraction(1)}
-    # a strict unique best response against some column is undominated
-    for g in range(ngroups):
-        target = own[g]
-        if all(value[r][g] < target for r in q_i if r != sid):
-            return None
+    # a justified strategy is undominated; a None justifier decides nothing
+    if cols.justifier(sid) is not None:
+        return None
 
     zero, one = lp.ZERO, lp.ONE
     # columns: sigma weights over Q_i, then one slack per distinct column
@@ -208,9 +204,7 @@ def justifier_ids(form, q_sets, i, sid, cols=None):
     returned without a tableau.  Twins pose the identical LP and so share
     the answer.
     """
-    cols = _columns(form, i, q_sets, cols)
-    return cols.shared(("justifier", cols.twin[sid]),
-                       lambda: _justifier(cols, sid))
+    return _columns(form, i, q_sets, cols).justifier(sid)
 
 
 def _justifier(cols, sid):

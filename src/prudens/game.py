@@ -483,6 +483,11 @@ class StrategicForm:
 
     def ids_from_restriction(self, restriction):
         """Per player, the restriction's strategy ids (inverse of
-        ``restriction_from_ids``)."""
+        ``restriction_from_ids``).  Raises GameError unless it has one
+        part per player."""
+        if len(restriction.parts) != self.n:
+            raise GameError("a restriction needs one part per player: got "
+                            "%d for %d players" % (len(restriction.parts),
+                                                   self.n))
         return [frozenset(self.strategy_id(i, s) for s in restriction.part(i))
                 for i in range(self.n)]

@@ -98,6 +98,24 @@ class TestForeignArguments:
                                "%s" % (i, re.escape(repr(s)))):
                 weakly_dominated(game, game.full_restriction(), i, s)
 
+    @pytest.mark.parametrize("query", [weakly_dominated,
+                                       justifying_full_support_measure])
+    def test_restriction_with_too_few_parts(self, corpus_games, query):
+        game = corpus_games["weak_dom_2x2"]
+        Q = ProductRestriction([game.strategies(0)])
+        with pytest.raises(GameError, match="one part per player: got 1 "
+                           "for 2 players"):
+            query(game, Q, 0, game.strategies(0)[0])
+
+    @pytest.mark.parametrize("query", [weakly_dominated,
+                                       justifying_full_support_measure])
+    def test_restriction_with_too_many_parts(self, corpus_games, query):
+        game = corpus_games["weak_dom_2x2"]
+        parts = [game.strategies(0), game.strategies(1), game.strategies(1)]
+        with pytest.raises(GameError, match="one part per player: got 3 "
+                           "for 2 players"):
+            query(game, ProductRestriction(parts), 0, game.strategies(0)[0])
+
     def test_restriction_of_another_game(self, corpus_games):
         game = corpus_games["centipede_3"]
         other = corpus_games["matching_pennies"]
@@ -220,8 +238,13 @@ class TestTwinSharing:
                             form, q_sets, i, sid, shared) == \
                             dominance.dominating_mixture_ids(
                                 form, q_sets, i, sid)
-                assert len([key for key in shared.answers
-                            if key[0] == "justifier"]) == len(twins)
+                # the elimination's own keep tests store answers too, so
+                # require only the classes asked about here, each once
+                # under its least member
+                assert {("justifier", members[0]) for members in twins} \
+                    <= set(shared.answers)
+                assert all(shared.twin[key[1]] == key[1]
+                           for key in shared.answers)
 
     def test_shared_answers_equal_unshared_ones(self, corpus_games):
         seen = {"justifier": 0, "slack": 0}
@@ -375,33 +398,101 @@ class TestUniformMeasure:
                 seen["shortcut"] += 1
         assert seen["shortcut"] >= 400 and seen["lp"] >= 500, seen
 
-    def test_slack_filter_fires_only_below_a_zero_optimum(self,
-                                                          corpus_games):
-        """Where sid's row sum is the largest over Q_i, no tableau is
-        built and the slack LP over every co-profile has optimum <= 0:
-        no mixture on Q_i dominates sid."""
-        seen = 0
+
+def elimination_questions(game):
+    """(form, q_sets, i, sid) for every keep question the elimination
+    asks: every surviving own strategy at every level it runs."""
+    form = game.strategic_form()
+    steps, _, _ = dominance.iterated_elimination_ids(form)
+    for step in steps[:-1]:
+        q_sets = [frozenset(part) for part in step]
+        for i in range(form.n):
+            for sid in sorted(q_sets[i]):
+                yield form, q_sets, i, sid
+
+
+class TestKeepByJustifier:
+    """The slack solver keeps a strategy that has a justifier, and poses
+    the slack tableau only for one that has none.  A justifier has
+    support exactly Q_{-i} and sid is a best reply to it among all of
+    S_i, so no mixture on Q_i dominates sid (the easy half of Pearce's
+    lemma, for any Q)."""
+
+    def test_justified_strategies_pose_no_slack_tableau(self, corpus_games):
+        """Where sid has an unshared justifier, dominating_mixture_ids
+        returns None, the simplex sees at most sid's justifier LP, and
+        the slack LP over every co-profile has optimum <= 0.  Where it
+        has none, the answer is a mixture that substitutes."""
+        seen = {"kept": 0, "excluded": 0, "justifier_lp": 0, "slack_lp": 0}
+        for game in lp_games(corpus_games):
+            for form, q_sets, i, sid in elimination_questions(game):
+                justifier = dominance.justifier_ids(form, q_sets, i, sid)
+                cols = dominance.Columns(form, i, q_sets)
+                with mock.patch.object(lp, "solve", wraps=lp.solve) as solve:
+                    mixture = dominance.dominating_mixture_ids(
+                        form, q_sets, i, sid, cols)
+                posed = [call.args[0] for call in solve.call_args_list]
+                own = dominance.justifier_problem(cols, sid)
+                if justifier is None:
+                    assert mixture is not None
+                    assert dominance.mixture_dominates_ids(
+                        form, q_sets, i, sid, mixture)
+                    seen["excluded"] += 1
+                    seen["slack_lp"] += any(p != own for p in posed)
+                    continue
+                assert mixture is None
+                assert posed in ([], [own])
+                seen["justifier_lp"] += len(posed)
+                result = fraction_simplex(full_slack_problem(
+                    form, q_sets, i, sid))
+                assert result.status == "optimal"
+                assert result.value <= 0
+                seen["kept"] += 1
+        assert seen["kept"] >= 500 and seen["excluded"] >= 150, seen
+        assert seen["justifier_lp"] >= 100 and seen["slack_lp"] >= 1, seen
+
+    def test_slack_lp_decides_where_no_justifier_exists(self):
+        """Off the elimination's sets a None justifier decides nothing:
+        on Q = {a, b} x {L, R}, c beats a against every measure, so a has
+        no justifier, yet no mixture of a and b dominates a.  The slack
+        LP is posed and answers None."""
+        text = ("players Row Col\nmatrix Row: a b c Col: L R\n"
+                "a: 1,0 0,0\nb: 0,0 1,0\nc: 2,0 2,0\n")
+        game = dsl.elaborate(dsl.parse(text))
+        a, b, _ = game.strategies(0)
+        Q = ProductRestriction([(a, b), game.strategies(1)])
+        assert justifying_full_support_measure(game, Q, 0, a) is None
+        with mock.patch.object(lp, "solve", wraps=lp.solve) as solve:
+            assert weakly_dominated(game, Q, 0, a) is None
+        form = game.strategic_form()
+        cols = dominance.Columns(form, 0, form.ids_from_restriction(Q))
+        assert solve.call_count == 2  # the justifier LP, then the slack LP
+        assert solve.call_args_list[0].args[0] == \
+            dominance.justifier_problem(cols, 0)
+        assert not vertex_weakly_dominated(game, Q, 0, a)
+
+    def test_row_sum_lemma_on_elimination_sets(self, corpus_games):
+        """On the elimination's sets, sid's row sum is the largest in Q_i
+        exactly when it is the largest in S_i: a strategy eliminated
+        earlier hands its row sum down its chain of dominating mixtures
+        to a member of Q_i.  So a largest row sum in Q_i keeps sid
+        through the justifier's row-sum shortcut, with no tableau."""
+        seen = {True: 0, False: 0, "proper": 0}
         for game in lp_games(corpus_games):
             form = game.strategic_form()
-            steps, _, columns = dominance.iterated_elimination_ids(form)
-            for level, step in enumerate(steps[:-1]):
-                q_sets = [frozenset(part) for part in step]
-                for i in range(form.n):
-                    cols = columns[level][i]
-                    best = max(cols.row_sum[r] for r in q_sets[i])
-                    for sid in sorted(q_sets[i]):
-                        if cols.row_sum[sid] != best:
-                            continue
-                        with mock.patch.object(lp, "solve") as solve:
-                            assert dominance.dominating_mixture_ids(
-                                form, q_sets, i, sid) is None
-                        assert solve.call_count == 0
-                        result = fraction_simplex(full_slack_problem(
-                            form, q_sets, i, sid))
-                        assert result.status == "optimal"
-                        assert result.value <= 0
-                        seen += 1
-        assert seen >= 350, seen
+            _, _, columns = dominance.iterated_elimination_ids(form)
+            for level_columns in columns:
+                for i, cols in enumerate(level_columns):
+                    best_q = max(cols.row_sum[r] for r in cols.q_sets[i])
+                    best_s = max(cols.row_sum)
+                    for sid in cols.q_sets[i]:
+                        top = cols.row_sum[sid] == best_q
+                        assert top == (cols.row_sum[sid] == best_s)
+                        seen[top] += 1
+                        seen["proper"] += len(cols.q_sets[i]) < len(
+                            cols.row_sum)
+        assert seen[True] >= 350 and seen[False] >= 300, seen
+        assert seen["proper"] >= 100, seen
 
 
 class TestIteratedAdmissibility:

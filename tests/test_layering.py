@@ -1,14 +1,17 @@
 """Layering lint over the package source.
 
-Each module is parsed with ``ast`` and three rules are checked:
+Each module is parsed with ``ast`` and four rules are checked:
 
 * rationals become integers in one place: ``math.lcm`` is called only in
   ``hyperreal.py`` (``hyperreal.scaled``);
 * a mass's coefficients are decoded in one place: ``.coeffs`` is read only
   in ``hyperreal.py`` and ``beliefs.py``;
-* no module imports or reads another prudens module's underscore name.
+* no module imports or reads another prudens module's underscore name;
+* the simplex is asked in two places, one per LP question: ``lp.solve``
+  is called only inside ``dominance._justifier`` and
+  ``dominance._dominating_mixture``.
 
-A fourth rule keeps the soundness notes reachable: every section of
+A fifth rule keeps the soundness notes reachable: every section of
 ``docs/exactness.md`` that a citation names by title, from ``src/``,
 ``tests/`` or the README, or from inside the doc itself, is one of its
 ``##`` headings.
@@ -84,6 +87,65 @@ def test_no_module_reaches_into_anothers_private_names():
                   and isinstance(node.value, ast.Name)
                   and node.value.id in modules]
     assert not found, found
+
+
+class _SolveSites(ast.NodeVisitor):
+    """(innermost enclosing function, line) of every ``lp.solve`` call,
+    and the line of every import of ``solve`` from the lp module."""
+
+    def __init__(self):
+        self.functions = []
+        self.calls = []
+        self.imports = []
+
+    def visit_FunctionDef(self, node):
+        self.functions.append(node.name)
+        self.generic_visit(node)
+        self.functions.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr == "solve"
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "lp"):
+            self.calls.append((self.functions[-1] if self.functions
+                               else None, node.lineno))
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        if (node.module or "").split(".")[-1] == "lp" and any(
+                alias.name == "solve" for alias in node.names):
+            self.imports.append(node.lineno)
+
+
+def test_lp_solved_only_by_the_two_questions():
+    sites = set()
+    found = []
+    for stem, tree in trees():
+        visitor = _SolveSites()
+        visitor.visit(tree)
+        found += ["%s.py:%d imports lp.solve" % (stem, line)
+                  for line in visitor.imports]
+        for function, line in visitor.calls:
+            sites.add((stem, function))
+            if (stem, function) not in (("dominance", "_justifier"),
+                                        ("dominance", "_dominating_mixture")):
+                found.append("%s.py:%d calls lp.solve in %s" % (
+                    stem, line, function))
+    assert not found, found
+    assert sites == {("dominance", "_justifier"),
+                     ("dominance", "_dominating_mixture")}
+
+
+def test_solve_sites_are_found():
+    visitor = _SolveSites()
+    visitor.visit(ast.parse(
+        "from .lp import solve\nlp.solve(p)\n"
+        "def f():\n    def g():\n        return lp.solve(q)\n"))
+    assert visitor.calls == [(None, 2), ("g", 5)]
+    assert visitor.imports == [1]
 
 
 # A title in quotes, after the doc's name and a comma, or after "see"

@@ -120,40 +120,98 @@ class TestVerifyEquivalences:
 
     def test_twins_pose_each_lp_once(self, corpus_games, monkeypatch):
         """Every member of a twin class is asked for its slack and
-        justifier answers, but no (player, level, own row) question
-        poses a second LP."""
+        justifier answers, but no (kind, player, level, own row) question
+        poses a second LP.  Each LP is labelled by the question that
+        builds it, so a justifier LP posed by the elimination's keep test
+        is a justifier question."""
         from prudens import dominance, lp
-        asking = []
+        asking = []  # (player, level) of the public call under way
         asked = []
+        labels = []  # the LP question under way
         posed = []
 
-        def wrap(kind, real):
+        def public(real):
             def wrapper(form, q_sets, i, sid, cols=None):
-                row = dominance.Columns(form, i, q_sets).value[sid]
-                asking.append((kind, i, tuple(q_sets), tuple(row)))
-                asked.append(asking[-1])
+                asking.append((i, tuple(q_sets)))
+                asked.append(asking[-1] + (
+                    real.__name__,
+                    tuple(dominance.Columns(form, i, q_sets).value[sid])))
                 try:
                     return real(form, q_sets, i, sid, cols)
                 finally:
                     asking.pop()
             return wrapper
 
+        def question(kind, real):
+            def wrapper(cols, *args):
+                labels.append((kind,) + asking[-1]
+                              + (tuple(cols.value[args[-1]]),))
+                try:
+                    return real(cols, *args)
+                finally:
+                    labels.pop()
+            return wrapper
+
         real_solve = lp.solve
 
         def solve(problem):
-            posed.append(asking[-1])
+            posed.append(labels[-1])
             return real_solve(problem)
 
-        for kind, name in (("slack", "dominating_mixture_ids"),
-                           ("justifier", "justifier_ids")):
+        for name in ("dominating_mixture_ids", "justifier_ids"):
             monkeypatch.setattr(dominance, name,
-                                wrap(kind, getattr(dominance, name)))
+                                public(getattr(dominance, name)))
+        for kind, name in (("slack", "_dominating_mixture"),
+                           ("justifier", "_justifier")):
+            monkeypatch.setattr(dominance, name,
+                                question(kind, getattr(dominance, name)))
         monkeypatch.setattr(lp, "solve", solve)
-        assert verify_equivalences(corpus_games["centipede_3"])[
-            "all_verified"]
-        assert posed and len(posed) == len(set(posed))
-        assert {kind for kind, *_ in posed} == {"slack", "justifier"}
-        assert len(set(asked)) < len(asked)
+        kinds = set()
+        repeats = 0
+        # centipede_3 has twins; strict_mix_3x2 needs a slack tableau
+        for name in ("centipede_3", "strict_mix_3x2"):
+            del asked[:], posed[:]
+            assert verify_equivalences(corpus_games[name])["all_verified"]
+            assert posed and len(posed) == len(set(posed))
+            kinds |= {kind for kind, *_ in posed}
+            repeats += len(asked) - len(set(asked))
+        assert kinds == {"slack", "justifier"}
+        assert repeats > 0
+
+    def test_witness_phase_poses_no_lp(self, corpus_games, monkeypatch):
+        """The elimination keeps a strategy only by its justifier, stored
+        in the level's Columns, so once the run is built the witness
+        phase finds every justifier stored and calls the simplex zero
+        times."""
+        from prudens import lp, procedures
+        built = []
+
+        class Run(procedures._Run):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        real_solve = lp.solve
+        solves = {"elimination": 0, "witnesses": 0}
+
+        def solve(problem):
+            solves["witnesses" if built else "elimination"] += 1
+            return real_solve(problem)
+
+        monkeypatch.setattr(procedures, "_Run", Run)
+        monkeypatch.setattr(lp, "solve", solve)
+        games = [corpus_games[name] for name in sorted(corpus_games)]
+        games += small_games(30, max_players=3, max_strategies=6,
+                             max_histories=8)
+        witnesses = 0
+        for game in games:
+            built.clear()
+            report = verify_equivalences(game)
+            assert report["all_verified"] and len(built) == 1
+            witnesses += sum(report["witnesses"].values())
+        assert solves["witnesses"] == 0, solves
+        assert solves["elimination"] >= 50 and witnesses >= 500, (
+            solves, witnesses)
 
     def test_failing_twin_is_named_not_its_representative(
             self, corpus_games, monkeypatch):
