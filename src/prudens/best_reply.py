@@ -125,14 +125,16 @@ def expected_payoff(game, belief, i, r, h):
     """Conditional expected payoff of strategy r at history h.
 
     Unnormalized (common positive factor) for prior-generated systems,
-    normalized for explicit standard systems.  r must allow h.
+    normalized for explicit standard systems.  r must allow h, which is
+    looked up in the belief's own game.
     """
     form = belief.family.form
     sid = form.strategy_id(i, r)
     analysis = ReplyAnalysis(form, belief, i)
-    if h not in game.h_index:
+    h_idx = belief.family.game.h_index.get(h)
+    if h_idx is None:
         raise BestReplyError("unknown nonterminal history %r" % (h,))
-    return analysis.value(sid, game.h_index[h])
+    return analysis.value(sid, h_idx)
 
 
 def sequential_best_replies(game, belief, i):

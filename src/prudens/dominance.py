@@ -29,9 +29,11 @@ the behaviourally equivalent plans of a sequential game) get the same answer
 from both solvers, so a :class:`Columns` solves each question once per
 twin class and hands the answer to every member; each member's answer is
 still substituted on its own (see docs/exactness.md, "Twin-shared LP
-answers").  The justifier LP has one constraint per distinct rival row,
-so twins pose the identical LP (docs/exactness.md, "Deduplicated
-justifier rows").
+answers").  Every id-level question and substitution check takes i's
+``Columns`` over q_sets as ``cols``, so the elimination builds one per
+player and level, and a public query one.  The justifier LP has one
+constraint per distinct rival row, so twins pose the identical LP
+(docs/exactness.md, "Deduplicated justifier rows").
 """
 
 from fractions import Fraction
@@ -116,11 +118,7 @@ class Columns:
                            lambda: _justifier(self, sid))
 
 
-def _columns(form, i, q_sets, cols):
-    return cols if cols is not None else Columns(form, i, q_sets)
-
-
-def dominating_mixture_ids(form, q_sets, i, sid, cols=None):
+def dominating_mixture_ids(form, q_sets, i, sid, cols):
     """A mixture on Q_i weakly dominating sid against Q_{-i}, or None.
 
     A purely dominating row of Q_i is returned as is and a strategy with
@@ -131,7 +129,6 @@ def dominating_mixture_ids(form, q_sets, i, sid, cols=None):
     """
     if sid not in q_sets[i]:
         raise DominanceError("strategy must belong to its own restriction")
-    cols = _columns(form, i, q_sets, cols)
     return cols.shared(("slack", cols.twin[sid]),
                        lambda: _dominating_mixture(cols, sorted(q_sets[i]),
                                                    sid))
@@ -172,9 +169,8 @@ def _dominating_mixture(cols, q_i, sid):
     return {r: result.x[k] for k, r in enumerate(q_i) if result.x[k]}
 
 
-def mixture_dominates_ids(form, q_sets, i, sid, mixture, cols=None):
+def mixture_dominates_ids(form, q_sets, i, sid, mixture, cols):
     """Substitution check: weak inequality everywhere, strict somewhere."""
-    cols = _columns(form, i, q_sets, cols)
     payoff = form.payoff[i]
     strict = False
     items = list(mixture.items())
@@ -188,7 +184,7 @@ def mixture_dominates_ids(form, q_sets, i, sid, mixture, cols=None):
     return strict
 
 
-def justifier_ids(form, q_sets, i, sid, cols=None):
+def justifier_ids(form, q_sets, i, sid, cols):
     """A measure with support exactly Q_{-i} against which sid maximizes
     expected payoff over all own strategies, or None.
 
@@ -204,7 +200,7 @@ def justifier_ids(form, q_sets, i, sid, cols=None):
     returned without a tableau.  Twins pose the identical LP and so share
     the answer.
     """
-    return _columns(form, i, q_sets, cols).justifier(sid)
+    return cols.justifier(sid)
 
 
 def _justifier(cols, sid):
@@ -260,9 +256,8 @@ def justifier_problem(cols, sid):
     return lp.LPProblem(objective, rows, rhs)
 
 
-def measure_justifies_ids(form, q_sets, i, sid, measure, cols=None):
+def measure_justifies_ids(form, q_sets, i, sid, measure, cols):
     """Substitution check: exact support, total mass 1, argmax membership."""
-    cols = _columns(form, i, q_sets, cols)
     if {c for c, p in measure.items() if p} != cols.co_event:
         return False
     if any(p < 0 for p in measure.values()):
@@ -323,10 +318,11 @@ def weakly_dominated(game, Q, i, s):
     form = game.strategic_form()
     sid = form.strategy_id(i, s)
     q_sets = form.ids_from_restriction(Q)
-    mixture = dominating_mixture_ids(form, q_sets, i, sid)
+    cols = Columns(form, i, q_sets)
+    mixture = dominating_mixture_ids(form, q_sets, i, sid, cols)
     if mixture is None:
         return None
-    if not mixture_dominates_ids(form, q_sets, i, sid, mixture):
+    if not mixture_dominates_ids(form, q_sets, i, sid, mixture, cols):
         raise DominanceError("dominating mixture failed substitution check")
     return MixedStrategy(i, {form.strats[i][r]: w
                              for r, w in mixture.items()})
@@ -338,10 +334,11 @@ def justifying_full_support_measure(game, Q, i, s):
     form = game.strategic_form()
     sid = form.strategy_id(i, s)
     q_sets = form.ids_from_restriction(Q)
-    measure = justifier_ids(form, q_sets, i, sid)
+    cols = Columns(form, i, q_sets)
+    measure = justifier_ids(form, q_sets, i, sid, cols)
     if measure is None:
         return None
-    if not measure_justifies_ids(form, q_sets, i, sid, measure):
+    if not measure_justifies_ids(form, q_sets, i, sid, measure, cols):
         raise DominanceError("justifier failed substitution check")
     return {form.co_profile_strategies(i, coid): p
             for coid, p in measure.items()}

@@ -41,7 +41,8 @@ nu_0, ..., nu_{n-1}.  The prior weighs nu_ell by e^ell and gives nu_0
 the complementary weight 1 - e - ... - e^{n-1}, so the masses sum to
 exactly 1 without dividing polynomials.  The explicit system is its
 standard part: at each event, the conditional of the first nu_ell
-giving the event positive mass.
+giving the event positive mass.  ``_Run.belief`` builds each prior
+once and hands each family its belief.
 Best-reply membership is checked with the weak sequential correspondence
 (optimality at every history the strategy allows); see the package docs
 for why the strict replacement form cannot support the step equalities.
@@ -230,14 +231,19 @@ class _Run:
             self._justifiers[key] = measure
         return self._justifiers[key]
 
-    def prior(self, i, n, chain, ladder):
-        """The ladder prior of i's step-n survivors with this chain, built
-        from the first member's ladder; both witness families read it."""
+    def belief(self, procedure, i, n, chain, ladder):
+        """The procedure's belief for i's step-n survivors with this
+        chain: the ladder prior (pr-cnps) or an explicit system of its
+        standard part (pr-cps).  The prior is built once per (player,
+        step, chain), from the first member's ladder, for both."""
         key = (i, n, chain)
         if key not in self._priors:
             self._priors[key] = PriorCNPS(self.families[i],
                                           _ladder_prior(self, i, ladder))
-        return self._priors[key]
+        prior = self._priors[key]
+        if procedure == PR_CNPS:
+            return prior
+        return ExplicitCPS(self.families[i], prior.standard_part())
 
     def _violation(self, what, n, i, strategy, checks, exc=None):
         msg = "%s at step %d for %s of player %s failed: %s" % (
@@ -287,7 +293,8 @@ class _Run:
         analysis; each still has its own best-reply membership checked.
         """
         t0 = time.perf_counter()
-        build, audit = _FAMILIES[procedure]
+        audit = (_verify_cnps_witness if procedure == PR_CNPS
+                 else _verify_cps_witness)
         form = self.form
         table = {}
         for n in range(1, self.fixpoint + 2):
@@ -302,7 +309,8 @@ class _Run:
                                   for ell in range(n)]
                         if chain not in shared:
                             stage = "belief-valid"
-                            belief = build(self, i, n, chain, ladder)
+                            belief = self.belief(procedure, i, n, chain,
+                                                 ladder)
                             stage = "audit"
                             shared[chain] = (
                                 belief, audit(self, belief, i, n),
@@ -402,20 +410,6 @@ def prudent_rationalizability_cps(game):
     every history, and best-reply membership.
     """
     return _Run(game.strategic_form()).trace(PR_CPS)
-
-
-# Per witness family: the belief of a (player, step, chain), built from
-# the first member's justifier ladder, and its sid-independent audit;
-# best-reply membership is checked per survivor by ``_Run.witnesses``.
-# The classes are looked up when called, so that replacing the module
-# attribute takes effect.
-_FAMILIES = {
-    PR_CNPS: (_Run.prior, _verify_cnps_witness),
-    PR_CPS: (lambda run, i, n, chain, ladder: ExplicitCPS(
-                 run.families[i],
-                 run.prior(i, n, chain, ladder).standard_part()),
-             _verify_cps_witness),
-}
 
 
 # -- cross-verification --------------------------------------------------

@@ -12,6 +12,8 @@ from fractions import Fraction
 
 from .dsl import GameDoc, GameDocError, elaborate
 
+MAX_PASSES = 20  # rounds of the three edit passes, at most
+
 
 def _holds(doc, predicate):
     try:
@@ -71,10 +73,10 @@ def _zero_payoff(doc, path, i):
     return GameDoc(doc.players, doc.stages, payoffs)
 
 
-def shrink_document(doc, predicate, max_passes=20):
+def shrink_document(doc, predicate):
     """Smallest document (under the edit set) still failing the predicate."""
     current = doc
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         changed = False
         for path in _collapse_candidates(current):
             if path not in current.stages:

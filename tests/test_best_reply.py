@@ -91,6 +91,21 @@ class TestExpectedPayoff:
                            % game.players[0]):
             expected_payoff(game, belief, 0, foreign, ())
 
+    def test_history_is_looked_up_in_the_beliefs_game(self, corpus_games):
+        """Both games have one history at index 1, /(go,go) and /(In,w).
+        Asked through the other game, a history of that game is unknown
+        to the belief, and one of the belief's own game is answered."""
+        game = corpus_games["two_stage_coordination"]
+        other = corpus_games["bos_outside_option"]
+        belief = random_prior(game, 0, random.Random(4))
+        r = game.strategies(0)[0]
+        own, foreign = game.nonterminal[1], other.nonterminal[1]
+        assert other.h_index[foreign] == game.h_index[own] == 1
+        with pytest.raises(BestReplyError, match="unknown nonterminal"):
+            expected_payoff(other, belief, 0, r, foreign)
+        assert expected_payoff(other, belief, 0, r, own) == \
+            expected_payoff(game, belief, 0, r, own)
+
 
 class TestBeliefOwner:
     """A belief answers its holder's questions only: read as another

@@ -124,6 +124,44 @@ class TestForeignArguments:
                 other.full_restriction())
 
 
+class TestOneColumnsPerQuery:
+    """Each public query builds one Columns and hands it to both its LP
+    question and its substitution check."""
+
+    @pytest.mark.parametrize("query,question,check", [
+        (weakly_dominated, "dominating_mixture_ids", "mixture_dominates_ids"),
+        (justifying_full_support_measure, "justifier_ids",
+         "measure_justifies_ids")])
+    def test_one_columns_per_query(self, corpus_games, monkeypatch, query,
+                                   question, check):
+        built, handed = [], []
+
+        class Counted(dominance.Columns):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        def handing(real):
+            def wrapper(*args):
+                handed.append(args[-1])
+                return real(*args)
+            return wrapper
+
+        for name in (question, check):
+            monkeypatch.setattr(dominance, name,
+                                handing(getattr(dominance, name)))
+        monkeypatch.setattr(dominance, "Columns", Counted)
+        game = corpus_games["strict_mix_3x2"]
+        answered = 0
+        for s in game.strategies(0):
+            del built[:], handed[:]
+            answer = query(game, game.full_restriction(), 0, s)
+            assert len(built) == 1
+            assert handed == built * (1 if answer is None else 2)
+            answered += answer is not None
+        assert 0 < answered < len(game.strategies(0))
+
+
 class TestJustifier:
     def test_dominant_strategy_gets_full_support_measure(self, corpus_games):
         game = corpus_games["prisoners_dilemma"]
@@ -230,14 +268,17 @@ class TestTwinSharing:
                     for sid in members:
                         assert dominance.justifier_ids(
                             form, q_sets, i, sid, shared) == \
-                            dominance.justifier_ids(form, q_sets, i, sid)
+                            dominance.justifier_ids(
+                                form, q_sets, i, sid,
+                                dominance.Columns(form, i, q_sets))
                     alive = [sid for sid in members if sid in q_sets[i]]
                     seen["slack"] += len(alive) > 1
                     for sid in alive:
                         assert dominance.dominating_mixture_ids(
                             form, q_sets, i, sid, shared) == \
                             dominance.dominating_mixture_ids(
-                                form, q_sets, i, sid)
+                                form, q_sets, i, sid,
+                                dominance.Columns(form, i, q_sets))
                 # the elimination's own keep tests store answers too, so
                 # require only the classes asked about here, each once
                 # under its least member
@@ -267,7 +308,8 @@ def posed_justifiers(game):
             cols = dominance.Columns(form, i, q_sets)
             for sid in range(form.counts[i]):
                 problem = dominance.justifier_problem(cols, sid)
-                measure = dominance.justifier_ids(form, q_sets, i, sid)
+                measure = dominance.justifier_ids(
+                    form, q_sets, i, sid, dominance.Columns(form, i, q_sets))
                 out.append((q_sets, cols, i, sid, problem, measure))
     return form, out
 
@@ -302,7 +344,7 @@ class TestDeduplicatedJustifier:
                 if measure is not None:
                     seen["justified"] += 1
                     assert dominance.measure_justifies_ids(
-                        form, q_sets, i, sid, measure)
+                        form, q_sets, i, sid, measure, cols)
         assert seen["lps"] >= 600 and seen["dropped"] >= 300, seen
         assert seen["justified"] >= 300, seen
 
@@ -340,7 +382,7 @@ class TestDeduplicatedJustifier:
         assert cols.groups == [[0], [1], [2], [3], [4]]
         assert cols.value[3] == [1, -1, Fraction(-1, 2), 1, 0]
 
-        measure = dominance.justifier_ids(form, q_sets, 0, 3)
+        measure = dominance.justifier_ids(form, q_sets, 0, 3, cols)
         full = lp.solve(full_justifier_problem(cols.value, 3))
         assert full.value == Fraction(2, 11)
         assert min(measure.values()) == full.value
@@ -348,7 +390,8 @@ class TestDeduplicatedJustifier:
         assert [measure[g] * 11 for g in range(5)] == [3, 2, 2, 2, 2]
         assert [vertex[g] * 11 for g in range(5)] == [2, 2, 2, 3, 2]
         for nu in (measure, vertex):
-            assert dominance.measure_justifies_ids(form, q_sets, 0, 3, nu)
+            assert dominance.measure_justifies_ids(form, q_sets, 0, 3, nu,
+                                                   cols)
 
 
 def spread(cols, nu):
@@ -379,8 +422,10 @@ class TestUniformMeasure:
         for game in lp_games(corpus_games):
             form, posed = posed_justifiers(game)
             for q_sets, cols, i, sid, _, _ in posed:
+                fresh = dominance.Columns(form, i, q_sets)
                 with mock.patch.object(lp, "solve", wraps=lp.solve) as solve:
-                    measure = dominance.justifier_ids(form, q_sets, i, sid)
+                    measure = dominance.justifier_ids(form, q_sets, i, sid,
+                                                      fresh)
                 if cols.row_sum[sid] != max(cols.row_sum):
                     assert solve.call_count == 1
                     seen["lp"] += 1
@@ -394,7 +439,7 @@ class TestUniformMeasure:
                 assert measure == spread(
                     cols, [full.x[0] + full.x[1 + g] for g in range(ngroups)])
                 assert dominance.measure_justifies_ids(form, q_sets, i, sid,
-                                                       measure)
+                                                       measure, cols)
                 seen["shortcut"] += 1
         assert seen["shortcut"] >= 400 and seen["lp"] >= 500, seen
 
@@ -426,7 +471,8 @@ class TestKeepByJustifier:
         seen = {"kept": 0, "excluded": 0, "justifier_lp": 0, "slack_lp": 0}
         for game in lp_games(corpus_games):
             for form, q_sets, i, sid in elimination_questions(game):
-                justifier = dominance.justifier_ids(form, q_sets, i, sid)
+                justifier = dominance.justifier_ids(
+                    form, q_sets, i, sid, dominance.Columns(form, i, q_sets))
                 cols = dominance.Columns(form, i, q_sets)
                 with mock.patch.object(lp, "solve", wraps=lp.solve) as solve:
                     mixture = dominance.dominating_mixture_ids(
@@ -436,7 +482,7 @@ class TestKeepByJustifier:
                 if justifier is None:
                     assert mixture is not None
                     assert dominance.mixture_dominates_ids(
-                        form, q_sets, i, sid, mixture)
+                        form, q_sets, i, sid, mixture, cols)
                     seen["excluded"] += 1
                     seen["slack_lp"] += any(p != own for p in posed)
                     continue

@@ -1,6 +1,6 @@
 """Layering lint over the package source.
 
-Each module is parsed with ``ast`` and four rules are checked:
+Each module is parsed with ``ast`` and five rules are checked:
 
 * rationals become integers in one place: ``math.lcm`` is called only in
   ``hyperreal.py`` (``hyperreal.scaled``);
@@ -9,9 +9,12 @@ Each module is parsed with ``ast`` and four rules are checked:
 * no module imports or reads another prudens module's underscore name;
 * the simplex is asked in two places, one per LP question: ``lp.solve``
   is called only inside ``dominance._justifier`` and
-  ``dominance._dominating_mixture``.
+  ``dominance._dominating_mixture``;
+* a level's ``Columns`` is built in one module and handed on: the four
+  id-level dominance questions take ``cols`` with no default, and
+  ``Columns(...)`` is called only in ``dominance.py``.
 
-A fifth rule keeps the soundness notes reachable: every section of
+A sixth rule keeps the soundness notes reachable: every section of
 ``docs/exactness.md`` that a citation names by title, from ``src/``,
 ``tests/`` or the README, or from inside the doc itself, is one of its
 ``##`` headings.
@@ -146,6 +149,34 @@ def test_solve_sites_are_found():
         "def f():\n    def g():\n        return lp.solve(q)\n"))
     assert visitor.calls == [(None, 2), ("g", 5)]
     assert visitor.imports == [1]
+
+
+QUESTIONS = ("dominating_mixture_ids", "justifier_ids",
+             "mixture_dominates_ids", "measure_justifies_ids")
+
+
+def test_questions_take_their_levels_columns():
+    found = []
+    signatures = {}
+    for stem, tree in trees():
+        if stem == "dominance":
+            signatures = {node.name: node.args for node in tree.body
+                          if isinstance(node, ast.FunctionDef)
+                          and node.name in QUESTIONS}
+            continue
+        found += ["%s builds Columns" % where(stem, node)
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and getattr(node.func, "id",
+                              getattr(node.func, "attr", None)) == "Columns"]
+    assert set(signatures) == set(QUESTIONS)
+    for name, args in signatures.items():
+        names = [arg.arg for arg in args.args]
+        # perfbench reads the leading four from every call it traces
+        if names[:4] != ["form", "q_sets", "i", "sid"] or names[-1] != "cols":
+            found.append("dominance.%s(%s)" % (name, ", ".join(names)))
+        if args.defaults or args.kwonlyargs or args.vararg or args.kwarg:
+            found.append("dominance.%s has optional arguments" % name)
+    assert not found, found
 
 
 # A title in quotes, after the doc's name and a comma, or after "see"

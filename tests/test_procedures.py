@@ -61,7 +61,7 @@ class TestVerifyEquivalences:
             "T: 1,1 1,0\nB: 1,0 0,1\n"))
         original = dom.justifier_ids
 
-        def broken(form, q_sets, i, sid, cols=None):
+        def broken(form, q_sets, i, sid, cols):
             return None
 
         monkeypatch.setattr(dom, "justifier_ids", broken)
@@ -105,7 +105,7 @@ class TestVerifyEquivalences:
         target = next(s for s in game.strategies(0) if s.name() == "B")
         real = dominance.dominating_mixture_ids
 
-        def self_mixture(form, q_sets, i, sid, cols=None):
+        def self_mixture(form, q_sets, i, sid, cols):
             if i == 0 and form.strats[i][sid] == target:
                 return {sid: Fraction(1)}  # equal payoffs: never strict
             return real(form, q_sets, i, sid, cols)
@@ -131,7 +131,7 @@ class TestVerifyEquivalences:
         posed = []
 
         def public(real):
-            def wrapper(form, q_sets, i, sid, cols=None):
+            def wrapper(form, q_sets, i, sid, cols):
                 asking.append((i, tuple(q_sets)))
                 asked.append(asking[-1] + (
                     real.__name__,
@@ -228,7 +228,7 @@ class TestVerifyEquivalences:
             if rep != sid and {rep, sid} <= set(survivors[i]))
         real = dominance.measure_justifies_ids
 
-        def fails_for_twin(form, q_sets, player, sid, measure, cols=None):
+        def fails_for_twin(form, q_sets, player, sid, measure, cols):
             if (player, sid) == (i, twin):
                 return False
             return real(form, q_sets, player, sid, measure, cols)
@@ -360,8 +360,7 @@ class TestVerifyEquivalences:
         entry_points = (verify_equivalences, prudent_rationalizability_cps)
         for entry, (i, member, failing) in itertools.product(
                 entry_points, sorted(cases)):
-            def fails_for_member(form, q_sets, player, sid, measure,
-                                 cols=None):
+            def fails_for_member(form, q_sets, player, sid, measure, cols):
                 if (player, sid, q_level[tuple(q_sets)]) == (
                         i, member, failing):
                     return False
