@@ -8,12 +8,14 @@ positive normalizing factor).  An :class:`ExplicitCPS` is an explicit
 per-event array of standard (rational-valued) measures; nothing ties its
 entries together until the chain rule is validated.
 
-Nothing outside this module decodes a mass: both classes answer
-``layers`` (integer layers, one per power of e for a prior and one for a
-table, for ``best_reply``'s dot products) and ``leading_degree``.  A
-prior's ``standard_part`` is the explicit table of its conditionals'
-standard parts, read off its layers (docs/exactness.md, "The CPS witness
-is the standard part of the ladder").
+Both classes store integer layers: a prior one per power of e, a table
+one per event.  Nothing outside this module decodes a mass: both answer
+``layers`` (for ``best_reply``'s dot products) and ``leading_degree``,
+and build Hyperreals or Fractions only for ``prior``, ``table`` and
+reports.  A prior's ``standard_part`` is the explicit table of its
+conditionals' standard parts, read off its layers (docs/exactness.md,
+"The CPS witness is the standard part of the ladder"); the chain rule is
+checked in integers (docs/exactness.md, "Integers from the source").
 
 Conditioning events are the sets of co-player profiles allowing each
 history.  Two histories inducing the same set share one event; operators
@@ -27,7 +29,7 @@ import warnings
 from fractions import Fraction
 
 from .game import format_path
-from .hyperreal import Hyperreal, as_fraction, exact_sum, scaled
+from .hyperreal import Hyperreal, as_fraction, scaled
 
 
 class BeliefError(Exception):
@@ -66,49 +68,55 @@ class ConditioningFamily:
 class PriorCNPS:
     """Belief system generated by conditioning a full-support prior.
 
-    ``prior`` maps each co-profile id to a positive Hyperreal; the values
-    sum to exactly 1.  Conditionals are plain restrictions.  One pass
-    over the coefficients keeps per-degree integer layers over all
-    co-profiles and one leading degree per co-profile.  ``full_support``
-    and ``total``, which audits report instead of summing again, are
-    read from them.
+    ``prior`` maps each co-profile id to a positive Hyperreal, or is its
+    integer layers ``[(ints, den), ...]``, one per power of e, with their
+    ``degree_bound``; the masses sum to exactly 1.  Conditionals are plain
+    restrictions.  The layers and one leading degree per co-profile are
+    kept, ``full_support`` and ``sums_to_one`` are read from them in
+    integers, and ``prior`` and ``total`` on request.
     """
 
     standard = False
 
-    def __init__(self, family, prior):
+    def __init__(self, family, prior, degree_bound=None):
         self.family = family
-        self.prior = dict(prior)
         form, i = family.form, family.owner
-        if set(self.prior) != set(range(len(form.co_profiles[i]))):
+        count = len(form.co_profiles[i])
+        if isinstance(prior, dict):
+            prior, degree_bound = _prior_layers(prior, count)
+        if any(len(ints) != count for ints, _ in prior):
             raise BeliefError("prior must cover every co-player profile")
-        self.degree_bound = None
-        coeffs = [None] * len(self.prior)
-        for coid, mass in self.prior.items():
-            if not isinstance(mass, Hyperreal):
-                raise BeliefError("prior values must be Hyperreal")
-            if self.degree_bound is None:
-                self.degree_bound = mass.degree_bound
-            elif mass.degree_bound != self.degree_bound:
-                raise ValueError("degree bound mismatch: %d vs %d"
-                                 % (self.degree_bound, mass.degree_bound))
-            coeffs[coid] = mass.coeffs
-        width = max(map(len, coeffs))
-        self._layers = [scaled(layer) for layer in zip(
-            *[cs + (0,) * (width - len(cs)) for cs in coeffs])]
-        self._depths = [next((d for d, c in enumerate(cs) if c), None)
-                        for cs in coeffs]
-        self.full_support = all(
-            d is not None and self._layers[d][0][coid] > 0
+        self.degree_bound = degree_bound
+        self._layers = prior
+        self._prior = None
+        self._depths = [next((d for d, v in enumerate(column) if v), None)
+                        for column in zip(*(ints for ints, _ in prior))]
+        self.full_support = bool(prior) and all(
+            d is not None and prior[d][0][coid] > 0
             for coid, d in enumerate(self._depths))
-        self.total = Hyperreal([Fraction(sum(ints), den)
-                                for ints, den in self._layers],
-                               self.degree_bound)
         if not self.full_support:
             raise BeliefError("prior must have full support")
-        if self.total != 1:
+        (ints, den), deeper = prior[0], prior[1:]
+        self.sums_to_one = sum(ints) == den and not any(
+            sum(ints) for ints, _ in deeper)
+        if not self.sums_to_one:
             raise BeliefError("prior masses must sum to 1, got %s"
                               % self.total)
+
+    @property
+    def prior(self):
+        """Each co-profile id's mass, a Hyperreal read off the layers."""
+        if self._prior is None:
+            self._prior = {coid: Hyperreal(
+                [Fraction(ints[coid], den) for ints, den in self._layers],
+                self.degree_bound) for coid in range(len(self._depths))}
+        return self._prior
+
+    @property
+    def total(self):
+        """The sum of the masses, a Hyperreal read off the layers."""
+        return Hyperreal([Fraction(sum(ints), den)
+                          for ints, den in self._layers], self.degree_bound)
 
     @classmethod
     def from_profile_map(cls, game, owner, mapping):
@@ -140,13 +148,14 @@ class PriorCNPS:
 
     def standard_part(self):
         """The standard part of the conditional at each event, as an
-        explicit table: the event's layer of least depth over its sum
-        there, where every deeper co-profile has coefficient 0."""
+        explicit table of integer layers (``ExplicitCPS``): the event's
+        layer of least depth over its sum there, where every deeper
+        co-profile has coefficient 0."""
         table = {}
         for ev, _ in self.family.events:
             ints = self._layers[min(self._depths[c] for c in ev)][0]
-            total = sum(ints[c] for c in ev)
-            table[ev] = {c: Fraction(ints[c], total) for c in ev if ints[c]}
+            on = {c: ints[c] for c in ev if ints[c]}
+            table[ev] = (on, sum(on.values()))
         return table
 
     def to_json(self):
@@ -164,55 +173,90 @@ class PriorCNPS:
         }
 
 
+def _prior_layers(prior, count):
+    """A map from every co-profile id to its Hyperreal mass as integer
+    layers, one (ints, den) per power of e, and the masses' degree
+    bound."""
+    if set(prior) != set(range(count)):
+        raise BeliefError("prior must cover every co-player profile")
+    degree_bound = None
+    coeffs = [None] * count
+    for coid, mass in prior.items():
+        if not isinstance(mass, Hyperreal):
+            raise BeliefError("prior values must be Hyperreal")
+        if degree_bound is None:
+            degree_bound = mass.degree_bound
+        elif mass.degree_bound != degree_bound:
+            raise ValueError("degree bound mismatch: %d vs %d"
+                             % (degree_bound, mass.degree_bound))
+        coeffs[coid] = mass.coeffs
+    width = max(map(len, coeffs))
+    return [scaled(layer) for layer in zip(
+        *[cs + (0,) * (width - len(cs)) for cs in coeffs])], degree_bound
+
+
 class ExplicitCPS:
     """Explicit array of standard conditional measures, one per event,
-    keyed by exactly the family's conditioning events."""
+    keyed by exactly the family's conditioning events.
+
+    Each event's measure is kept as one integer layer (on, total), c's
+    probability being ``on[c] / total``.  ``table`` gives it so, as
+    ``PriorCNPS.standard_part`` does, or maps co-profile ids to
+    rationals, scaled once; the ``table`` attribute is a rational view.
+    """
 
     standard = True
 
     def __init__(self, family, table):
         self.family = family
-        self.table = {frozenset(ev): dict(dist) for ev, dist in table.items()}
+        self._table = {frozenset(ev): dist for ev, dist in table.items()}
         events = [ev for ev, _ in family.events]
         for ev in events:
-            if ev not in self.table:
+            if ev not in self._table:
                 raise IncompleteTable("missing conditioning event")
-        if len(self.table) > len(events):
+        if len(self._table) > len(events):
             raise BeliefError("table has an entry for a set that is not a "
                               "conditioning event")
-        for ev, dist in self.table.items():
-            for coid, p in dist.items():
-                p = as_fraction(p)
-                if p < 0:
+        for ev, dist in self._table.items():
+            if not isinstance(dist, tuple):
+                ints, den = scaled([as_fraction(p) for p in dist.values()])
+                dist = self._table[ev] = (dict(zip(dist, ints)), den)
+            on, total = dist
+            for coid, n in on.items():
+                if n < 0:
                     raise BeliefError("negative probability")
-                if p > 0 and coid not in ev:
+                if n > 0 and coid not in ev:
                     raise BeliefError(
                         "measure puts weight outside its conditioning event")
-                dist[coid] = p
-            if exact_sum(list(dist.values())) != 1:
+            if total <= 0 or sum(on.values()) != total:
                 raise BeliefError("conditional measure must sum to 1")
+
+    @property
+    def table(self):
+        """Per event, each stored co-profile id's probability."""
+        return {ev: {c: Fraction(n, total) for c, n in on.items()}
+                for ev, (on, total) in self._table.items()}
 
     def layers(self, event_ids, coids):
         """The event's probabilities of coids as one layer [(ints, den)]."""
-        dist = self.table[frozenset(event_ids)]
-        return [scaled([dist.get(c, 0) for c in coids])]
+        on, total = self._table[frozenset(event_ids)]
+        return [([on.get(c, 0) for c in coids], total)]
 
     def leading_degree(self, event_ids, coid):
         """0 for a positive probability at the event, None for zero."""
-        return 0 if self.table[frozenset(event_ids)].get(coid) else None
+        return 0 if self._table[frozenset(event_ids)][0].get(coid) else None
 
     def conditional(self, h):
         """The stored (normalized) conditional measure at h, keyed by
         co-profile."""
         form, i = self.family.form, self.family.owner
-        ev = self.family.event_for_history(h)
-        dist = self.table[ev]
-        return {form.co_profile_strategies(i, coid): p
-                for coid, p in sorted(dist.items())}
+        on, total = self._table[self.family.event_for_history(h)]
+        return {form.co_profile_strategies(i, coid): Fraction(n, total)
+                for coid, n in sorted(on.items())}
 
     def support(self, event_ids):
-        dist = self.table[frozenset(event_ids)]
-        return frozenset(c for c, p in dist.items() if p > 0)
+        on, _ = self._table[frozenset(event_ids)]
+        return frozenset(c for c, n in on.items() if n > 0)
 
     def to_json(self):
         form, i = self.family.form, self.family.owner
@@ -221,14 +265,14 @@ class ExplicitCPS:
                "co_players": [game.players[j] for j in form.co_players[i]],
                "events": []}
         for ev, h_idxs in self.family.events:
-            dist = self.table[ev]
+            on, total = self._table[ev]
             out["events"].append({
                 "histories": [
                     format_path(game.nonterminal[k]) for k in h_idxs],
                 "distribution": [
                     {"profile": [s.name() for s in
                                  form.co_profile_strategies(i, coid)],
-                     "mass": str(dist.get(coid, Fraction(0)))}
+                     "mass": str(Fraction(on.get(coid, 0), total))}
                     for coid in sorted(ev)],
             })
         return out
@@ -241,23 +285,26 @@ def validate_chain_rule(cps):
 
     For rational-valued conditional measures, checking singleton events E
     suffices: both sides of the identity are additive in E, so equality on
-    singletons extends to every subset of D.  Returns (ok, violations)
-    where each violation is (coid, D, C, lhs, rhs).
+    singletons extends to every subset of D, where it is checked on the
+    integer layers as ``on_C[c] T_D == on_D[c] (sum of on_C over D)``.
+    Returns (ok, violations) where each violation is (coid, D, C, lhs,
+    rhs), the two sides as rationals.
     """
     events = [ev for ev, _ in cps.family.events]
     violations = []
     for c_ev in events:
-        on_c = cps.table[c_ev]
+        on_c, t_c = cps._table[c_ev]
         for d_ev in events:
             if d_ev == c_ev or not d_ev <= c_ev:
                 continue
-            on_d = cps.table[d_ev]
+            on_d, t_d = cps._table[d_ev]
             d_in_c = sum(on_c.get(coid, 0) for coid in d_ev)
             for coid in d_ev:
                 lhs = on_c.get(coid, 0)
-                rhs = on_d.get(coid, 0) * d_in_c
-                if lhs != rhs:
-                    violations.append((coid, d_ev, c_ev, lhs, rhs))
+                rhs = on_d.get(coid, 0)
+                if lhs * t_d != rhs * d_in_c:
+                    violations.append((coid, d_ev, c_ev, Fraction(lhs, t_c),
+                                       Fraction(rhs * d_in_c, t_d * t_c)))
     return (not violations), violations
 
 

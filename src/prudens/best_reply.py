@@ -6,10 +6,10 @@ are kept unnormalized; argmax sets are invariant to the common scaling.
 
 Every expected payoff is computed in integers.  The strategic form groups
 the player's strategies into twin classes, one per distinct payoff row
-over the conditioning event, with the rows scaled to integers over one
-common denominator (``StrategicForm.twin_classes``).  The belief hands
-out its masses as integer layers (``layers``: one for a standard
-measure, one per power of e for a prior), each over a common
+over the conditioning event, with the rows in the form's integers over
+the player's payoff denominator (``StrategicForm.twin_classes``).  The
+belief hands out its masses as integer layers (``layers``: one for a
+standard measure, one per power of e for a prior), each over a common
 denominator.  One integer dot product per class and layer then serves
 every member of the class: argmax sets compare these totals directly,
 since all classes share each layer's denominator, and a value is built

@@ -33,14 +33,16 @@ answers").  Every id-level question and substitution check takes i's
 ``Columns`` over q_sets as ``cols``, so the elimination builds one per
 player and level, and a public query one.  The justifier LP has one
 constraint per distinct rival row, so twins pose the identical LP
-(docs/exactness.md, "Deduplicated justifier rows").
+(docs/exactness.md, "Deduplicated justifier rows").  Both LPs are
+posed in the form's integers, as exactly the payoff denominator times
+the rational problem, which keeps the simplex's pivots and vertex.
 """
 
 from fractions import Fraction
 
 from . import lp
 from .best_reply import best_replies_to_measure
-from .hyperreal import as_fraction, exact_sum
+from .hyperreal import as_fraction, exact_sum, scaled
 
 
 class DominanceError(Exception):
@@ -77,20 +79,22 @@ class Columns:
 
     ``q_sets`` is the restriction it was built from (one id set per
     player), ``co_event`` its set of co-profiles and ``co_ids`` the same
-    sorted.  ``twin[r]`` is the least own strategy whose row in
-    ``value`` equals r's, and ``row_sum[r]`` the sum of that row, r's
-    payoff against the measure uniform over the distinct columns times
-    their number.  ``answers`` keeps each LP question's answer per twin
-    class, so that one Columns object poses each question once.
+    sorted.  ``value`` holds true payoffs times ``den``, as integers.
+    ``twin[r]`` is the least own strategy whose row in ``value`` equals
+    r's, and ``row_sum[r]`` the sum of that row, r's payoff against the
+    measure uniform over the distinct columns times their number and den.
+    ``answers`` keeps each LP question's answer per twin class, so that
+    one Columns object poses each question once.
     """
 
-    __slots__ = ("q_sets", "co_event", "co_ids", "groups", "value", "twin",
-                 "row_sum", "answers")
+    __slots__ = ("q_sets", "co_event", "co_ids", "den", "groups", "value",
+                 "twin", "row_sum", "answers")
 
     def __init__(self, form, i, q_sets):
         self.q_sets = q_sets
         self.co_event = form.co_restriction(i, q_sets)
         self.co_ids = sorted(self.co_event)
+        self.den = form.payoff_den[i]
         payoff = form.payoff[i]
         count = form.counts[i]
         grouped = {}
@@ -102,7 +106,7 @@ class Columns:
         first = {}
         self.twin = [first.setdefault(tuple(row), r)
                      for r, row in enumerate(self.value)]
-        self.row_sum = [exact_sum(row) for row in self.value]
+        self.row_sum = [sum(row) for row in self.value]
         self.answers = {}
 
     def shared(self, question, solve):
@@ -151,16 +155,18 @@ def _dominating_mixture(cols, q_i, sid):
     if cols.justifier(sid) is not None:
         return None
 
-    zero, one = lp.ZERO, lp.ONE
-    # columns: sigma weights over Q_i, then one slack per distinct column
-    rows = [[one] * len(q_i) + [zero] * ngroups]
-    rhs = [one]
+    # columns: sigma weights over Q_i, then one slack per distinct column;
+    # every row is den times the rational one (docs/exactness.md,
+    # "Integers from the source")
+    den = cols.den
+    rows = [[den] * len(q_i) + [0] * ngroups]
+    rhs = [den]
     for g in range(ngroups):
         row = [value[r][g] for r in q_i]
-        row += [-one if g == j else zero for j in range(ngroups)]
+        row += [-den if g == j else 0 for j in range(ngroups)]
         rows.append(row)
         rhs.append(own[g])
-    objective = [zero] * len(q_i) + [one] * ngroups
+    objective = [0] * len(q_i) + [1] * ngroups
     result = lp.solve(lp.LPProblem(objective, rows, rhs))
     if result.status != "optimal":
         raise DominanceError("slack LP must be solvable, got %s" % result.status)
@@ -170,13 +176,15 @@ def _dominating_mixture(cols, q_i, sid):
 
 
 def mixture_dominates_ids(form, q_sets, i, sid, mixture, cols):
-    """Substitution check: weak inequality everywhere, strict somewhere."""
+    """Substitution check: weak inequality everywhere, strict somewhere,
+    in integers (the weights scaled once)."""
     payoff = form.payoff[i]
     strict = False
-    items = list(mixture.items())
+    weights, den = scaled(list(mixture.values()))
+    items = list(zip(mixture, weights))
     for coid in cols.co_ids:
-        mixed = sum((w * payoff[r][coid] for r, w in items), Fraction(0))
-        own = payoff[sid][coid]
+        mixed = sum(w * payoff[r][coid] for r, w in items)
+        own = den * payoff[sid][coid]
         if mixed < own:
             return False
         if mixed > own:
@@ -232,8 +240,9 @@ def _justifier(cols, sid):
 def justifier_problem(cols, sid):
     """The justifier LP of own strategy sid over cols, as posed to the
     simplex: maximize m subject to G m + sum_g w_g = 1 and one row
-    sum_g (value[sid][g] - value[r][g]) (m + w_g) - s_r = 0 per rival r,
-    over m, w, s >= 0."""
+    sum_g (u(sid, g) - u(r, g)) (m + w_g) - s_r = 0 per rival r, over
+    m, w, s >= 0, where u is the true payoff.  Every row and rhs is
+    posed times ``cols.den``, so every entry is an integer."""
     value = cols.value
     own = value[sid]
     ngroups = len(own)
@@ -241,18 +250,19 @@ def justifier_problem(cols, sid):
     # each twin class but sid's, so rows keep first-occurrence order
     others = [r for r, t in enumerate(cols.twin)
               if t == r and t != cols.twin[sid]]
-    zero, one = lp.ZERO, lp.ONE
+    den = cols.den
 
-    # columns: m, then w_g per distinct column, then one slack per rival
-    rows = [[Fraction(ngroups)] + [one] * ngroups + [zero] * len(others)]
-    rhs = [one]
+    # columns: m, then w_g per distinct column, then one slack per rival;
+    # every row is den times the rational one
+    rows = [[ngroups * den] + [den] * ngroups + [0] * len(others)]
+    rhs = [den]
     for j, r in enumerate(others):
         row = [cols.row_sum[sid] - cols.row_sum[r]]
         row += [own[g] - value[r][g] for g in range(ngroups)]
-        row += [-one if j == k else zero for k in range(len(others))]
+        row += [-den if j == k else 0 for k in range(len(others))]
         rows.append(row)
-        rhs.append(zero)
-    objective = [one] + [zero] * (ngroups + len(others))
+        rhs.append(0)
+    objective = [1] + [0] * (ngroups + len(others))
     return lp.LPProblem(objective, rows, rhs)
 
 

@@ -3,7 +3,9 @@
 A game is a finite prefix-closed tree of histories, where a history is a
 sequence of action profiles (one action per player per stage; inactive
 players hold a singleton "wait" action so every stage is a full product).
-Terminal histories carry exact rational payoffs.
+Terminal histories carry exact rational payoffs; the strategic form holds
+them as integers over one denominator per player, scaled once
+(docs/exactness.md, "Integers from the source").
 
 Strategies are complete contingent plans: one action at every nonterminal
 history, including histories the strategy itself precludes.
@@ -356,12 +358,17 @@ class StrategicForm:
         self.co_index = [{co: k for k, co in enumerate(cos)}
                          for cos in self.co_profiles]
 
-        # payoff[i][sid][coid], filled by one sweep over full profiles
+        # payoff[i][sid][coid] / payoff_den[i] is the true payoff; the
+        # table is filled by one sweep over full profiles
+        columns = [scaled(col) for col in zip(*game.payoffs.values())]
+        self.payoff_den = [den for _, den in columns]
+        terminal = dict(zip(game.payoffs,
+                            zip(*(ints for ints, _ in columns))))
         self.payoff = [[[None] * len(self.co_profiles[i])
                         for _ in range(self.counts[i])] for i in range(n)]
         for ids in itertools.product(*(range(c) for c in self.counts)):
             profile = tuple(self.strats[j][ids[j]] for j in range(n))
-            pv = game.payoffs[game.path(profile)]
+            pv = terminal[game.path(profile)]
             for i in range(n):
                 co = tuple(ids[j] for j in self.co_players[i])
                 self.payoff[i][ids[i]][self.co_index[i][co]] = pv[i]
@@ -403,13 +410,14 @@ class StrategicForm:
 
     def twin_classes(self, i, h_idx):
         """Player i's strategies allowing history h_idx (all of them at
-        the root, history 0), grouped by payoff row over its conditioning
-        event, as integers.
+        the root, history 0), grouped by integer payoff row over its
+        conditioning event.
 
         Returns (coids, den, classes): ``coids`` is the event in ascending
-        order, and each class is (members, nums) with
-        ``payoff[i][sid][coids[k]] == nums[k] / den`` for every member sid.
-        Classes are ordered by their least member.
+        order, ``den`` is ``payoff_den[i]``, and each class is (members,
+        nums) with ``nums[k] == payoff[i][sid][coids[k]]`` for every
+        member sid, so its true payoff is ``nums[k] / den``.  Classes are
+        ordered by their least member.
         """
         cache = self._twins[i]
         if h_idx not in cache:
@@ -420,12 +428,9 @@ class StrategicForm:
             for sid in sids:
                 row = payoff[sid]
                 groups.setdefault(tuple(row[c] for c in coids), []).append(sid)
-            nums, den = scaled([u for key in groups for u in key])
-            width = len(coids)
-            classes = [(tuple(members),
-                        tuple(nums[k * width:(k + 1) * width]))
-                       for k, members in enumerate(groups.values())]
-            cache[h_idx] = (tuple(coids), den, classes)
+            classes = [(tuple(members), nums)
+                       for nums, members in groups.items()]
+            cache[h_idx] = (tuple(coids), self.payoff_den[i], classes)
         return cache[h_idx]
 
     def replacement(self, i, h_idx, sid):

@@ -39,10 +39,10 @@ failed checks.
 Both witness families read one prior per chain, built from the ladder
 nu_0, ..., nu_{n-1}.  The prior weighs nu_ell by e^ell and gives nu_0
 the complementary weight 1 - e - ... - e^{n-1}, so the masses sum to
-exactly 1 without dividing polynomials.  The explicit system is its
-standard part: at each event, the conditional of the first nu_ell
-giving the event positive mass.  ``_Run.belief`` builds each prior
-once and hands each family its belief.
+exactly 1 without dividing polynomials; it is built as integer layers.
+The explicit system is its standard part, one integer layer per event:
+the conditional of the first nu_ell giving the event positive mass.
+``_Run.belief`` builds each prior once and hands each family its belief.
 Best-reply membership is checked with the weak sequential correspondence
 (optimality at every history the strategy allows); see the package docs
 for why the strict replacement form cannot support the step equalities.
@@ -50,13 +50,12 @@ for why the strict replacement form cannot support the step equalities.
 
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import best_reply, dominance
 from .beliefs import (BeliefError, ConditioningFamily, ExplicitCPS, PriorCNPS,
                       c_strongly_believes, validate_chain_rule)
 from .game import GameError, format_path
-from .hyperreal import Hyperreal, HyperrealError
+from .hyperreal import HyperrealError, scaled
 
 
 class ProcedureError(Exception):
@@ -238,8 +237,10 @@ class _Run:
         step, chain), from the first member's ladder, for both."""
         key = (i, n, chain)
         if key not in self._priors:
-            self._priors[key] = PriorCNPS(self.families[i],
-                                          _ladder_prior(self, i, ladder))
+            self._priors[key] = PriorCNPS(
+                self.families[i],
+                _ladder_prior(len(self.form.co_profiles[i]), ladder),
+                self.degree_bound)
         prior = self._priors[key]
         if procedure == PR_CNPS:
             return prior
@@ -355,26 +356,27 @@ def iterated_admissibility(game):
 
 # -- prior-generated (non-standard) witnesses ---------------------------
 
-def _ladder_prior(run, i, ladder):
-    """Assemble the step-n justifying prior from its justifier ladder.
+def _ladder_prior(count, ladder):
+    """The step-n justifying prior's integer layers, built from its
+    justifier ladder over ``count`` co-profiles.
 
     nu_ell, the justifier at round n-1-ell, has support exactly that
     round's co-survivors; the prior is nu_0 weighted by
     1 - e - ... - e^{n-1} plus e^ell nu_ell, which sums to 1 exactly and
-    keeps full support.
+    keeps full support.  Its layer 0 is nu_0 and its layer ell is
+    nu_ell - nu_0, both rungs scaled over one denominator.
     """
-    prior = {}
-    for coid in range(len(run.form.co_profiles[i])):
-        base = ladder[0].get(coid, Fraction(0))
-        coeffs = [base] + [nu.get(coid, Fraction(0)) - base
-                           for nu in ladder[1:]]
-        prior[coid] = Hyperreal(coeffs, run.degree_bound)
-    return prior
+    base = [ladder[0].get(coid, 0) for coid in range(count)]
+    layers = [scaled(base)]
+    for nu in ladder[1:]:
+        ints, den = scaled([nu.get(coid, 0) for coid in range(count)] + base)
+        layers.append(([a - b for a, b in zip(ints, ints[count:])], den))
+    return layers
 
 
 def _verify_cnps_witness(run, belief, i, step):
     checks = [("prior-full-support", belief.full_support),
-              ("prior-sums-to-1", belief.total == 1)]
+              ("prior-sums-to-1", belief.sums_to_one)]
     for m in range(step):
         ok = c_strongly_believes(belief, run.columns[m][i].co_event)
         checks.append(("c-strong-belief-in-round-%d-survivors" % m, ok))

@@ -448,6 +448,13 @@ def full_justifier_problem(value, sid):
     return lp.LPProblem(objective, rows, rhs)
 
 
+def true_payoffs(form, i):
+    """Player i's payoff table as rationals: the form's integer table
+    over its denominator."""
+    den = form.payoff_den[i]
+    return [[Fraction(u, den) for u in row] for row in form.payoff[i]]
+
+
 def full_slack_problem(form, q_sets, i, sid):
     """The slack LP of sid against Q_{-i} with one row and one slack
     column per co-profile, equal columns included: maximize sum_c t_c
@@ -458,7 +465,7 @@ def full_slack_problem(form, q_sets, i, sid):
     q_i = sorted(q_sets[i])
     co = [form.co_index[i][ids] for ids in itertools.product(
         *(sorted(q_sets[j]) for j in form.co_players[i]))]
-    payoff = form.payoff[i]
+    payoff = true_payoffs(form, i)
     rows = [[_ONE] * len(q_i) + [_ZERO] * len(co)]
     rhs = [_ONE]
     for k, c in enumerate(co):
@@ -533,7 +540,7 @@ def fraction_value_row(form, belief, i, h_idx):
         masses = belief.table[event]
     else:
         masses = {c: belief.prior[c] for c in event}
-    payoff = form.payoff[i]
+    payoff = true_payoffs(form, i)
     out = {}
     if belief.standard:
         for sid in form.allow[i][h_idx]:
@@ -567,7 +574,7 @@ def fraction_best_replies_to_measure(form, i, measure):
     measure over all of player i's strategies."""
     best = None
     arg = []
-    payoff = form.payoff[i]
+    payoff = true_payoffs(form, i)
     support = [(coid, p) for coid, p in measure.items() if p]
     for sid in range(form.counts[i]):
         row = payoff[sid]

@@ -356,9 +356,8 @@ class TestOperatorsAtDepth:
                 for _ in range(4):
                     ladder = random_ladder(family, rng, rng.randrange(1, 4))
                     prior = ladder_prior(family, ladder)
-                    table = prior.standard_part()
-                    assert table == condition_ladder(family, ladder)
-                    cps = ExplicitCPS(family, table)
+                    cps = ExplicitCPS(family, prior.standard_part())
+                    assert cps.table == condition_ladder(family, ladder)
                     depths |= {m.leading_degree()
                                for m in prior.prior.values()}
                     self.check_stored_masses(family, prior, cps)
@@ -440,10 +439,10 @@ class TestStandardPart:
                     table = prior.standard_part()
                     events = [ev for ev, _ in prior.family.events]
                     assert list(table) == events
+                    cps = ExplicitCPS(prior.family, table)
                     for ev in events:
-                        assert table[ev] == standard_part_conditional(
+                        assert cps.table[ev] == standard_part_conditional(
                             prior.prior, ev)
-                    ExplicitCPS(prior.family, table)
         assert negative
 
 
@@ -582,7 +581,7 @@ class TestChainRule:
         shift = dist[hi] / 2
         dist[hi] -= shift
         dist[lo] += shift
-        cps.table[d_ev] = dist
+        cps = ExplicitCPS(family, {**cps.table, d_ev: dist})
         ok, violations = validate_chain_rule(cps)
         assert not ok
         assert any(v[1] == d_ev and v[2] == c_ev for v in violations)
@@ -619,6 +618,26 @@ class TestChainRule:
         table[frozenset({first})] = {first: Fraction(1)}
         with pytest.raises(BeliefError, match="not a conditioning event"):
             ExplicitCPS(family, table)
+
+    def test_integer_layers_checked_like_rationals(self, corpus_games):
+        """A table given as integer layers (on, total) is the measure
+        on[c] / total, and is refused for what a rational one would be."""
+        game = corpus_games["matching_pennies"]
+        family = ConditioningFamily(game, 0)
+        ((ev, _),) = family.events
+        first, second = sorted(ev)
+        cps = ExplicitCPS(family, {ev: ({first: 1, second: 3}, 4)})
+        assert cps.table == {ev: {first: Fraction(1, 4),
+                                  second: Fraction(3, 4)}}
+        assert cps.layers(ev, [first, second]) == [([1, 3], 4)]
+        assert cps.support(ev) == ev
+        for layer, message in ((({first: 0, second: 0}, 0), "sum to 1"),
+                               (({first: 1, second: 2}, 4), "sum to 1"),
+                               (({first: -1, second: 5}, 4), "negative"),
+                               (({first: 1, second: 3, 99: 1}, 5),
+                                "outside")):
+            with pytest.raises(BeliefError, match=message):
+                ExplicitCPS(family, {ev: layer})
 
 
 class TestStandardApproximation:
@@ -734,7 +753,7 @@ def test_prior_checks_match_hyperreal_sums(corpus_games):
         assert got == want
         if isinstance(got, Hyperreal):
             belief = PriorCNPS(family, prior)
-            assert belief.full_support
+            assert belief.full_support and belief.sums_to_one
             assert belief.degree_bound == prior[0].degree_bound
             seen["valid"] += 1
         else:

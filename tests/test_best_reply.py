@@ -274,8 +274,10 @@ class TestOptimalityLemma:
                         if not any(mass.values()):
                             continue
                         row = form.payoff[i]
-                        value = {r: sum((row2[c] * p for c, p in mass.items()
-                                         if p), Fraction(0))
+                        den = form.payoff_den[i]
+                        value = {r: sum((Fraction(row2[c], den) * p
+                                         for c, p in mass.items() if p),
+                                        Fraction(0))
                                  for r, row2 in enumerate(row)
                                  if r in form.allow[i][h_idx]}
                         assert value[sid] == max(value.values())
@@ -375,7 +377,8 @@ class TestIntegerKernel:
             for k in range(len(game.nonterminal)):
                 _, _, classes = form.twin_classes(i, k)
                 seen["twin-row"] |= any(len(m) > 1 for m, _ in classes)
-            values = {u for row in form.payoff[i] for u in row}
+            values = {Fraction(u, form.payoff_den[i])
+                      for row in form.payoff[i] for u in row}
             seen["negative-payoff"] |= any(u < 0 for u in values)
             seen["half-payoff"] |= any(u.denominator == 2 for u in values)
 
@@ -414,7 +417,9 @@ class TestIntegerKernel:
                     for members, nums in classes:
                         assert all(isinstance(v, int) for v in nums)
                         for sid in members:
-                            assert [form.payoff[i][sid][c] for c in coids] \
+                            assert [Fraction(form.payoff[i][sid][c],
+                                             form.payoff_den[i])
+                                    for c in coids] \
                                 == [Fraction(v, den) for v in nums]
                         rows.add(nums)
                     assert len(rows) == len(classes)

@@ -8,7 +8,7 @@ from fractions import Fraction
 from prudens import dominance, dsl, lp
 from prudens.dominance import (MixedStrategy, justifying_full_support_measure,
                                weakly_dominated)
-from prudens.game import GameError, ProductRestriction
+from prudens.game import Game, GameError, ProductRestriction
 from prudens.procedures import iterated_admissibility
 
 from conftest import small_games
@@ -380,10 +380,13 @@ class TestDeduplicatedJustifier:
         q_sets = [frozenset(range(count)) for count in form.counts]
         cols = dominance.Columns(form, 0, q_sets)
         assert cols.groups == [[0], [1], [2], [3], [4]]
-        assert cols.value[3] == [1, -1, Fraction(-1, 2), 1, 0]
+        assert cols.den == 2
+        assert cols.value[3] == [2, -2, -1, 2, 0]
+        true = [[Fraction(u, cols.den) for u in row] for row in cols.value]
+        assert true[3] == [1, -1, Fraction(-1, 2), 1, 0]
 
         measure = dominance.justifier_ids(form, q_sets, 0, 3, cols)
-        full = lp.solve(full_justifier_problem(cols.value, 3))
+        full = lp.solve(full_justifier_problem(true, 3))
         assert full.value == Fraction(2, 11)
         assert min(measure.values()) == full.value
         vertex = {g: full.x[0] + full.x[1 + g] for g in range(5)}
@@ -539,6 +542,133 @@ class TestKeepByJustifier:
                             cols.row_sum)
         assert seen[True] >= 350 and seen[False] >= 300, seen
         assert seen["proper"] >= 100, seen
+
+
+def true_payoff(form, i, sid, coid):
+    """u_i(sid, coid), read off the game tree rather than the form's
+    integer table."""
+    profile = list(form.co_profile_strategies(i, coid))
+    profile.insert(i, form.strats[i][sid])
+    return form.game.payoff_of_profile(profile, i)
+
+
+def rational_problem(form, i, q_sets, sid, question):
+    """The LP a question about sid poses, rebuilt from true payoffs with
+    no scaling: distinct columns over Q_{-i} and distinct rival rows,
+    each in first-occurrence order."""
+    count = form.counts[i]
+    grouped = {}
+    for coid in sorted(form.co_restriction(i, q_sets)):
+        column = tuple(true_payoff(form, i, r, coid) for r in range(count))
+        grouped.setdefault(column, []).append(coid)
+    u = [[column[r] for column in grouped] for r in range(count)]
+    ngroups = len(grouped)
+    if question == "slack":
+        q_i = sorted(q_sets[i])
+        rows = [[1] * len(q_i) + [0] * ngroups]
+        rhs = [1]
+        for g in range(ngroups):
+            rows.append([u[r][g] for r in q_i]
+                        + [-1 if g == j else 0 for j in range(ngroups)])
+            rhs.append(u[sid][g])
+        objective = [0] * len(q_i) + [1] * ngroups
+    else:
+        first = {}
+        for r in range(count):
+            first.setdefault(tuple(u[r]), r)
+        others = [r for row, r in first.items() if row != tuple(u[sid])]
+        rows = [[ngroups] + [1] * ngroups + [0] * len(others)]
+        rhs = [1]
+        for j, r in enumerate(others):
+            diff = [u[sid][g] - u[r][g] for g in range(ngroups)]
+            rows.append([sum(diff)] + diff
+                        + [-1 if j == k else 0 for k in range(len(others))])
+            rhs.append(0)
+        objective = [1] + [0] * (ngroups + len(others))
+    return lp.LPProblem(objective, rows, rhs), list(grouped.values())
+
+
+class TestIntegerLP:
+    """Both LPs are posed in integers, as exactly ``payoff_den[i]`` times
+    the rational problem: a positive factor on every row and rhs, with
+    the artificials at 1, keeps every Bland comparison, so the pivots,
+    the vertex and the value are the rational problem's
+    (docs/exactness.md, "Integers from the source")."""
+
+    def test_posed_problem_is_den_times_the_rational_one(
+            self, corpus_games, monkeypatch):
+        from prudens.procedures import verify_equivalences
+        owners = {}
+        asking = []
+        posed = []
+        pivots = []
+        real_init = dominance.Columns.__init__
+        real_solve = lp.solve
+        real_pivot = lp._pivot
+
+        def init(self, form, i, q_sets):
+            real_init(self, form, i, q_sets)
+            owners[id(self)] = (self, form, i)
+
+        def asked(question, real):
+            def ask(cols, *args):
+                asking.append((question, cols, args[-1]))
+                try:
+                    return real(cols, *args)
+                finally:
+                    asking.pop()
+            return ask
+
+        def pivot(*args):
+            pivots.append(args)
+            return real_pivot(*args)
+
+        def solve(problem):
+            before = len(pivots)
+            result = real_solve(problem)
+            posed.append((asking[-1], problem, result, len(pivots) - before))
+            return result
+
+        monkeypatch.setattr(dominance.Columns, "__init__", init)
+        monkeypatch.setattr(dominance, "_dominating_mixture",
+                            asked("slack", dominance._dominating_mixture))
+        monkeypatch.setattr(dominance, "_justifier",
+                            asked("justifier", dominance._justifier))
+        monkeypatch.setattr(lp, "_pivot", pivot)
+        monkeypatch.setattr(lp, "solve", solve)
+        seen = {"slack": 0, "justifier": 0, "scaled": 0, "pivots": 0}
+        # the corpus again with player i's payoffs divided by i + 2, so
+        # that its slack LPs are posed over denominators above 1 too
+        thirds = [Game(game.players, game.actions,
+                       {z: tuple(u / (i + 2) for i, u in enumerate(pv))
+                        for z, pv in game.payoffs.items()})
+                  for game in map(corpus_games.get, sorted(corpus_games))]
+        for game in lp_games(corpus_games) + thirds:
+            del posed[:]
+            verify_equivalences(game)
+            for (question, cols, sid), problem, result, count in posed:
+                _, form, i = owners[id(cols)]
+                entries = problem.objective + problem.rhs + [
+                    v for row in problem.rows for v in row]
+                assert all(type(v) is int for v in entries)
+                rational, groups = rational_problem(form, i, cols.q_sets,
+                                                    sid, question)
+                assert groups == cols.groups
+                den = form.payoff_den[i]
+                assert problem.objective == rational.objective
+                assert problem.rhs == [den * b for b in rational.rhs]
+                assert problem.rows == [[den * v for v in row]
+                                        for row in rational.rows]
+                before = len(pivots)
+                reference = real_solve(rational)
+                assert len(pivots) - before == count
+                assert (reference.status, reference.x, reference.value) \
+                    == (result.status, result.x, result.value)
+                seen[question] += 1
+                seen["scaled"] += den > 1
+                seen["pivots"] += count
+        assert seen["slack"] > 1 and seen["justifier"] >= 80, seen
+        assert seen["scaled"] >= 20 and seen["pivots"] >= 400, seen
 
 
 class TestIteratedAdmissibility:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -96,6 +97,37 @@ class TestPath:
                 z = g.path(profile)
                 for i in range(n):
                     assert g.payoffs[z][i] == tree_walk_payoff(g, profile, i)
+
+
+class TestIntegerPayoffs:
+    def test_table_is_true_payoffs_over_least_denominator(self,
+                                                          corpus_games):
+        """Every entry of a player's table is an int, the true payoff
+        times ``payoff_den``, the least denominator that makes every
+        true payoff in the table an integer; in full and reduced forms."""
+        games = [corpus_games[name] for name in sorted(corpus_games)]
+        games += small_games(40, max_players=3, max_strategies=6,
+                             max_histories=8)
+        halves = 0
+        for game in games:
+            for form in (game.strategic_form(), game.reduced_form()):
+                for i in range(form.n):
+                    den = form.payoff_den[i]
+                    dens = set()
+                    for ids in itertools.product(
+                            *(range(c) for c in form.counts)):
+                        profile = [form.strats[j][k]
+                                   for j, k in enumerate(ids)]
+                        true = game.payoff_of_profile(profile, i)
+                        coid = form.co_index[i][tuple(
+                            ids[j] for j in form.co_players[i])]
+                        got = form.payoff[i][ids[i]][coid]
+                        assert type(got) is int
+                        assert got == true * den
+                        dens.add(true.denominator)
+                    assert den == math.lcm(*dens)
+                    halves += den == 2
+        assert halves > 0
 
 
 class TestAllowing:

@@ -1,11 +1,15 @@
 """Layering lint over the package source.
 
-Each module is parsed with ``ast`` and five rules are checked:
+Each module is parsed with ``ast`` and six rules are checked:
 
 * rationals become integers in one place: ``math.lcm`` is called only in
   ``hyperreal.py`` (``hyperreal.scaled``);
 * a mass's coefficients are decoded in one place: ``.coeffs`` is read only
   in ``hyperreal.py`` and ``beliefs.py``;
+* Q[e] values are built only to be rendered or handed out, so the verify
+  path computes in integer layers: ``Hyperreal(...)`` (or a
+  ``Hyperreal.`` constructor) is called only in ``hyperreal.py``,
+  ``beliefs.py`` and ``best_reply.py``;
 * no module imports or reads another prudens module's underscore name;
 * the simplex is asked in two places, one per LP question: ``lp.solve``
   is called only inside ``dominance._justifier`` and
@@ -14,7 +18,7 @@ Each module is parsed with ``ast`` and five rules are checked:
   id-level dominance questions take ``cols`` with no default, and
   ``Columns(...)`` is called only in ``dominance.py``.
 
-A sixth rule keeps the soundness notes reachable: every section of
+A seventh rule keeps the soundness notes reachable: every section of
 ``docs/exactness.md`` that a citation names by title, from ``src/``,
 ``tests/`` or the README, or from inside the doc itself, is one of its
 ``##`` headings.
@@ -67,6 +71,36 @@ def test_coefficients_read_only_by_hyperreal_and_beliefs():
              for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "coeffs"]
     assert not found, ".coeffs read outside hyperreal and beliefs: %s" % found
+
+
+def hyperreal_calls(tree):
+    """Lines of the calls in tree that build a Hyperreal: the class
+    called by name or as a module attribute, or one of its
+    constructors."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if getattr(func, "id", getattr(func, "attr", None)) == "Hyperreal" \
+                or getattr(func.value if isinstance(func, ast.Attribute)
+                           else None, "id", None) == "Hyperreal":
+            lines.append(node.lineno)
+    return lines
+
+
+def test_hyperreal_built_only_where_masses_are_rendered():
+    found = ["%s.py:%d" % (stem, line) for stem, tree in trees()
+             if stem not in ("hyperreal", "beliefs", "best_reply")
+             for line in hyperreal_calls(tree)]
+    assert not found, "Hyperreal built outside hyperreal, beliefs and " \
+        "best_reply: %s" % found
+
+
+def test_hyperreal_calls_are_found():
+    assert hyperreal_calls(ast.parse(
+        "Hyperreal(c)\nhyperreal.Hyperreal(c, 2)\nHyperreal.zero(3)\n"
+        "isinstance(x, Hyperreal)\nx.coefficient(0)\n")) == [1, 2, 3]
 
 
 def test_no_module_reaches_into_anothers_private_names():

@@ -1,8 +1,9 @@
 """Mutants planted inside the shortcuts: the audit must catch each one.
 
 Each mutant is one monkeypatch that plants a wrong answer in one
-shortcut of the elimination or its justifiers.  Over a fixed list of
-games (the corpus plus generated games of up to three players),
+shortcut of the elimination or its justifiers, or in one of the integer
+scalings of payoffs, ladder priors and explicit tables.  Over a fixed
+list of games (the corpus plus generated games of up to three players),
 ``verify_equivalences`` must raise an ``EquivalenceViolation`` naming
 the expected stages or checks, while the unmutated list verifies.
 """
@@ -11,7 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from prudens import dominance
+from prudens import beliefs, dominance, procedures
+from prudens.hyperreal import scaled
 from prudens.procedures import EquivalenceViolation, verify_equivalences
 
 from conftest import small_games
@@ -86,3 +88,61 @@ def test_first_two_twin_classes_merged(games, monkeypatch):
     assert set(found) == {("justifiers",), ("dominance-substitution",),
                           ("elimination",)}
     assert len(found) >= 40, found
+
+
+def test_ladder_rung_without_joint_denominator(games, monkeypatch):
+    """Each rung scaled over its own denominator and subtracted from rung
+    0's integers as if both shared one."""
+    def unscaled(count, ladder):
+        base, den = scaled([ladder[0].get(c, 0) for c in range(count)])
+        layers = [(base, den)]
+        for nu in ladder[1:]:
+            ints, den = scaled([nu.get(c, 0) for c in range(count)])
+            layers.append(([a - b for a, b in zip(ints, base)], den))
+        return layers
+
+    monkeypatch.setattr(procedures, "_ladder_prior", unscaled)
+    found = violations(games)
+    assert set(found) == {("belief-valid",)}
+    assert len(found) >= 30, found
+
+
+def test_cps_total_from_a_deeper_layer(games, monkeypatch):
+    """Each event's total summed from the layer below its least depth
+    (the same layer where there is none, so one-rung priors keep their
+    correct table)."""
+    def deeper(prior):
+        table = {}
+        layers = prior._layers
+        for ev, _ in prior.family.events:
+            depth = min(prior._depths[c] for c in ev)
+            ints = layers[depth][0]
+            below = layers[min(depth + 1, len(layers) - 1)][0]
+            table[ev] = ({c: ints[c] for c in ev if ints[c]},
+                         sum(below[c] for c in ev))
+        return table
+
+    monkeypatch.setattr(beliefs.PriorCNPS, "standard_part", deeper)
+    found = violations(games)
+    assert set(found) == {("belief-valid",)}
+    assert len(found) >= 30, found
+
+
+def test_one_row_scaled_by_its_own_factor(games, monkeypatch):
+    """Every Columns doubles its last own strategy's row, as if that row
+    had been scaled over a denominator of its own."""
+    real = dominance.Columns.__init__
+
+    def skewed(self, form, i, q_sets):
+        real(self, form, i, q_sets)
+        last = len(self.value) - 1
+        self.value[last] = [2 * v for v in self.value[last]]
+        self.row_sum[last] = sum(self.value[last])
+        first = {}
+        self.twin = [first.setdefault(tuple(row), r)
+                     for r, row in enumerate(self.value)]
+
+    monkeypatch.setattr(dominance.Columns, "__init__", skewed)
+    found = violations(games)
+    assert set(found) == {("justifiers",), ("dominance-substitution",)}
+    assert len(found) >= 30, found

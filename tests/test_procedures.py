@@ -253,8 +253,8 @@ class TestVerifyEquivalences:
         analysed = []
 
         def recording(cls):
-            def build(family, data):
-                built.append(cls(family, data))
+            def build(family, *data):
+                built.append(cls(family, *data))
                 return built[-1]
             return build
 
@@ -510,8 +510,10 @@ class TestCpsWitnesses:
             assert prudent_rationalizability_cps(game).to_json() == \
                 traces["pr-cps"].to_json()
             for key, rec in cps.items():
-                assert rec.belief.table == \
-                    cnps[key].belief.standard_part(), key
+                assert rec.belief.table == {
+                    ev: {c: Fraction(n, total) for c, n in on.items()}
+                    for ev, (on, total)
+                    in cnps[key].belief.standard_part().items()}, key
                 prior = cnps[key].belief.prior
                 for ev, _ in rec.belief.family.events:
                     got = {c: p for c, p in rec.belief.table[ev].items()
@@ -531,8 +533,8 @@ class TestCpsWitnesses:
         built = []
         real = procedures.PriorCNPS
 
-        def counted(family, prior):
-            built.append(real(family, prior))
+        def counted(family, layers, degree_bound):
+            built.append(real(family, layers, degree_bound))
             return built[-1]
 
         monkeypatch.setattr(procedures, "PriorCNPS", counted)
@@ -541,7 +543,7 @@ class TestCpsWitnesses:
                                   for rec in trace.witnesses.values()})
         assert len(built) < len(trace.witnesses)
 
-        def refuse(family, prior):
+        def refuse(family, layers, degree_bound):
             raise BeliefError("prior refused")
 
         monkeypatch.setattr(procedures, "PriorCNPS", refuse)
