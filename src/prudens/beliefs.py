@@ -288,8 +288,13 @@ def validate_chain_rule(cps):
     singletons extends to every subset of D, where it is checked on the
     integer layers as ``on_C[c] T_D == on_D[c] (sum of on_C over D)``.
     Returns (ok, violations) where each violation is (coid, D, C, lhs,
-    rhs), the two sides as rationals.
+    rhs), the two sides as rationals.  Raises BeliefError for anything
+    but an :class:`ExplicitCPS`: a prior's conditionals satisfy the rule
+    by construction.
     """
+    if not isinstance(cps, ExplicitCPS):
+        raise BeliefError("the chain rule is checked on an explicit "
+                          "system, got %s" % type(cps).__name__)
     events = [ev for ev, _ in cps.family.events]
     violations = []
     for c_ev in events:

@@ -24,7 +24,7 @@ it never separates behaviorally equivalent strategies.
 from fractions import Fraction
 from operator import mul
 
-from .hyperreal import Hyperreal, scaled
+from .hyperreal import Hyperreal
 
 
 class BestReplyError(Exception):
@@ -153,7 +153,9 @@ def weak_sequential_best_replies(game, belief, i):
 
 def best_replies_to_measure(form, i, measure):
     """Ids of strategies maximizing expected payoff against a standard
-    measure (coid -> Fraction) over all of the player's strategies."""
+    measure (on, den), coid c's mass ``on.get(c, 0) / den``, over all of
+    the player's strategies."""
+    on, den = measure
     twins = form.twin_classes(i, 0)
-    layer = scaled([measure.get(c, 0) for c in twins[0]])
+    layer = ([on.get(c, 0) for c in twins[0]], den)
     return _argmax(_layer_totals(twins, [layer])[1])

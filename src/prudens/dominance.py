@@ -35,14 +35,16 @@ player and level, and a public query one.  The justifier LP has one
 constraint per distinct rival row, so twins pose the identical LP
 (docs/exactness.md, "Deduplicated justifier rows").  Both LPs are
 posed in the form's integers, as exactly the payoff denominator times
-the rational problem, which keeps the simplex's pivots and vertex.
+the rational problem, which keeps the simplex's pivots and vertex.  Each
+answer is one integer layer, scaled once where it is produced: a
+justifier (on, den), mass ``on[c] / den``, or a mixture (weights, den).
 """
 
 from fractions import Fraction
 
 from . import lp
 from .best_reply import best_replies_to_measure
-from .hyperreal import as_fraction, exact_sum, scaled
+from .hyperreal import as_fraction, scaled
 
 
 class DominanceError(Exception):
@@ -110,11 +112,10 @@ class Columns:
         self.answers = {}
 
     def shared(self, question, solve):
-        """A copy of ``solve()``'s answer to question, solved once."""
+        """``solve()``'s answer to question, solved once, not copied."""
         if question not in self.answers:
             self.answers[question] = solve()
-        answer = self.answers[question]
-        return None if answer is None else dict(answer)
+        return self.answers[question]
 
     def justifier(self, sid):
         """``justifier_ids``'s answer for sid, solved once per twin class."""
@@ -150,7 +151,7 @@ def _dominating_mixture(cols, q_i, sid):
         other = value[r]
         if all(other[g] >= own[g] for g in range(ngroups)) \
                 and any(other[g] > own[g] for g in range(ngroups)):
-            return {r: Fraction(1)}
+            return {r: 1}, 1
     # a justified strategy is undominated; a None justifier decides nothing
     if cols.justifier(sid) is not None:
         return None
@@ -172,16 +173,21 @@ def _dominating_mixture(cols, q_i, sid):
         raise DominanceError("slack LP must be solvable, got %s" % result.status)
     if result.value <= 0:
         return None
-    return {r: result.x[k] for k, r in enumerate(q_i) if result.x[k]}
+    ints, den = scaled(result.x[:len(q_i)])
+    return {r: w for r, w in zip(q_i, ints) if w}, den
 
 
 def mixture_dominates_ids(form, q_sets, i, sid, mixture, cols):
-    """Substitution check: weak inequality everywhere, strict somewhere,
-    in integers (the weights scaled once)."""
+    """Substitution check of a mixture (weights, den): a mixture on Q_i
+    (positive weights summing to den), weakly better than sid everywhere
+    and strictly somewhere, all in integers."""
+    weights, den = mixture
+    if not weights.keys() <= q_sets[i] or sum(weights.values()) != den \
+            or any(w <= 0 for w in weights.values()):
+        return False
     payoff = form.payoff[i]
     strict = False
-    weights, den = scaled(list(mixture.values()))
-    items = list(zip(mixture, weights))
+    items = list(weights.items())
     for coid in cols.co_ids:
         mixed = sum(w * payoff[r][coid] for r, w in items)
         own = den * payoff[sid][coid]
@@ -193,8 +199,8 @@ def mixture_dominates_ids(form, q_sets, i, sid, mixture, cols):
 
 
 def justifier_ids(form, q_sets, i, sid, cols):
-    """A measure with support exactly Q_{-i} against which sid maximizes
-    expected payoff over all own strategies, or None.
+    """A measure (on, den) with support exactly Q_{-i} against which sid
+    maximizes expected payoff over all own strategies, or None.
 
     Found by maximizing the minimum mass m over distinct payoff columns
     (substituting nu_g = m + w_g turns strict positivity into the sign of
@@ -216,8 +222,7 @@ def _justifier(cols, sid):
     if ngroups and cols.row_sum[sid] == max(cols.row_sum):
         # the uniform point m = 1/G, w = 0 is feasible, hence the unique
         # optimum: G m + sum(w) = 1 and w >= 0 force m <= 1/G
-        uniform = Fraction(1, ngroups)
-        weights = [(uniform, members) for members in cols.groups]
+        masses = [Fraction(1, ngroups)] * ngroups
     else:
         result = lp.solve(justifier_problem(cols, sid))
         if result.status == "infeasible":
@@ -227,14 +232,11 @@ def _justifier(cols, sid):
         if result.value <= 0:
             return None
         m = result.x[0]
-        weights = [(m + result.x[1 + g], members)
-                   for g, members in enumerate(cols.groups)]
-    measure = {}
-    for mass, members in weights:
-        share = mass / len(members)
-        for coid in members:
-            measure[coid] = share
-    return measure
+        masses = [m + w for w in result.x[1:1 + ngroups]]
+    ints, den = scaled([mass / len(members)
+                        for mass, members in zip(masses, cols.groups)])
+    return {coid: n for n, members in zip(ints, cols.groups)
+            for coid in members}, den
 
 
 def justifier_problem(cols, sid):
@@ -268,11 +270,10 @@ def justifier_problem(cols, sid):
 
 def measure_justifies_ids(form, q_sets, i, sid, measure, cols):
     """Substitution check: exact support, total mass 1, argmax membership."""
-    if {c for c, p in measure.items() if p} != cols.co_event:
+    on, den = measure
+    if {c for c, n in on.items() if n} != cols.co_event:
         return False
-    if any(p < 0 for p in measure.values()):
-        return False
-    if exact_sum(list(measure.values())) != 1:
+    if any(n < 0 for n in on.values()) or sum(on.values()) != den:
         return False
     return sid in best_replies_to_measure(form, i, measure)
 
@@ -334,8 +335,9 @@ def weakly_dominated(game, Q, i, s):
         return None
     if not mixture_dominates_ids(form, q_sets, i, sid, mixture, cols):
         raise DominanceError("dominating mixture failed substitution check")
-    return MixedStrategy(i, {form.strats[i][r]: w
-                             for r, w in mixture.items()})
+    weights, den = mixture
+    return MixedStrategy(i, {form.strats[i][r]: Fraction(w, den)
+                             for r, w in weights.items()})
 
 
 def justifying_full_support_measure(game, Q, i, s):
@@ -350,5 +352,6 @@ def justifying_full_support_measure(game, Q, i, s):
         return None
     if not measure_justifies_ids(form, q_sets, i, sid, measure, cols):
         raise DominanceError("justifier failed substitution check")
-    return {form.co_profile_strategies(i, coid): p
-            for coid, p in measure.items()}
+    on, den = measure
+    return {form.co_profile_strategies(i, coid): Fraction(n, den)
+            for coid, n in on.items()}

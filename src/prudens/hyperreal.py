@@ -10,7 +10,8 @@ degree above the bound raises :class:`DegreeOverflow`; nothing is ever
 silently truncated, since truncation can flip comparisons.
 
 ``scaled`` is the one place where rationals become integers over their
-common denominator, for the simplex, the payoff rows and the beliefs.
+common denominator, for the simplex, the payoff rows, the LP answers
+and the beliefs.
 """
 
 import math
@@ -50,14 +51,6 @@ def scaled(values):
     values[k]``; ``[]`` gives ``([], 1)``."""
     den = math.lcm(*[v.denominator for v in values])
     return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def exact_sum(values):
-    """The exact sum of a list of rationals, added as integers over their
-    least common denominator: one Fraction is normalized, not one per
-    term."""
-    ints, den = scaled(values)
-    return Fraction(sum(ints), den)
 
 
 class Hyperreal:

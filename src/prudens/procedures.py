@@ -50,12 +50,13 @@ for why the strict replacement form cannot support the step equalities.
 
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import best_reply, dominance
 from .beliefs import (BeliefError, ConditioningFamily, ExplicitCPS, PriorCNPS,
                       c_strongly_believes, validate_chain_rule)
 from .game import GameError, format_path
-from .hyperreal import HyperrealError, scaled
+from .hyperreal import HyperrealError
 
 
 class ProcedureError(Exception):
@@ -209,11 +210,11 @@ class _Run:
                      for level in range(step))
 
     def justifier(self, i, sid, level):
-        """Measure with support exactly the level's co-survivors against
-        which sid is a best reply among all own strategies.  Twins share
-        the level's LP answer; each is substituted on its own.  Raises
-        WitnessVerificationFailed when there is none or it fails
-        substitution."""
+        """Measure (on, den) with support exactly the level's co-survivors
+        against which sid is a best reply among all own strategies.
+        Twins share the level's LP answer; each is substituted on its
+        own.  Raises WitnessVerificationFailed when there is none or it
+        fails substitution."""
         key = (i, sid, level)
         if key not in self._justifiers:
             cols = self.columns[level][i]
@@ -267,9 +268,11 @@ class _Run:
                     form, cols.q_sets, i, sid, mixture, cols):
                 raise self._violation("exclusion", n, i, strategy,
                                       ["dominance-substitution"])
+            weights, den = mixture
             table[(n, i, strategy)] = ExclusionRecord(
                 step=n, player=i, strategy=strategy,
-                mixture={form.strats[i][r]: w for r, w in mixture.items()},
+                mixture={form.strats[i][r]: Fraction(w, den)
+                         for r, w in weights.items()},
                 checks=[("dominance-substitution", True)])
         eliminated = {(n, i, form.strats[i][sid])
                       for n in range(1, len(self.ids))
@@ -363,14 +366,15 @@ def _ladder_prior(count, ladder):
     nu_ell, the justifier at round n-1-ell, has support exactly that
     round's co-survivors; the prior is nu_0 weighted by
     1 - e - ... - e^{n-1} plus e^ell nu_ell, which sums to 1 exactly and
-    keeps full support.  Its layer 0 is nu_0 and its layer ell is
-    nu_ell - nu_0, both rungs scaled over one denominator.
+    keeps full support.  Layer 0 is nu_0 = (on_0, den_0) as given and
+    layer ell is nu_ell - nu_0 over den_ell den_0, with no rescaling.
     """
-    base = [ladder[0].get(coid, 0) for coid in range(count)]
-    layers = [scaled(base)]
-    for nu in ladder[1:]:
-        ints, den = scaled([nu.get(coid, 0) for coid in range(count)] + base)
-        layers.append(([a - b for a, b in zip(ints, ints[count:])], den))
+    on_0, den_0 = ladder[0]
+    base = [on_0.get(coid, 0) for coid in range(count)]
+    layers = [(base, den_0)]
+    for on, den in ladder[1:]:
+        layers.append(([on.get(coid, 0) * den_0 - b * den
+                        for coid, b in enumerate(base)], den * den_0))
     return layers
 
 

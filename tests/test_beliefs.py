@@ -586,6 +586,15 @@ class TestChainRule:
         assert not ok
         assert any(v[1] == d_ev and v[2] == c_ev for v in violations)
 
+    def test_prior_is_a_belief_error(self, corpus_games):
+        """The integer check reads an explicit system's stored layers; a
+        prior is refused with a typed error, not an AttributeError."""
+        belief = random_prior(corpus_games["centipede_3"], 0,
+                              random.Random(5))
+        with pytest.raises(BeliefError, match="explicit system, got "
+                           "PriorCNPS"):
+            validate_chain_rule(belief)
+
     def test_normalized_prior_conditionals_satisfy_chain_rule_symbolically(
             self, corpus_games):
         rng = random.Random(17)

@@ -243,7 +243,8 @@ class TestOptimalityLemma:
                 total = sum(weights)
                 measure = {c: Fraction(w, total)
                            for c, w in enumerate(weights)}
-                best = best_replies_to_measure(form, i, measure)
+                best = best_replies_to_measure(
+                    form, i, (dict(enumerate(weights)), total))
                 D = 1
                 prior = {c: Hyperreal((measure[c],), D) for c in measure}
                 belief = PriorCNPS(ConditioningFamily(g, i, form), prior)
@@ -266,7 +267,8 @@ class TestOptimalityLemma:
                 total = sum(weights)
                 measure = {c: Fraction(w, total)
                            for c, w in zip(support, weights)}
-                best = best_replies_to_measure(form, i, measure)
+                best = best_replies_to_measure(
+                    form, i, (dict(zip(support, weights)), total))
                 for sid in best:
                     for h_idx in form.allowed_hist[i][sid]:
                         ev = form.co_allow[i][h_idx]
@@ -293,7 +295,8 @@ class TestExplicitCPSBeliefs:
         result = weak_sequential_best_replies(game, cps, 1)
         assert result
         form = game.strategic_form()
-        best = best_replies_to_measure(form, 1, measure)
+        best = best_replies_to_measure(form, 1, (dict.fromkeys(range(k), 1),
+                                                 k))
         assert {form.index[1][s] for s in result} >= best
 
 
@@ -372,7 +375,9 @@ class TestIntegerKernel:
         for i in range(form.n):
             for _ in range(3):
                 measure = sparse_measure(form, i, rng)
-                assert best_replies_to_measure(form, i, measure) == \
+                ints, den = scaled(list(measure.values()))
+                layer = dict(zip(measure, ints)), den
+                assert best_replies_to_measure(form, i, layer) == \
                     fraction_best_replies_to_measure(form, i, measure)
             for k in range(len(game.nonterminal)):
                 _, _, classes = form.twin_classes(i, k)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 from unittest import mock
 
@@ -9,6 +10,7 @@ from prudens import dominance, dsl, lp
 from prudens.dominance import (MixedStrategy, justifying_full_support_measure,
                                weakly_dominated)
 from prudens.game import Game, GameError, ProductRestriction
+from prudens.hyperreal import scaled
 from prudens.procedures import iterated_admissibility
 
 from conftest import small_games
@@ -160,6 +162,35 @@ class TestOneColumnsPerQuery:
             assert handed == built * (1 if answer is None else 2)
             answered += answer is not None
         assert 0 < answered < len(game.strategies(0))
+
+
+class TestCertificateIsAMixtureOnQ:
+    """``mixture_dominates_ids`` accepts only a mixture on Q_i: positive
+    integer weights, on Q_i, summing to the denominator.  Each malformed
+    certificate below would otherwise pass the payoff comparison."""
+
+    @staticmethod
+    def check(mixture):
+        text = ("players Row Col\nmatrix Row: a b c Col: L R\n"
+                "a: 1,0 1,0\nb: 0,0 1,0\nc: 2,0 2,0\n")
+        form = dsl.elaborate(dsl.parse(text)).strategic_form()
+        q_sets = [frozenset({0, 1}), frozenset({0, 1})]
+        cols = dominance.Columns(form, 0, q_sets)
+        return dominance.mixture_dominates_ids(form, q_sets, 0, 1, mixture,
+                                               cols)
+
+    def test_mixture_on_q_dominates(self):
+        assert self.check(({0: 1}, 1))
+        assert self.check(({0: 3}, 3))
+
+    @pytest.mark.parametrize("mixture", [
+        ({2: 1}, 1),           # c dominates b, but c is not in Q_i
+        ({0: 2}, 1),           # weights sum to twice the denominator
+        ({0: 1, 1: 0}, 1),     # a zero weight
+        ({0: 2, 1: -1}, 1),    # 2a - b dominates b and sums to 1
+    ])
+    def test_malformed_certificate_fails(self, mixture):
+        assert not self.check(mixture)
 
 
 class TestJustifier:
@@ -386,12 +417,13 @@ class TestDeduplicatedJustifier:
         assert true[3] == [1, -1, Fraction(-1, 2), 1, 0]
 
         measure = dominance.justifier_ids(form, q_sets, 0, 3, cols)
+        assert measure == ({0: 3, 1: 2, 2: 2, 3: 2, 4: 2}, 11)
         full = lp.solve(full_justifier_problem(true, 3))
         assert full.value == Fraction(2, 11)
-        assert min(measure.values()) == full.value
-        vertex = {g: full.x[0] + full.x[1 + g] for g in range(5)}
-        assert [measure[g] * 11 for g in range(5)] == [3, 2, 2, 2, 2]
-        assert [vertex[g] * 11 for g in range(5)] == [2, 2, 2, 3, 2]
+        assert Fraction(min(measure[0].values()), measure[1]) == full.value
+        ints, den = scaled([full.x[0] + full.x[1 + g] for g in range(5)])
+        vertex = dict(enumerate(ints)), den
+        assert vertex == ({0: 2, 1: 2, 2: 2, 3: 3, 4: 2}, 11)
         for nu in (measure, vertex):
             assert dominance.measure_justifies_ids(form, q_sets, 0, 3, nu,
                                                    cols)
@@ -439,8 +471,10 @@ class TestUniformMeasure:
                 ngroups = len(cols.groups)
                 assert full.status == "optimal"
                 assert full.value == Fraction(1, ngroups)
-                assert measure == spread(
-                    cols, [full.x[0] + full.x[1 + g] for g in range(ngroups)])
+                on, den = measure
+                assert {c: Fraction(n, den) for c, n in on.items()} == \
+                    spread(cols, [full.x[0] + full.x[1 + g]
+                                  for g in range(ngroups)])
                 assert dominance.measure_justifies_ids(form, q_sets, i, sid,
                                                        measure, cols)
                 seen["shortcut"] += 1
@@ -669,6 +703,35 @@ class TestIntegerLP:
                 seen["pivots"] += count
         assert seen["slack"] > 1 and seen["justifier"] >= 80, seen
         assert seen["scaled"] >= 20 and seen["pivots"] >= 400, seen
+
+    def test_answers_are_integer_layers(self, corpus_games):
+        """Every elimination question's answers leave dominance as one
+        integer layer over its least denominator: a justifier (on, den)
+        positive on exactly the co-profiles of Q_{-i}, a mixture
+        (weights, den) positive on part of Q_i, each summing to den."""
+        seen = {"justifier": 0, "mixture": 0}
+        for game in lp_games(corpus_games):
+            for form, q_sets, i, sid in elimination_questions(game):
+                cols = dominance.Columns(form, i, q_sets)
+                answers = {
+                    "justifier": dominance.justifier_ids(
+                        form, q_sets, i, sid, cols),
+                    "mixture": dominance.dominating_mixture_ids(
+                        form, q_sets, i, sid, cols)}
+                for kind, answer in answers.items():
+                    if answer is None:
+                        continue
+                    ints, den = answer
+                    values = list(ints.values())
+                    assert all(type(n) is int and n > 0 for n in values)
+                    assert type(den) is int and sum(values) == den
+                    assert math.gcd(den, *values) == 1
+                    if kind == "justifier":
+                        assert set(ints) == cols.co_event
+                    else:
+                        assert set(ints) <= q_sets[i]
+                    seen[kind] += 1
+        assert seen["justifier"] >= 500 and seen["mixture"] >= 150, seen
 
 
 class TestIteratedAdmissibility:

@@ -4,7 +4,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from prudens.hyperreal import (DegreeOverflow, Hyperreal, NegativeInput,
-                               ZeroDenominator, exact_sum, infinitely_greater,
+                               ZeroDenominator, infinitely_greater,
                                parse_hyperreal, ratio_st_is_zero, scaled)
 
 D = 8
@@ -180,13 +180,6 @@ def test_nonnegative_sum_starts_at_least_leading_degree(a, b):
     degrees = [d for d in (x.leading_degree(), y.leading_degree())
                if d is not None]
     assert (x + y).leading_degree() == min(degrees, default=None)
-
-
-@given(st.lists(st.fractions() | st.integers()))
-def test_exact_sum_is_the_fraction_sum(values):
-    total = exact_sum(values)
-    assert isinstance(total, Fraction)
-    assert total == sum(values, Fraction(0))
 
 
 def test_scaled_empty_list():

@@ -1,9 +1,13 @@
 """Layering lint over the package source.
 
-Each module is parsed with ``ast`` and six rules are checked:
+Each module is parsed with ``ast`` and seven rules are checked:
 
 * rationals become integers in one place: ``math.lcm`` is called only in
   ``hyperreal.py`` (``hyperreal.scaled``);
+* each rational is scaled once, where it enters: ``hyperreal.scaled`` is
+  called only in ``hyperreal``, ``game``, ``lp`` and ``beliefs``, and in
+  ``dominance._justifier`` and ``dominance._dominating_mixture``, which
+  hand each LP answer out as one integer layer that no reader rescales;
 * a mass's coefficients are decoded in one place: ``.coeffs`` is read only
   in ``hyperreal.py`` and ``beliefs.py``;
 * Q[e] values are built only to be rendered or handed out, so the verify
@@ -18,7 +22,7 @@ Each module is parsed with ``ast`` and six rules are checked:
   id-level dominance questions take ``cols`` with no default, and
   ``Columns(...)`` is called only in ``dominance.py``.
 
-A seventh rule keeps the soundness notes reachable: every section of
+An eighth rule keeps the soundness notes reachable: every section of
 ``docs/exactness.md`` that a citation names by title, from ``src/``,
 ``tests/`` or the README, or from inside the doc itself, is one of its
 ``##`` headings.
@@ -126,11 +130,15 @@ def test_no_module_reaches_into_anothers_private_names():
     assert not found, found
 
 
-class _SolveSites(ast.NodeVisitor):
-    """(innermost enclosing function, line) of every ``lp.solve`` call,
-    and the line of every import of ``solve`` from the lp module."""
+class _CallSites(ast.NodeVisitor):
+    """(innermost enclosing function, line) of every call of ``name``
+    from the prudens module ``module``, as ``module.name`` or by a name
+    imported from it, and the line of every such import."""
 
-    def __init__(self):
+    def __init__(self, module, name):
+        self.module = module
+        self.name = name
+        self.aliases = set()
         self.functions = []
         self.calls = []
         self.imports = []
@@ -144,24 +152,28 @@ class _SolveSites(ast.NodeVisitor):
 
     def visit_Call(self, node):
         func = node.func
-        if (isinstance(func, ast.Attribute) and func.attr == "solve"
+        if (isinstance(func, ast.Attribute) and func.attr == self.name
                 and isinstance(func.value, ast.Name)
-                and func.value.id == "lp"):
+                and func.value.id == self.module) or (
+                    isinstance(func, ast.Name) and func.id in self.aliases):
             self.calls.append((self.functions[-1] if self.functions
                                else None, node.lineno))
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node):
-        if (node.module or "").split(".")[-1] == "lp" and any(
-                alias.name == "solve" for alias in node.names):
-            self.imports.append(node.lineno)
+        if (node.module or "").split(".")[-1] != self.module:
+            return
+        for alias in node.names:
+            if alias.name == self.name:
+                self.imports.append(node.lineno)
+                self.aliases.add(alias.asname or alias.name)
 
 
 def test_lp_solved_only_by_the_two_questions():
     sites = set()
     found = []
     for stem, tree in trees():
-        visitor = _SolveSites()
+        visitor = _CallSites("lp", "solve")
         visitor.visit(tree)
         found += ["%s.py:%d imports lp.solve" % (stem, line)
                   for line in visitor.imports]
@@ -177,11 +189,38 @@ def test_lp_solved_only_by_the_two_questions():
 
 
 def test_solve_sites_are_found():
-    visitor = _SolveSites()
+    visitor = _CallSites("lp", "solve")
     visitor.visit(ast.parse(
         "from .lp import solve\nlp.solve(p)\n"
         "def f():\n    def g():\n        return lp.solve(q)\n"))
     assert visitor.calls == [(None, 2), ("g", 5)]
+    assert visitor.imports == [1]
+
+
+SCALING_MODULES = ("hyperreal", "game", "lp", "beliefs")
+SCALING_FUNCTIONS = (("dominance", "_justifier"),
+                     ("dominance", "_dominating_mixture"))
+
+
+def test_scaled_only_where_rationals_enter():
+    found = []
+    for stem, tree in trees():
+        if stem in SCALING_MODULES:
+            continue
+        visitor = _CallSites("hyperreal", "scaled")
+        visitor.visit(tree)
+        found += ["%s.py:%d calls scaled in %s" % (stem, line, function)
+                  for function, line in visitor.calls
+                  if (stem, function) not in SCALING_FUNCTIONS]
+    assert not found, found
+
+
+def test_scaled_sites_are_found():
+    visitor = _CallSites("hyperreal", "scaled")
+    visitor.visit(ast.parse(
+        "from .hyperreal import scaled as sc\nsc(x)\n"
+        "def f():\n    return hyperreal.scaled(y) + scaled(z)\n"))
+    assert visitor.calls == [(None, 2), ("f", 4)]
     assert visitor.imports == [1]
 
 

@@ -1,8 +1,9 @@
 """Mutants planted inside the shortcuts: the audit must catch each one.
 
 Each mutant is one monkeypatch that plants a wrong answer in one
-shortcut of the elimination or its justifiers, or in one of the integer
-scalings of payoffs, ladder priors and explicit tables.  Over a fixed
+shortcut of the elimination or its justifiers, in one of the integer
+scalings of payoffs, ladder priors and explicit tables, or in the
+integer layer of an LP answer.  Over a fixed
 list of games (the corpus plus generated games of up to three players),
 ``verify_equivalences`` must raise an ``EquivalenceViolation`` naming
 the expected stages or checks, while the unmutated list verifies.
@@ -46,8 +47,10 @@ def test_uniform_justifier_everywhere(games, monkeypatch):
     distinct columns, returned for every strategy."""
     def uniform(cols, sid):
         mass = Fraction(1, len(cols.groups))
-        return {coid: mass / len(members)
-                for members in cols.groups for coid in members}
+        coids = [c for members in cols.groups for c in members]
+        ints, den = scaled([mass / len(members)
+                            for members in cols.groups for _ in members])
+        return dict(zip(coids, ints)), den
 
     monkeypatch.setattr(dominance, "_justifier", uniform)
     found = violations(games)
@@ -63,7 +66,7 @@ def test_keep_test_keeps_an_unjustified_strategy(games, monkeypatch):
         for r in q_i:
             other = cols.value[r]
             if other != own and all(a >= b for a, b in zip(other, own)):
-                return {r: Fraction(1)}
+                return {r: 1}, 1
         return None
 
     monkeypatch.setattr(dominance, "_dominating_mixture", scan_then_keep)
@@ -91,14 +94,15 @@ def test_first_two_twin_classes_merged(games, monkeypatch):
 
 
 def test_ladder_rung_without_joint_denominator(games, monkeypatch):
-    """Each rung scaled over its own denominator and subtracted from rung
-    0's integers as if both shared one."""
+    """Each rung's integers, over its own denominator, subtracted from
+    rung 0's as if both shared one."""
     def unscaled(count, ladder):
-        base, den = scaled([ladder[0].get(c, 0) for c in range(count)])
-        layers = [(base, den)]
-        for nu in ladder[1:]:
-            ints, den = scaled([nu.get(c, 0) for c in range(count)])
-            layers.append(([a - b for a, b in zip(ints, base)], den))
+        (on_0, den_0), rungs = ladder[0], ladder[1:]
+        base = [on_0.get(c, 0) for c in range(count)]
+        layers = [(base, den_0)]
+        for on, den in rungs:
+            layers.append(([on.get(c, 0) - b for c, b in enumerate(base)],
+                           den))
         return layers
 
     monkeypatch.setattr(procedures, "_ladder_prior", unscaled)
@@ -146,3 +150,61 @@ def test_one_row_scaled_by_its_own_factor(games, monkeypatch):
     found = violations(games)
     assert set(found) == {("justifiers",), ("dominance-substitution",)}
     assert len(found) >= 30, found
+
+
+def test_pure_dominator_outside_q_i(games, monkeypatch):
+    """The pure-dominance scan reads every own strategy, eliminated ones
+    first.  The step sets stay right (an eliminated dominator hands its
+    dominance down to a mixture on Q_i), but the certificate is not a
+    mixture on Q_i."""
+    real = dominance._dominating_mixture
+
+    def scan_all(cols, q_i, sid):
+        own = cols.value[sid]
+        for r in sorted(range(len(cols.value)), key=q_i.__contains__):
+            other = cols.value[r]
+            if other != own and all(a >= b for a, b in zip(other, own)):
+                return {r: 1}, 1
+        return real(cols, q_i, sid)
+
+    monkeypatch.setattr(dominance, "_dominating_mixture", scan_all)
+    found = violations(games)
+    assert set(found) == {("dominance-substitution",)}
+    assert len(found) >= 2, found
+
+
+def test_doubled_mixture_weights(games, monkeypatch):
+    """Every dominating mixture's weights doubled over the same
+    denominator, so they sum to 2."""
+    real = dominance._dominating_mixture
+
+    def doubled(cols, q_i, sid):
+        mixture = real(cols, q_i, sid)
+        if mixture is None:
+            return None
+        weights, den = mixture
+        return {r: 2 * w for r, w in weights.items()}, den
+
+    monkeypatch.setattr(dominance, "_dominating_mixture", doubled)
+    found = violations(games)
+    assert set(found) == {("dominance-substitution",)}
+    assert len(found) >= 40, found
+
+
+def test_justifier_denominator_off_by_one(games, monkeypatch):
+    """Every justifier's denominator one too large, so its masses sum
+    to less than 1.  The elimination reads only whether a justifier
+    exists; the witness phase substitutes it."""
+    real = dominance._justifier
+
+    def off_by_one(cols, sid):
+        measure = real(cols, sid)
+        if measure is None:
+            return None
+        on, den = measure
+        return on, den + 1
+
+    monkeypatch.setattr(dominance, "_justifier", off_by_one)
+    found = violations(games)
+    assert set(found) == {("justifiers",)}
+    assert len(found) >= 50, found

@@ -107,7 +107,7 @@ class TestVerifyEquivalences:
 
         def self_mixture(form, q_sets, i, sid, cols):
             if i == 0 and form.strats[i][sid] == target:
-                return {sid: Fraction(1)}  # equal payoffs: never strict
+                return {sid: 1}, 1  # equal payoffs: never strict
             return real(form, q_sets, i, sid, cols)
 
         monkeypatch.setattr(dominance, "dominating_mixture_ids",
