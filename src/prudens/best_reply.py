@@ -35,6 +35,10 @@ class StrategyDisallowsHistory(BestReplyError):
     pass
 
 
+class ForeignGame(BestReplyError):
+    pass
+
+
 def _layer_totals(twins, layers):
     """Per twin class, one integer dot product per mass layer.
 
@@ -121,17 +125,25 @@ class ReplyAnalysis:
         return list(self._weak_sequential)
 
 
+def _analysis(game, belief, i):
+    """The belief's ReplyAnalysis for player i; raises ForeignGame unless
+    game is the one the belief is over."""
+    family = belief.family
+    if game is not family.game:
+        raise ForeignGame("the belief is over another game")
+    return ReplyAnalysis(family.form, belief, i)
+
+
 def expected_payoff(game, belief, i, r, h):
     """Conditional expected payoff of strategy r at history h.
 
     Unnormalized (common positive factor) for prior-generated systems,
-    normalized for explicit standard systems.  r must allow h, which is
-    looked up in the belief's own game.
+    normalized for explicit standard systems.  game must be the belief's
+    own, and r must allow h.
     """
-    form = belief.family.form
-    sid = form.strategy_id(i, r)
-    analysis = ReplyAnalysis(form, belief, i)
-    h_idx = belief.family.game.h_index.get(h)
+    analysis = _analysis(game, belief, i)
+    sid = analysis.form.strategy_id(i, r)
+    h_idx = game.h_index.get(h)
     if h_idx is None:
         raise BestReplyError("unknown nonterminal history %r" % (h,))
     return analysis.value(sid, h_idx)
@@ -139,16 +151,16 @@ def expected_payoff(game, belief, i, r, h):
 
 def sequential_best_replies(game, belief, i):
     """Strategies whose h-replacement is conditionally optimal at every h."""
-    form = belief.family.form
-    analysis = ReplyAnalysis(form, belief, i)
-    return tuple(form.strats[i][sid] for sid in analysis.sequential_ids())
+    analysis = _analysis(game, belief, i)
+    return tuple(analysis.form.strats[i][sid]
+                 for sid in analysis.sequential_ids())
 
 
 def weak_sequential_best_replies(game, belief, i):
     """Strategies optimal at every history they allow."""
-    form = belief.family.form
-    analysis = ReplyAnalysis(form, belief, i)
-    return tuple(form.strats[i][sid] for sid in analysis.weak_sequential_ids())
+    analysis = _analysis(game, belief, i)
+    return tuple(analysis.form.strats[i][sid]
+                 for sid in analysis.weak_sequential_ids())
 
 
 def best_replies_to_measure(form, i, measure):

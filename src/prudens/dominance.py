@@ -31,9 +31,12 @@ twin class and hands the answer to every member; each member's answer is
 still substituted on its own (see docs/exactness.md, "Twin-shared LP
 answers").  Every id-level question and substitution check takes i's
 ``Columns`` over q_sets as ``cols``, so the elimination builds one per
-player and level, and a public query one.  The justifier LP has one
-constraint per distinct rival row, so twins pose the identical LP
-(docs/exactness.md, "Deduplicated justifier rows").  Both LPs are
+player and level, and a public query one.  The justifier LP draws its
+constraints from the distinct rival rows (docs/exactness.md,
+"Deduplicated justifier rows") and poses only those that beat sid
+against the uniform measure, then against each optimum in turn, until
+none does (docs/exactness.md, "Justifier LPs by rival-row
+generation"); twins pose the identical LPs.  Both LPs are
 posed in the form's integers, as exactly the payoff denominator times
 the rational problem, which keeps the simplex's pivots and vertex.  Each
 answer is one integer layer, scaled once where it is produced: a
@@ -41,6 +44,7 @@ justifier (on, den), mass ``on[c] / den``, or a mixture (weights, den).
 """
 
 from fractions import Fraction
+from operator import mul
 
 from . import lp
 from .best_reply import best_replies_to_measure
@@ -205,66 +209,91 @@ def justifier_ids(form, q_sets, i, sid, cols):
     Found by maximizing the minimum mass m over distinct payoff columns
     (substituting nu_g = m + w_g turns strict positivity into the sign of
     the optimum), then spreading each column's mass uniformly over the
-    co-profiles it aggregates.  The LP has one constraint per distinct
-    own row other than sid's: a repeated row restates an inequality and
-    sid's own row states 0 >= 0, so the optimum and the None decision are
-    those of one constraint per rival, though the vertex returned may
-    differ.  When sid's row sum over the distinct columns is the largest,
-    the measure uniform over them is that LP's unique optimum and is
-    returned without a tableau.  Twins pose the identical LP and so share
-    the answer.
+    co-profiles it aggregates.  The LP's constraints are drawn from the
+    distinct own rows other than sid's: a repeated row restates an
+    inequality and sid's own row states 0 >= 0.  They are posed by
+    rival-row generation: first the rivals with a larger row sum, which
+    beat sid against the measure uniform over the distinct columns, then
+    every rival that beats sid against the last optimum, until none
+    does.  A relaxation with no positive optimum settles None, and a
+    final optimum no rival beats is the full LP's optimum, so the
+    optimum and the None decision are those of one constraint per rival,
+    though the vertex returned may differ.  When no rival has a larger
+    row sum, the uniform measure is the unique optimum and is returned
+    without a tableau.  Twins pose the identical LPs and so share the
+    answer.
     """
     return cols.justifier(sid)
 
 
 def _justifier(cols, sid):
     ngroups = len(cols.groups)
-    if ngroups and cols.row_sum[sid] == max(cols.row_sum):
+    if not ngroups:
+        return None  # no measure has full support on an empty event
+    row_sum = cols.row_sum
+    if row_sum[sid] == max(row_sum):
         # the uniform point m = 1/G, w = 0 is feasible, hence the unique
         # optimum: G m + sum(w) = 1 and w >= 0 force m <= 1/G
         masses = [Fraction(1, ngroups)] * ngroups
     else:
-        result = lp.solve(justifier_problem(cols, sid))
-        if result.status == "infeasible":
-            return None
-        if result.status != "optimal":
-            raise DominanceError("justifier LP cannot be unbounded")
-        if result.value <= 0:
-            return None
-        m = result.x[0]
-        masses = [m + w for w in result.x[1:1 + ngroups]]
+        # rival-row generation (docs/exactness.md, "Justifier LPs by
+        # rival-row generation"): pose the rivals that beat sid against
+        # the uniform measure, those with a larger row sum, then every
+        # rival that beats sid against the last optimum, until none does
+        value = cols.value
+        rivals = [r for r, t in enumerate(cols.twin)
+                  if t == r and t != cols.twin[sid]]
+        beaten = [r for r in rivals if row_sum[r] > row_sum[sid]]
+        posed = []
+        while True:
+            posed = sorted(posed + beaten)
+            result = lp.solve(justifier_problem(cols, sid, posed))
+            if result.status == "infeasible":
+                return None
+            if result.status != "optimal":
+                raise DominanceError("justifier LP cannot be unbounded")
+            if result.value <= 0:
+                return None
+            m = result.x[0]
+            masses = [m + w for w in result.x[1:1 + ngroups]]
+            if len(posed) == len(rivals):
+                break
+            weight, _ = scaled(masses)
+            own = sum(map(mul, value[sid], weight))
+            beaten = [r for r in rivals if r not in posed
+                      and sum(map(mul, value[r], weight)) > own]
+            if not beaten:
+                break
     ints, den = scaled([mass / len(members)
                         for mass, members in zip(masses, cols.groups)])
     return {coid: n for n, members in zip(ints, cols.groups)
             for coid in members}, den
 
 
-def justifier_problem(cols, sid):
-    """The justifier LP of own strategy sid over cols, as posed to the
-    simplex: maximize m subject to G m + sum_g w_g = 1 and one row
-    sum_g (u(sid, g) - u(r, g)) (m + w_g) - s_r = 0 per rival r, over
-    m, w, s >= 0, where u is the true payoff.  Every row and rhs is
-    posed times ``cols.den``, so every entry is an integer."""
+def justifier_problem(cols, sid, rivals):
+    """The justifier LP of own strategy sid over cols against the own
+    strategies ``rivals``, as posed to the simplex: maximize m subject
+    to G m + sum_g w_g = 1 and one row
+    sum_g (u(sid, g) - u(r, g)) (m + w_g) - s_r = 0 per rival r, in the
+    order given, over m, w, s >= 0, where u is the true payoff.  Every
+    row and rhs is posed times ``cols.den``, so every entry is an
+    integer."""
     value = cols.value
     own = value[sid]
     ngroups = len(own)
-    # one rival per distinct row other than sid's: the least member of
-    # each twin class but sid's, so rows keep first-occurrence order
-    others = [r for r, t in enumerate(cols.twin)
-              if t == r and t != cols.twin[sid]]
     den = cols.den
 
     # columns: m, then w_g per distinct column, then one slack per rival;
     # every row is den times the rational one
-    rows = [[ngroups * den] + [den] * ngroups + [0] * len(others)]
+    rows = [[ngroups * den] + [den] * ngroups + [0] * len(rivals)]
     rhs = [den]
-    for j, r in enumerate(others):
+    for j, r in enumerate(rivals):
         row = [cols.row_sum[sid] - cols.row_sum[r]]
         row += [own[g] - value[r][g] for g in range(ngroups)]
-        row += [-den if j == k else 0 for k in range(len(others))]
+        row += [-den if j == k else 0 for k in range(len(rivals))]
         rows.append(row)
         rhs.append(0)
-    objective = [1] + [0] * (ngroups + len(others))
+    objective = [1] + [0] * (ngroups + len(rivals))
     return lp.LPProblem(objective, rows, rhs)
 
 

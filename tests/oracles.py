@@ -11,7 +11,8 @@ replaces with integer pivoting (it takes the same Bland-rule pivots), and
 per-strategy Fraction sums that ``best_reply`` replaces with integer
 twin-class sums.  ``full_justifier_problem`` is the justifier LP with
 one constraint per rival, the construction whose repeated rows
-``dominance`` drops; its optimum must be the deduplicated LP's.
+``dominance`` drops and whose other rows it adds only as rivals beat
+its measures; its optimum must be the one ``dominance`` reaches.
 ``full_slack_problem`` is the slack LP over every co-profile, with no
 columns merged.  ``condition_ladder`` conditions a lexicographic
 probability system rung by rung, the construction that

@@ -6,7 +6,7 @@ from fractions import Fraction
 from prudens import dsl, procedures
 from prudens.beliefs import (BeliefError, ConditioningFamily, ExplicitCPS,
                              PriorCNPS)
-from prudens.best_reply import (BestReplyError, ReplyAnalysis,
+from prudens.best_reply import (BestReplyError, ForeignGame, ReplyAnalysis,
                                 StrategyDisallowsHistory,
                                 best_replies_to_measure, expected_payoff,
                                 sequential_best_replies,
@@ -93,8 +93,9 @@ class TestExpectedPayoff:
 
     def test_history_is_looked_up_in_the_beliefs_game(self, corpus_games):
         """Both games have one history at index 1, /(go,go) and /(In,w).
-        Asked through the other game, a history of that game is unknown
-        to the belief, and one of the belief's own game is answered."""
+        Asked through the belief's own game, a history of the other game
+        is unknown and its own one is answered; asked through the other
+        game, the question is refused before any history is read."""
         game = corpus_games["two_stage_coordination"]
         other = corpus_games["bos_outside_option"]
         belief = random_prior(game, 0, random.Random(4))
@@ -102,9 +103,33 @@ class TestExpectedPayoff:
         own, foreign = game.nonterminal[1], other.nonterminal[1]
         assert other.h_index[foreign] == game.h_index[own] == 1
         with pytest.raises(BestReplyError, match="unknown nonterminal"):
-            expected_payoff(other, belief, 0, r, foreign)
-        assert expected_payoff(other, belief, 0, r, own) == \
-            expected_payoff(game, belief, 0, r, own)
+            expected_payoff(game, belief, 0, r, foreign)
+        form = game.strategic_form()
+        assert expected_payoff(game, belief, 0, r, own) == ReplyAnalysis(
+            form, belief, 0).value(form.strategy_id(0, r), 1)
+        for h in (own, foreign):
+            with pytest.raises(ForeignGame):
+                expected_payoff(other, belief, 0, r, h)
+
+
+class TestForeignGame:
+    """Each public best-reply query takes the game its belief is over and
+    refuses any other, even one with the same players and strategies."""
+
+    @pytest.mark.parametrize("query", [
+        lambda game, belief, i: expected_payoff(
+            game, belief, i, game.strategies(i)[0], ()),
+        sequential_best_replies, weak_sequential_best_replies])
+    def test_foreign_game_is_refused(self, corpus_games, query):
+        game = corpus_games["matching_pennies"]
+        twin = Game(game.players, game.actions, game.payoffs)
+        assert twin.strategies(0) == game.strategies(0)
+        belief = random_prior(game, 0, random.Random(3))
+        query(game, belief, 0)
+        for foreign in (twin, corpus_games["prisoners_dilemma"]):
+            with pytest.raises(ForeignGame,
+                               match="belief is over another game"):
+                query(foreign, belief, 0)
 
 
 class TestBeliefOwner:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import re
 from unittest import mock
 
@@ -14,7 +15,9 @@ from prudens.hyperreal import scaled
 from prudens.procedures import iterated_admissibility
 
 from conftest import small_games
-from oracles import (brute_iterated_admissibility, fraction_simplex,
+import oracles
+from oracles import (brute_iterated_admissibility,
+                     fraction_best_replies_to_measure, fraction_simplex,
                      full_justifier_problem, full_slack_problem,
                      vertex_weakly_dominated)
 
@@ -261,6 +264,25 @@ def centipede_text(legs):
     return "\n".join(lines) + "\n"
 
 
+def bimatrix_games(count, k=5):
+    """Static k x k two-player games, both payoffs of each cell drawn
+    uniformly from -3..5, row by row, with seeds 0..count-1: games whose
+    justifier questions sometimes need a second round of rival rows."""
+    games = []
+    for seed in range(count):
+        rng = random.Random(seed)
+        rows = ["r%d" % n for n in range(k)]
+        cols = ["c%d" % n for n in range(k)]
+        text = "players P1 P2\nmatrix P1: %s P2: %s\n" % (" ".join(rows),
+                                                          " ".join(cols))
+        for row in rows:
+            text += "%s: %s\n" % (row, " ".join(
+                "%d,%d" % (rng.randint(-3, 5), rng.randint(-3, 5))
+                for _ in cols))
+        games.append(dsl.elaborate(dsl.parse(text)))
+    return games
+
+
 def lp_games(corpus_games):
     """The corpus, 40 generated games of up to three players and the
     six-leg centipede."""
@@ -325,11 +347,19 @@ class TestTwinSharing:
         assert seen["justifier"] >= 200 and seen["slack"] >= 100, seen
 
 
+def all_rivals(cols, sid):
+    """Every distinct rival of sid: the least member of each twin class
+    but sid's, in id order."""
+    return [r for r, t in enumerate(cols.twin)
+            if t == r and t != cols.twin[sid]]
+
+
 def posed_justifiers(game):
     """(q_sets, cols, i, sid, problem, measure) for every own strategy of
     every player at every level of the elimination, eliminated ones
-    included: the justifier LP built for it, whether or not the simplex
-    is asked to solve it, and the measure the unshared route returns."""
+    included: the justifier LP over every distinct rival, whether or not
+    the simplex is asked to solve it, and the measure the unshared route
+    returns."""
     form = game.strategic_form()
     steps, _, _ = dominance.iterated_elimination_ids(form)
     out = []
@@ -338,7 +368,8 @@ def posed_justifiers(game):
         for i in range(form.n):
             cols = dominance.Columns(form, i, q_sets)
             for sid in range(form.counts[i]):
-                problem = dominance.justifier_problem(cols, sid)
+                problem = dominance.justifier_problem(
+                    cols, sid, all_rivals(cols, sid))
                 measure = dominance.justifier_ids(
                     form, q_sets, i, sid, dominance.Columns(form, i, q_sets))
                 out.append((q_sets, cols, i, sid, problem, measure))
@@ -346,10 +377,11 @@ def posed_justifiers(game):
 
 
 class TestDeduplicatedJustifier:
-    """The justifier LP keeps one rival row per distinct own row other
-    than sid's.  That drops only constraints that restate another one or
-    read 0 >= 0, so the optimum and the None decision are those of the LP
-    with one row per rival (``oracles.full_justifier_problem``)."""
+    """The justifier LP over every distinct rival keeps one rival row per
+    distinct own row other than sid's.  That drops only constraints that
+    restate another one or read 0 >= 0, so the optimum and the None
+    decision are those of the LP with one row per rival
+    (``oracles.full_justifier_problem``)."""
 
     def test_same_optimum_as_one_row_per_rival(self, corpus_games):
         seen = {"lps": 0, "dropped": 0, "justified": 0}
@@ -396,11 +428,12 @@ class TestDeduplicatedJustifier:
     def test_pinned_instance_differs_in_vertex_not_value(self):
         """Own rows 0, 3 and 4 are twins and 1, 2 are twins.  For sid 3
         one row per rival poses five rival rows, two of them zero and one
-        a repeat; the deduplicated LP poses two.  Both have optimum 2/11
-        but Bland's rule stops at different vertices, masses
+        a repeat; the deduplicated LP poses two, and rival-row generation
+        only f's, which b does not beat at its optimum.  All have optimum
+        2/11 but Bland's rule stops at different vertices, masses
         (2,2,2,3,2)/11 with every row and (3,2,2,2,2)/11 without the
-        repeats, so the change is not pivot-identical.  Each vertex is a
-        justifier by substitution."""
+        repeats, with or without b's row, so the change is not
+        pivot-identical.  Each vertex is a justifier by substitution."""
         rows = ["1 -1 -1/2 1 0", "-1 0 -1/2 0 0", "-1 0 -1/2 0 0",
                 "1 -1 -1/2 1 0", "1 -1 -1/2 1 0", "0 1 0 0 0"]
         text = "players Row Col\nmatrix Row: a b c d e f Col: v w x y z\n"
@@ -416,8 +449,14 @@ class TestDeduplicatedJustifier:
         true = [[Fraction(u, cols.den) for u in row] for row in cols.value]
         assert true[3] == [1, -1, Fraction(-1, 2), 1, 0]
 
-        measure = dominance.justifier_ids(form, q_sets, 0, 3, cols)
+        with mock.patch.object(dominance, "justifier_problem",
+                               wraps=dominance.justifier_problem) as build:
+            measure = dominance.justifier_ids(form, q_sets, 0, 3, cols)
+        assert [call.args[2] for call in build.call_args_list] == [[5]]
         assert measure == ({0: 3, 1: 2, 2: 2, 3: 2, 4: 2}, 11)
+        both = lp.solve(dominance.justifier_problem(cols, 3, [1, 5]))
+        assert [both.x[0] + both.x[1 + g] for g in range(5)] == \
+            [Fraction(n, 11) for n in (3, 2, 2, 2, 2)]
         full = lp.solve(full_justifier_problem(true, 3))
         assert full.value == Fraction(2, 11)
         assert Fraction(min(measure[0].values()), measure[1]) == full.value
@@ -481,6 +520,134 @@ class TestUniformMeasure:
         assert seen["shortcut"] >= 400 and seen["lp"] >= 500, seen
 
 
+def dot(row, masses):
+    return sum((u * p for u, p in zip(row, masses)), Fraction(0))
+
+
+class TestRivalRowGeneration:
+    """A justifier question that the uniform measure does not settle is
+    solved over a growing set of distinct rival rows (docs/exactness.md,
+    "Justifier LPs by rival-row generation"): first the rivals that beat
+    sid against the uniform measure, then, round by round, every unposed
+    rival that beats sid against the last relaxation's optimum, until
+    none does or a relaxation has no positive optimum."""
+
+    @staticmethod
+    def rounds(form, q_sets, i, sid):
+        """(cols, rival lists posed in order, answer, simplex calls) for
+        sid's justifier question, asked of a fresh Columns."""
+        cols = dominance.Columns(form, i, q_sets)
+        with mock.patch.object(dominance, "justifier_problem",
+                               wraps=dominance.justifier_problem) as build, \
+                mock.patch.object(lp, "solve", wraps=lp.solve) as solve:
+            measure = dominance.justifier_ids(form, q_sets, i, sid, cols)
+        return (cols, [call.args[2] for call in build.call_args_list],
+                measure, solve.call_count)
+
+    def check(self, form, q_sets, i, sid, seen):
+        cols, rounds, measure, solves = self.rounds(form, q_sets, i, sid)
+        assert solves == len(rounds)
+        u = [[Fraction(v, cols.den) for v in row] for row in cols.value]
+        rivals = all_rivals(cols, sid)
+        larger = [r for r in rivals if cols.row_sum[r] > cols.row_sum[sid]]
+        assert rounds[:1] == ([larger] if larger else [])
+
+        def beaten(nu, posed):
+            return [r for r in rivals
+                    if r not in posed and dot(u[r], nu) > dot(u[sid], nu)]
+
+        nu = [Fraction(1, len(cols.groups))] * len(cols.groups)
+        posed = []
+        settled = None
+        for k, step in enumerate(rounds):
+            added = beaten(nu, posed)
+            assert added and step == sorted(posed + added)
+            posed = step
+            rational, _ = rational_problem(form, i, q_sets, sid, "justifier",
+                                           posed)
+            assert len(rational.rows) == len(posed) + 1
+            result = fraction_simplex(rational)
+            if result.status == "infeasible" or result.value <= 0:
+                assert k == len(rounds) - 1
+                settled = "relaxation"
+                break
+            nu = [result.x[0] + w for w in result.x[1:1 + len(nu)]]
+        full = fraction_simplex(full_justifier_problem(u, sid))
+        seen["questions"] += 1
+        seen["rounds"] += len(rounds) > 1
+        if measure is None:
+            assert settled
+            assert full.status == "infeasible" or full.value <= 0
+            seen["none"] += 1
+            return
+        assert not settled
+        assert posed == rivals or not beaten(nu, posed)
+        on, den = measure
+        masses = {c: Fraction(n, den) for c, n in on.items()}
+        column = [sum(masses[c] for c in members) for members in cols.groups]
+        assert column == nu
+        assert full.status == "optimal" and min(column) == full.value > 0
+        assert sid in fraction_best_replies_to_measure(form, i, masses)
+        seen["justified"] += 1
+
+    def test_rounds_on_every_question(self, corpus_games):
+        seen = {"questions": 0, "rounds": 0, "none": 0, "justified": 0}
+        for game in lp_games(corpus_games) + bimatrix_games(6):
+            form = game.strategic_form()
+            steps, _, _ = dominance.iterated_elimination_ids(form)
+            for step in steps[:-1]:
+                q_sets = [frozenset(part) for part in step]
+                for i in range(form.n):
+                    for sid in range(form.counts[i]):
+                        self.check(form, q_sets, i, sid, seen)
+        assert seen["questions"] >= 1200 and seen["rounds"] >= 8, seen
+        assert seen["none"] >= 400 and seen["justified"] >= 600, seen
+
+    def test_pinned_second_round(self):
+        """Own rows a = (0, 3, 4), b = (2, 2, 0) and c = (1, 3, 0), sid c.
+        Against the uniform measure only a beats c (row sums 7, 4, 4), so
+        round one poses a's row, with the unique optimum (4, 1, 1)/6.
+        There b earns 5/3 and c 7/6, so round two poses a and b and
+        returns (4, 4, 1)/9, against which a, b and c all earn 16/9.  Its
+        least mass 1/9 is the optimum of the LP over every rival."""
+        text = ("players Row Col\nmatrix Row: a b c Col: L M R\n"
+                "a: 0,0 3,0 4,0\nb: 2,0 2,0 0,0\nc: 1,0 3,0 0,0\n")
+        form = dsl.elaborate(dsl.parse(text)).strategic_form()
+        q_sets = [frozenset(range(count)) for count in form.counts]
+        cols, rounds, measure, solves = self.rounds(form, q_sets, 0, 2)
+        assert rounds == [[0], [0, 1]] and solves == 2
+        first = fraction_simplex(dominance.justifier_problem(cols, 2, [0]))
+        assert [first.x[0] + w for w in first.x[1:4]] == \
+            [Fraction(4, 6), Fraction(1, 6), Fraction(1, 6)]
+        assert measure == ({0: 4, 1: 4, 2: 1}, 9)
+        assert [dot(row, [4, 4, 1]) for row in cols.value] == [16, 16, 16]
+        full = fraction_simplex(full_justifier_problem(cols.value, 2))
+        assert full.value == Fraction(1, 9)
+        assert dominance.measure_justifies_ids(form, q_sets, 0, 2, measure,
+                                               cols)
+
+    def test_pinned_second_round_without_justifier(self):
+        """Own rows a = (3, 0), b = (2, 1) and c = (1, 4), sid b.  Round
+        one poses c alone (row sums 3, 3, 5) and returns (3, 1)/4, where
+        a earns 9/4 and b only 7/4.  Round two poses a and c and is
+        infeasible: b matches c only with mass >= 3/4 on L, and a only
+        with mass <= 1/2.  So b has no justifier, as the LP over every
+        rival says, and the first round's measure is not returned."""
+        text = ("players Row Col\nmatrix Row: a b c Col: L R\n"
+                "a: 3,0 0,0\nb: 2,0 1,0\nc: 1,0 4,0\n")
+        form = dsl.elaborate(dsl.parse(text)).strategic_form()
+        q_sets = [frozenset(range(count)) for count in form.counts]
+        cols, rounds, measure, solves = self.rounds(form, q_sets, 0, 1)
+        assert rounds == [[2], [0, 2]] and solves == 2
+        assert measure is None
+        first = fraction_simplex(dominance.justifier_problem(cols, 1, [2]))
+        nu = [first.x[0] + w for w in first.x[1:3]]
+        assert nu == [Fraction(3, 4), Fraction(1, 4)]
+        assert dot(cols.value[0], nu) > dot(cols.value[1], nu)
+        assert fraction_simplex(full_justifier_problem(
+            cols.value, 1)).status == "infeasible"
+
+
 def elimination_questions(game):
     """(form, q_sets, i, sid) for every keep question the elimination
     asks: every surviving own strategy at every level it runs."""
@@ -500,31 +667,49 @@ class TestKeepByJustifier:
     S_i, so no mixture on Q_i dominates sid (the easy half of Pearce's
     lemma, for any Q)."""
 
-    def test_justified_strategies_pose_no_slack_tableau(self, corpus_games):
+    def test_justified_strategies_pose_no_slack_tableau(self, corpus_games,
+                                                        monkeypatch):
         """Where sid has an unshared justifier, dominating_mixture_ids
-        returns None, the simplex sees at most sid's justifier LP, and
-        the slack LP over every co-profile has optimum <= 0.  Where it
-        has none, the answer is a mixture that substitutes."""
+        returns None, the simplex sees only sid's justifier relaxations,
+        each over more of sid's distinct rivals than the one before, and
+        the slack LP over every co-profile has optimum <= 0.  Where it has
+        none, the answer is a mixture that substitutes."""
+        relaxations = []
+        real_problem = dominance.justifier_problem
+
+        def recorded(cols, sid, rivals):
+            problem = real_problem(cols, sid, rivals)
+            relaxations.append((list(rivals), problem))
+            return problem
+
+        monkeypatch.setattr(dominance, "justifier_problem", recorded)
         seen = {"kept": 0, "excluded": 0, "justifier_lp": 0, "slack_lp": 0}
         for game in lp_games(corpus_games):
             for form, q_sets, i, sid in elimination_questions(game):
                 justifier = dominance.justifier_ids(
                     form, q_sets, i, sid, dominance.Columns(form, i, q_sets))
                 cols = dominance.Columns(form, i, q_sets)
+                del relaxations[:]
                 with mock.patch.object(lp, "solve", wraps=lp.solve) as solve:
                     mixture = dominance.dominating_mixture_ids(
                         form, q_sets, i, sid, cols)
                 posed = [call.args[0] for call in solve.call_args_list]
-                own = dominance.justifier_problem(cols, sid)
+                built = [problem for _, problem in relaxations]
+                rounds = [set(rivals) for rivals, _ in relaxations]
+                assert all(sorted(rivals) == rivals
+                           for rivals, _ in relaxations)
+                assert all(a < b for a, b in zip(rounds, rounds[1:]))
+                assert not rounds or rounds[-1] <= set(all_rivals(cols, sid))
+                assert posed[:len(built)] == built
                 if justifier is None:
                     assert mixture is not None
                     assert dominance.mixture_dominates_ids(
                         form, q_sets, i, sid, mixture, cols)
                     seen["excluded"] += 1
-                    seen["slack_lp"] += any(p != own for p in posed)
+                    seen["slack_lp"] += len(posed) > len(built)
                     continue
                 assert mixture is None
-                assert posed in ([], [own])
+                assert posed == built
                 seen["justifier_lp"] += len(posed)
                 result = fraction_simplex(full_slack_problem(
                     form, q_sets, i, sid))
@@ -537,8 +722,10 @@ class TestKeepByJustifier:
     def test_slack_lp_decides_where_no_justifier_exists(self):
         """Off the elimination's sets a None justifier decides nothing:
         on Q = {a, b} x {L, R}, c beats a against every measure, so a has
-        no justifier, yet no mixture of a and b dominates a.  The slack
-        LP is posed and answers None."""
+        no justifier, yet no mixture of a and b dominates a.  The one
+        justifier relaxation poses c's row alone (b ties a against the
+        uniform measure) and is infeasible, as is the LP over every
+        rival.  The slack LP is then posed and answers None."""
         text = ("players Row Col\nmatrix Row: a b c Col: L R\n"
                 "a: 1,0 0,0\nb: 0,0 1,0\nc: 2,0 2,0\n")
         game = dsl.elaborate(dsl.parse(text))
@@ -549,9 +736,11 @@ class TestKeepByJustifier:
             assert weakly_dominated(game, Q, 0, a) is None
         form = game.strategic_form()
         cols = dominance.Columns(form, 0, form.ids_from_restriction(Q))
-        assert solve.call_count == 2  # the justifier LP, then the slack LP
+        assert solve.call_count == 2  # one relaxation, then the slack LP
         assert solve.call_args_list[0].args[0] == \
-            dominance.justifier_problem(cols, 0)
+            dominance.justifier_problem(cols, 0, [2])
+        assert fraction_simplex(full_justifier_problem(
+            cols.value, 0)).status == "infeasible"
         assert not vertex_weakly_dominated(game, Q, 0, a)
 
     def test_row_sum_lemma_on_elimination_sets(self, corpus_games):
@@ -586,10 +775,11 @@ def true_payoff(form, i, sid, coid):
     return form.game.payoff_of_profile(profile, i)
 
 
-def rational_problem(form, i, q_sets, sid, question):
+def rational_problem(form, i, q_sets, sid, question, rivals=None):
     """The LP a question about sid poses, rebuilt from true payoffs with
     no scaling: distinct columns over Q_{-i} and distinct rival rows,
-    each in first-occurrence order."""
+    each in first-occurrence order.  ``rivals``, if given, keeps only
+    the rows of those rivals."""
     count = form.counts[i]
     grouped = {}
     for coid in sorted(form.co_restriction(i, q_sets)):
@@ -610,7 +800,8 @@ def rational_problem(form, i, q_sets, sid, question):
         first = {}
         for r in range(count):
             first.setdefault(tuple(u[r]), r)
-        others = [r for row, r in first.items() if row != tuple(u[sid])]
+        others = [r for row, r in first.items() if row != tuple(u[sid])
+                  and (rivals is None or r in rivals)]
         rows = [[ngroups] + [1] * ngroups + [0] * len(others)]
         rhs = [1]
         for j, r in enumerate(others):
@@ -631,14 +822,24 @@ class TestIntegerLP:
 
     def test_posed_problem_is_den_times_the_rational_one(
             self, corpus_games, monkeypatch):
+        """Every posed LP, each justifier relaxation included, is den
+        times the rational problem over the same rivals, and takes the
+        reference simplex's pivots to its vertex.  Where a justifier
+        question returns a measure, its last relaxation's value is the
+        optimum of the LP with one row per rival; where it returns None,
+        that LP has no positive optimum."""
         from prudens.procedures import verify_equivalences
         owners = {}
         asking = []
         posed = []
         pivots = []
+        rivals_of = {}
+        answers = {}
         real_init = dominance.Columns.__init__
+        real_problem = dominance.justifier_problem
         real_solve = lp.solve
         real_pivot = lp._pivot
+        real_fraction_pivot = oracles._fraction_pivot
 
         def init(self, form, i, q_sets):
             real_init(self, form, i, q_sets)
@@ -648,14 +849,25 @@ class TestIntegerLP:
             def ask(cols, *args):
                 asking.append((question, cols, args[-1]))
                 try:
-                    return real(cols, *args)
+                    answer = real(cols, *args)
                 finally:
                     asking.pop()
+                answers[(question, id(cols), args[-1])] = answer
+                return answer
             return ask
+
+        def problem(cols, sid, rivals):
+            built = real_problem(cols, sid, rivals)
+            rivals_of[id(built)] = list(rivals)
+            return built
 
         def pivot(*args):
             pivots.append(args)
             return real_pivot(*args)
+
+        def fraction_pivot(*args):
+            pivots.append(args)
+            return real_fraction_pivot(*args)
 
         def solve(problem):
             before = len(pivots)
@@ -668,41 +880,62 @@ class TestIntegerLP:
                             asked("slack", dominance._dominating_mixture))
         monkeypatch.setattr(dominance, "_justifier",
                             asked("justifier", dominance._justifier))
+        monkeypatch.setattr(dominance, "justifier_problem", problem)
         monkeypatch.setattr(lp, "_pivot", pivot)
         monkeypatch.setattr(lp, "solve", solve)
-        seen = {"slack": 0, "justifier": 0, "scaled": 0, "pivots": 0}
+        monkeypatch.setattr(oracles, "_fraction_pivot", fraction_pivot)
+        seen = {"slack": 0, "justifier": 0, "scaled": 0, "pivots": 0,
+                "relaxed": 0, "decided": 0}
         # the corpus again with player i's payoffs divided by i + 2, so
         # that its slack LPs are posed over denominators above 1 too
         thirds = [Game(game.players, game.actions,
                        {z: tuple(u / (i + 2) for i, u in enumerate(pv))
                         for z, pv in game.payoffs.items()})
                   for game in map(corpus_games.get, sorted(corpus_games))]
-        for game in lp_games(corpus_games) + thirds:
+        for game in lp_games(corpus_games) + thirds + bimatrix_games(4):
             del posed[:]
+            answers.clear()
             verify_equivalences(game)
+            last = {}
             for (question, cols, sid), problem, result, count in posed:
                 _, form, i = owners[id(cols)]
                 entries = problem.objective + problem.rhs + [
                     v for row in problem.rows for v in row]
                 assert all(type(v) is int for v in entries)
+                rivals = rivals_of[id(problem)] \
+                    if question == "justifier" else None
                 rational, groups = rational_problem(form, i, cols.q_sets,
-                                                    sid, question)
+                                                    sid, question, rivals)
                 assert groups == cols.groups
                 den = form.payoff_den[i]
                 assert problem.objective == rational.objective
                 assert problem.rhs == [den * b for b in rational.rhs]
                 assert problem.rows == [[den * v for v in row]
                                         for row in rational.rows]
-                before = len(pivots)
-                reference = real_solve(rational)
-                assert len(pivots) - before == count
-                assert (reference.status, reference.x, reference.value) \
-                    == (result.status, result.x, result.value)
+                for reference_solve in (real_solve, fraction_simplex):
+                    before = len(pivots)
+                    reference = reference_solve(rational)
+                    assert len(pivots) - before == count
+                    assert (reference.status, reference.x, reference.value) \
+                        == (result.status, result.x, result.value)
                 seen[question] += 1
                 seen["scaled"] += den > 1
                 seen["pivots"] += count
+                if question == "justifier":
+                    seen["relaxed"] += len(rivals) < len(all_rivals(cols, sid))
+                    last[(id(cols), sid)] = (cols, sid, result)
+            for key, (cols, sid, result) in last.items():
+                full = fraction_simplex(full_justifier_problem(cols.value,
+                                                               sid))
+                if answers[("justifier",) + key] is None:
+                    assert full.status == "infeasible" or full.value <= 0
+                else:
+                    assert full.status == "optimal"
+                    assert full.value == result.value > 0
+                seen["decided"] += 1
         assert seen["slack"] > 1 and seen["justifier"] >= 80, seen
         assert seen["scaled"] >= 20 and seen["pivots"] >= 400, seen
+        assert seen["relaxed"] >= 100 and seen["decided"] >= 100, seen
 
     def test_answers_are_integer_layers(self, corpus_games):
         """Every elimination question's answers leave dominance as one

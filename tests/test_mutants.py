@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from prudens import beliefs, dominance, procedures
+from prudens import beliefs, dominance, lp, procedures
 from prudens.hyperreal import scaled
 from prudens.procedures import EquivalenceViolation, verify_equivalences
 
@@ -208,3 +208,32 @@ def test_justifier_denominator_off_by_one(games, monkeypatch):
     found = violations(games)
     assert set(found) == {("justifiers",)}
     assert len(found) >= 50, found
+
+
+def test_first_relaxation_returned(games, monkeypatch):
+    """Rival-row generation stopped after its first round: the optimum
+    over the rivals with a larger row sum is returned with no membership
+    test, so a rival never posed may beat it.  The elimination reads only
+    whether a measure exists; the witness phase substitutes it against
+    every own strategy.  Only two questions on the list need a second
+    round, and the audit rejects both games."""
+    real = dominance._justifier
+
+    def first_round_only(cols, sid):
+        larger = [r for r, t in enumerate(cols.twin)
+                  if t == r and cols.row_sum[r] > cols.row_sum[sid]]
+        if not larger:
+            return real(cols, sid)
+        result = lp.solve(dominance.justifier_problem(cols, sid, larger))
+        if result.status != "optimal" or result.value <= 0:
+            return None
+        m, w = result.x[0], result.x[1:1 + len(cols.groups)]
+        ints, den = scaled([(m + w_g) / len(members)
+                            for w_g, members in zip(w, cols.groups)])
+        return {c: n for n, members in zip(ints, cols.groups)
+                for c in members}, den
+
+    monkeypatch.setattr(dominance, "_justifier", first_round_only)
+    found = violations(games)
+    assert set(found) == {("justifiers",)}
+    assert len(found) >= 2, found
