@@ -60,11 +60,12 @@ def _argmax(classes):
 
 
 class ReplyAnalysis:
-    """Per-history conditional argmax sets for one (belief, player) pair.
-    Raises BestReplyError unless the player holds the belief."""
+    """Per-history conditional argmax sets for one (belief, player) pair,
+    over the belief's own strategic form.  Raises BestReplyError unless
+    the player holds the belief."""
 
-    def __init__(self, form, belief, i):
-        owner = belief.family.owner
+    def __init__(self, belief, i):
+        form, owner = belief.family.form, belief.family.owner
         if i != owner:
             raise BestReplyError("a belief of %s queried as %s's"
                                  % (form.game.players[owner],
@@ -128,10 +129,9 @@ class ReplyAnalysis:
 def _analysis(game, belief, i):
     """The belief's ReplyAnalysis for player i; raises ForeignGame unless
     game is the one the belief is over."""
-    family = belief.family
-    if game is not family.game:
+    if game is not belief.family.game:
         raise ForeignGame("the belief is over another game")
-    return ReplyAnalysis(family.form, belief, i)
+    return ReplyAnalysis(belief, i)
 
 
 def expected_payoff(game, belief, i, r, h):

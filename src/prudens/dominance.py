@@ -38,11 +38,15 @@ against the uniform measure, then against each optimum in turn, until
 none does (docs/exactness.md, "Justifier LPs by rival-row
 generation"); twins pose the identical LPs.  Both LPs are
 posed in the form's integers, as exactly the payoff denominator times
-the rational problem, which keeps the simplex's pivots and vertex.  Each
-answer is one integer layer, scaled once where it is produced: a
-justifier (on, den), mass ``on[c] / den``, or a mixture (weights, den).
+the rational problem, which keeps the simplex's pivots and vertex, and
+``lp.solve`` hands the vertex back as integers over its determinant D.
+Each answer is one integer layer made from those integers: a mixture
+(weights, den), the vertex's weights and D reduced by their gcd, or a
+justifier (on, den), mass ``on[c] / den``, each column's mass spread
+over its group by the one ``scaled`` call.
 """
 
+import math
 from fractions import Fraction
 from operator import mul
 
@@ -177,8 +181,9 @@ def _dominating_mixture(cols, q_i, sid):
         raise DominanceError("slack LP must be solvable, got %s" % result.status)
     if result.value <= 0:
         return None
-    ints, den = scaled(result.x[:len(q_i)])
-    return {r: w for r, w in zip(q_i, ints) if w}, den
+    weights = result.x[:len(q_i)]
+    g = math.gcd(result.den, *weights)
+    return {r: w // g for r, w in zip(q_i, weights) if w}, result.den // g
 
 
 def mixture_dominates_ids(form, q_sets, i, sid, mixture, cols):
@@ -234,7 +239,7 @@ def _justifier(cols, sid):
     if row_sum[sid] == max(row_sum):
         # the uniform point m = 1/G, w = 0 is feasible, hence the unique
         # optimum: G m + sum(w) = 1 and w >= 0 force m <= 1/G
-        masses = [Fraction(1, ngroups)] * ngroups
+        masses, den = [1] * ngroups, ngroups
     else:
         # rival-row generation (docs/exactness.md, "Justifier LPs by
         # rival-row generation"): pose the rivals that beat sid against
@@ -254,17 +259,17 @@ def _justifier(cols, sid):
                 raise DominanceError("justifier LP cannot be unbounded")
             if result.value <= 0:
                 return None
-            m = result.x[0]
+            # column masses over den > 0, compared below as they are
+            m, den = result.x[0], result.den
             masses = [m + w for w in result.x[1:1 + ngroups]]
             if len(posed) == len(rivals):
                 break
-            weight, _ = scaled(masses)
-            own = sum(map(mul, value[sid], weight))
+            own = sum(map(mul, value[sid], masses))
             beaten = [r for r in rivals if r not in posed
-                      and sum(map(mul, value[r], weight)) > own]
+                      and sum(map(mul, value[r], masses)) > own]
             if not beaten:
                 break
-    ints, den = scaled([mass / len(members)
+    ints, den = scaled([Fraction(mass, den * len(members))
                         for mass, members in zip(masses, cols.groups)])
     return {coid: n for n, members in zip(ints, cols.groups)
             for coid in members}, den

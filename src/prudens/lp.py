@@ -1,33 +1,25 @@
 """Exact linear programming by a fraction-free two-phase tableau simplex.
 
 Problems are in standard equality form: maximize c.x subject to A x = b,
-x >= 0, with every entry a Fraction (or int).  Bland's smallest-index rule
-is used for both the entering and leaving choice, so the solver cannot
-cycle and is deterministic.  Results carry certificates that re-verify by
-plain substitution: a feasible optimal point, or a Farkas witness y with
+x >= 0, with every entry an int.  Bland's smallest-index rule is used
+for both the entering and leaving choice, so the solver cannot cycle and
+is deterministic.  Results carry certificates that re-verify by plain
+substitution: a feasible optimal point, or a Farkas witness y with
 y.A <= 0 and y.b > 0 for infeasible systems.
 
-The tableau holds integers.  Every constraint row and the rhs are
-multiplied by one common denominator L (artificial columns keep their
-coefficient 1), and the phase-2 costs by the common denominator of the
-objective (``hyperreal.scaled``).  Each row of the integer tableau, and
-the z row, is D times the scaled problem's rational tableau row, where
-D > 0 is the absolute determinant of the current basis; a pivot divides
-by the previous D exactly (Edmonds 1967, Bareiss 1968).  The pivot
-sequence is the rational simplex's: scaling all rows by one L multiplies
-the phase-1 objective by L and every ratio of a ratio test by the same
-factor, and D > 0 changes no sign, so each comparison Bland's rule makes
-has the same outcome.  Points, values and Farkas witnesses are read back as
-Fractions over D.  docs/exactness.md gives both arguments in full.
+The tableau holds the problem's integers as given (artificial columns
+get coefficient 1).  Each row of it, and the z row, is D times the
+rational tableau row, where D > 0 is the absolute determinant of the
+current basis; a pivot divides by the previous D exactly (Edmonds 1967,
+Bareiss 1968), and D > 0 changes no sign, so each comparison Bland's
+rule makes is the rational simplex's.  Points, values and Farkas
+witnesses are returned as integers over D (``LPResult.den``).  A caller
+with rational data scales every row and the rhs by one common factor
+and the objective by another, which keeps every pivot; docs/exactness.md
+gives both arguments in full ("Fraction-free simplex").
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
-
-from .hyperreal import scaled
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass
@@ -45,13 +37,21 @@ class LPProblem:
         for row in self.rows:
             if len(row) != n:
                 raise ValueError("row width mismatch")
+        # a Fraction would be floored by the pivots' exact division
+        if not all(type(v) is int
+                   for part in (self.objective, self.rhs, *self.rows)
+                   for v in part):
+            raise ValueError("LP entries must be ints")
 
 
 @dataclass
 class LPResult:
+    """x, value and farkas are integers over ``den`` = D > 0."""
+
     status: str           # "optimal" | "infeasible" | "unbounded"
+    den: int = None       # unset when unbounded
     x: list = None        # optimal point (status == "optimal")
-    value: Fraction = None
+    value: int = None
     farkas: list = None   # infeasibility witness (status == "infeasible")
 
 
@@ -123,11 +123,9 @@ def solve(problem):
     problem.check()
     n = len(problem.objective)
     m = len(problem.rows)
-    cells, _ = scaled([v for row in problem.rows for v in row]
-                      + list(problem.rhs))
     tab = []
-    for r, b in enumerate(problem.rhs):
-        body = cells[r * n:(r + 1) * n] + [cells[m * n + r]]
+    for r, (row, b) in enumerate(zip(problem.rows, problem.rhs)):
+        body = [*row, b]
         if b < 0:
             body = [-v for v in body]
         tab.append(body[:n] + [1 if k == r else 0 for k in range(m)]
@@ -142,11 +140,11 @@ def solve(problem):
     assert status == "optimal"  # phase-1 objective is bounded above by 0
     zrow = tab.pop()
     if zrow[-1] < 0:  # artificial mass left: infeasible
-        y = [ONE - Fraction(zrow[n + k], det) for k in range(m)]
+        y = [det - zrow[n + k] for k in range(m)]
         for k, b in enumerate(problem.rhs):
             if b < 0:
                 y[k] = -y[k]
-        return LPResult(status="infeasible", farkas=y)
+        return LPResult(status="infeasible", den=det, farkas=y)
 
     # the artificial columns are never read again
     tab = [row[:n] + row[-1:] for row in tab]
@@ -164,18 +162,17 @@ def solve(problem):
         r += 1
 
     # phase 2 on structural columns
-    costs, _ = scaled(problem.objective)
-    zrow = [-det * c for c in costs] + [0]
+    zrow = [-det * c for c in problem.objective] + [0]
     for j, row in zip(basis, tab):
-        cb = costs[j]
+        cb = problem.objective[j]
         if cb:
             zrow = [z + cb * v for z, v in zip(zrow, row)]
     tab.append(zrow)
     status, det = _iterate(tab, basis, n, det)
     if status == "unbounded":
         return LPResult(status="unbounded")
-    x = [ZERO] * n
+    x = [0] * n
     for row, j in zip(tab, basis):
-        x[j] = Fraction(row[-1], det)
-    value = sum(c * v for c, v in zip(problem.objective, x))
-    return LPResult(status="optimal", x=x, value=value)
+        x[j] = row[-1]
+    # the z row's rhs is D times c.x
+    return LPResult(status="optimal", den=det, x=x, value=tab[-1][-1])

@@ -318,7 +318,7 @@ class _Run:
                             stage = "audit"
                             shared[chain] = (
                                 belief, audit(self, belief, i, n),
-                                best_reply.ReplyAnalysis(form, belief, i))
+                                best_reply.ReplyAnalysis(belief, i))
                         stage = "audit"
                         belief, checks, analysis = shared[chain]
                         checks = checks + [(

@@ -6,7 +6,8 @@ decision logic with the library implementations it checks.  Two kinds
 are exceptions, kept on purpose as the rational versions of integer code
 that must agree with them exactly, result for result:
 ``fraction_simplex``, the rational tableau simplex that ``lp.solve``
-replaces with integer pivoting (it takes the same Bland-rule pivots), and
+replaces with integer pivoting (it takes the same Bland-rule pivots) and
+which ``integer_problem`` and ``rational`` translate to and from, and
 ``fraction_value_row`` / ``fraction_best_replies_to_measure``, the
 per-strategy Fraction sums that ``best_reply`` replaces with integer
 twin-class sums.  ``full_justifier_problem`` is the justifier LP with
@@ -22,7 +23,9 @@ belief's masses, which the library's operators never do.
 """
 
 import itertools
+import math
 from fractions import Fraction
+from operator import mul
 
 import sympy
 
@@ -405,28 +408,53 @@ def _fraction_zrow(a, basis, costs, ncols, last):
     return out
 
 
+def integer_problem(problem):
+    """A rational ``lp.LPProblem`` as the integers ``lp.solve`` takes:
+    every row and the rhs times one least common denominator, the
+    objective times its own.  The pivots, the point and the Farkas
+    witness are the rational problem's; the value is multiplied by the
+    objective's factor."""
+    def factor(values):
+        return math.lcm(*(Fraction(v).denominator for v in values))
+
+    cells = factor([v for row in problem.rows for v in row] + problem.rhs)
+    costs = factor(problem.objective)
+    return lp.LPProblem([int(c * costs) for c in problem.objective],
+                        [[int(v * cells) for v in row]
+                         for row in problem.rows],
+                        [int(b * cells) for b in problem.rhs])
+
+
+def rational(result):
+    """An ``lp.LPResult`` with its point, value and Farkas witness read
+    as Fractions over its ``den``."""
+    def over(values):
+        return values and [Fraction(v, result.den) for v in values]
+
+    value = result.value
+    return lp.LPResult(result.status, x=over(result.x),
+                       value=None if value is None
+                       else Fraction(value, result.den),
+                       farkas=over(result.farkas))
+
+
 def lp_certificate_holds(result, problem):
-    """Re-check an ``lp.LPResult``'s certificate by substitution: a
-    nonnegative feasible point attaining its value, or a Farkas witness
-    y with y.A <= 0 and y.b > 0."""
+    """Re-check an ``lp.LPResult``'s certificate by substitution, in
+    integers over its ``den`` > 0: a nonnegative point with A.x = den.b
+    whose c.x is the value, or a Farkas witness y with y.A <= 0 and
+    y.b > 0."""
+    if result.status not in ("optimal", "infeasible") or not result.den > 0:
+        return False
     if result.status == "optimal":
-        if any(v < 0 for v in result.x):
-            return False
-        for row, b in zip(problem.rows, problem.rhs):
-            if sum(r * v for r, v in zip(row, result.x)) != b:
-                return False
-        obj = sum(c * v for c, v in zip(problem.objective, result.x))
-        return obj == result.value
-    if result.status == "infeasible":
-        y = result.farkas
-        n = len(problem.objective)
-        for j in range(n):
-            if sum(y[k] * problem.rows[k][j]
-                   for k in range(len(problem.rows))) > 0:
-                return False
-        return sum(y[k] * problem.rhs[k]
-                   for k in range(len(problem.rhs))) > 0
-    return False
+        x = result.x
+        return all(v >= 0 for v in x) and all(
+            sum(map(mul, row, x)) == result.den * b
+            for row, b in zip(problem.rows, problem.rhs)) and \
+            sum(map(mul, problem.objective, x)) == result.value
+    y = result.farkas
+    return all(sum(map(mul, y, column)) <= 0
+               for column in zip(*problem.rows)) and \
+        sum(map(mul, y, problem.rhs)) > 0
 
 
 def full_justifier_problem(value, sid):
@@ -479,8 +507,8 @@ def full_slack_problem(form, q_sets, i, sid):
 
 def fraction_simplex(problem):
     """The two-phase Bland-rule simplex over a Fraction tableau: the
-    reference ``lp.solve`` must agree with pivot for pivot."""
-    problem.check()
+    reference ``lp.solve`` must agree with pivot for pivot, over
+    Fraction or int entries."""
     n = len(problem.objective)
     m = len(problem.rows)
     a = []

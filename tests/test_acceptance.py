@@ -275,7 +275,7 @@ def test_07_reduced_strategy_analogue(corpus_games):
             for _ in range(30):
                 belief = random_prior(game, i, rng)
                 form = game.strategic_form()
-                analysis = ReplyAnalysis(form, belief, i)
+                analysis = ReplyAnalysis(belief, i)
                 chosen = set(analysis.weak_sequential_ids())
                 for cls in game.reduce_strategies(i):
                     ids = {form.index[i][s] for s in cls}

@@ -106,7 +106,7 @@ class TestExpectedPayoff:
             expected_payoff(game, belief, 0, r, foreign)
         form = game.strategic_form()
         assert expected_payoff(game, belief, 0, r, own) == ReplyAnalysis(
-            form, belief, 0).value(form.strategy_id(0, r), 1)
+            belief, 0).value(form.strategy_id(0, r), 1)
         for h in (own, foreign):
             with pytest.raises(ForeignGame):
                 expected_payoff(other, belief, 0, r, h)
@@ -166,7 +166,7 @@ class TestSequentialBestReplies:
                 belief = random_prior(game, i, rng)
                 rho = set(sequential_best_replies(game, belief, i))
                 form = game.strategic_form()
-                analysis = ReplyAnalysis(form, belief, i)
+                analysis = ReplyAnalysis(belief, i)
                 argmax = {form.strats[i][sid]
                           for sid in analysis.argmax_ids(0)}
                 assert rho == argmax
@@ -182,7 +182,7 @@ class TestSequentialBestReplies:
                 assert rho, "sequential best replies must exist"
                 # re-derive from the definition, literally
                 form = g.strategic_form()
-                analysis = ReplyAnalysis(form, belief, i)
+                analysis = ReplyAnalysis(belief, i)
                 for s in g.strategies(i):
                     ok = True
                     for k, h in enumerate(g.nonterminal):
@@ -203,7 +203,7 @@ class TestSequentialBestReplies:
                 assert rho <= rho_bar
                 # every weak best reply is optimal at the root conditional
                 form = g.strategic_form()
-                analysis = ReplyAnalysis(form, belief, i)
+                analysis = ReplyAnalysis(belief, i)
                 root_best = analysis.argmax_ids(0)
                 assert all(form.index[i][s] in root_best for s in rho_bar)
 
@@ -246,9 +246,8 @@ class TestScalingInvariance:
             factor = Hyperreal(
                 [Fraction(c) for c in factor_coeffs], belief.degree_bound)
             scaled = self._Scaled(belief, factor)
-            form = game.strategic_form()
-            base_analysis = ReplyAnalysis(form, belief, i)
-            scaled_analysis = ReplyAnalysis(form, scaled, i)
+            base_analysis = ReplyAnalysis(belief, i)
+            scaled_analysis = ReplyAnalysis(scaled, i)
             for k in range(len(game.nonterminal)):
                 assert base_analysis.argmax_ids(k) == \
                     scaled_analysis.argmax_ids(k)
@@ -273,7 +272,7 @@ class TestOptimalityLemma:
                 D = 1
                 prior = {c: Hyperreal((measure[c],), D) for c in measure}
                 belief = PriorCNPS(ConditioningFamily(g, i, form), prior)
-                analysis = ReplyAnalysis(form, belief, i)
+                analysis = ReplyAnalysis(belief, i)
                 weak = set(analysis.weak_sequential_ids())
                 assert best <= weak
                 checked += 1
@@ -381,7 +380,7 @@ class TestIntegerKernel:
     def check_game(self, game, rng, seen):
         form = game.strategic_form()
         for i, belief in self.beliefs(game, rng):
-            analysis = ReplyAnalysis(form, belief, i)
+            analysis = ReplyAnalysis(belief, i)
             for k in range(len(game.nonterminal)):
                 want = fraction_value_row(form, belief, i, k)
                 assert analysis._value_row(k) == want

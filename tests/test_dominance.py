@@ -19,7 +19,7 @@ import oracles
 from oracles import (brute_iterated_admissibility,
                      fraction_best_replies_to_measure, fraction_simplex,
                      full_justifier_problem, full_slack_problem,
-                     vertex_weakly_dominated)
+                     integer_problem, rational, vertex_weakly_dominated)
 
 
 def by_name(game, i, name):
@@ -454,10 +454,12 @@ class TestDeduplicatedJustifier:
             measure = dominance.justifier_ids(form, q_sets, 0, 3, cols)
         assert [call.args[2] for call in build.call_args_list] == [[5]]
         assert measure == ({0: 3, 1: 2, 2: 2, 3: 2, 4: 2}, 11)
-        both = lp.solve(dominance.justifier_problem(cols, 3, [1, 5]))
+        both = rational(lp.solve(dominance.justifier_problem(cols, 3,
+                                                             [1, 5])))
         assert [both.x[0] + both.x[1 + g] for g in range(5)] == \
             [Fraction(n, 11) for n in (3, 2, 2, 2, 2)]
-        full = lp.solve(full_justifier_problem(true, 3))
+        full = rational(lp.solve(integer_problem(
+            full_justifier_problem(true, 3))))
         assert full.value == Fraction(2, 11)
         assert Fraction(min(measure[0].values()), measure[1]) == full.value
         ints, den = scaled([full.x[0] + full.x[1 + g] for g in range(5)])
@@ -563,10 +565,10 @@ class TestRivalRowGeneration:
             added = beaten(nu, posed)
             assert added and step == sorted(posed + added)
             posed = step
-            rational, _ = rational_problem(form, i, q_sets, sid, "justifier",
+            unscaled, _ = rational_problem(form, i, q_sets, sid, "justifier",
                                            posed)
-            assert len(rational.rows) == len(posed) + 1
-            result = fraction_simplex(rational)
+            assert len(unscaled.rows) == len(posed) + 1
+            result = fraction_simplex(unscaled)
             if result.status == "infeasible" or result.value <= 0:
                 assert k == len(rounds) - 1
                 settled = "relaxation"
@@ -904,38 +906,70 @@ class TestIntegerLP:
                 assert all(type(v) is int for v in entries)
                 rivals = rivals_of[id(problem)] \
                     if question == "justifier" else None
-                rational, groups = rational_problem(form, i, cols.q_sets,
+                unscaled, groups = rational_problem(form, i, cols.q_sets,
                                                     sid, question, rivals)
                 assert groups == cols.groups
                 den = form.payoff_den[i]
-                assert problem.objective == rational.objective
-                assert problem.rhs == [den * b for b in rational.rhs]
+                assert problem.objective == unscaled.objective
+                assert problem.rhs == [den * b for b in unscaled.rhs]
                 assert problem.rows == [[den * v for v in row]
-                                        for row in rational.rows]
-                for reference_solve in (real_solve, fraction_simplex):
+                                        for row in unscaled.rows]
+                answer = rational(result)
+                for reference_solve in (
+                        lambda p: rational(
+                            real_solve(integer_problem(p))),
+                        fraction_simplex):
                     before = len(pivots)
-                    reference = reference_solve(rational)
+                    reference = reference_solve(unscaled)
                     assert len(pivots) - before == count
                     assert (reference.status, reference.x, reference.value) \
-                        == (result.status, result.x, result.value)
+                        == (answer.status, answer.x, answer.value)
                 seen[question] += 1
                 seen["scaled"] += den > 1
                 seen["pivots"] += count
                 if question == "justifier":
                     seen["relaxed"] += len(rivals) < len(all_rivals(cols, sid))
-                    last[(id(cols), sid)] = (cols, sid, result)
-            for key, (cols, sid, result) in last.items():
+                    last[(id(cols), sid)] = (cols, sid, answer)
+            for key, (cols, sid, answer) in last.items():
                 full = fraction_simplex(full_justifier_problem(cols.value,
                                                                sid))
                 if answers[("justifier",) + key] is None:
                     assert full.status == "infeasible" or full.value <= 0
                 else:
                     assert full.status == "optimal"
-                    assert full.value == result.value > 0
+                    assert full.value == answer.value > 0
                 seen["decided"] += 1
         assert seen["slack"] > 1 and seen["justifier"] >= 80, seen
         assert seen["scaled"] >= 20 and seen["pivots"] >= 400, seen
         assert seen["relaxed"] >= 100 and seen["decided"] >= 100, seen
+
+    def test_every_answer_is_integers_over_a_positive_den(
+            self, corpus_games, monkeypatch):
+        """Every LP the audit poses is answered in integers over
+        ``den`` > 0: an optimum's value is c.x at its point, and each
+        certificate holds by substitution."""
+        from prudens.procedures import verify_equivalences
+        answered = []
+        real_solve = lp.solve
+
+        def solve(problem):
+            answered.append((problem, real_solve(problem)))
+            return answered[-1][1]
+
+        monkeypatch.setattr(lp, "solve", solve)
+        for game in lp_games(corpus_games) + bimatrix_games(4):
+            verify_equivalences(game)
+        statuses = {"optimal": 0, "infeasible": 0}
+        for problem, result in answered:
+            assert type(result.den) is int and result.den > 0
+            if result.status == "optimal":
+                assert all(type(v) is int for v in result.x)
+                assert result.value == sum(
+                    c * v for c, v in zip(problem.objective, result.x))
+            assert oracles.lp_certificate_holds(result, problem)
+            statuses[result.status] += 1
+        assert statuses["optimal"] >= 120 and statuses["infeasible"] >= 3, \
+            statuses
 
     def test_answers_are_integer_layers(self, corpus_games):
         """Every elimination question's answers leave dominance as one

@@ -1,13 +1,15 @@
 """Layering lint over the package source.
 
-Each module is parsed with ``ast`` and seven rules are checked:
+Each module is parsed with ``ast`` and eight rules are checked:
 
 * rationals become integers in one place: ``math.lcm`` is called only in
   ``hyperreal.py`` (``hyperreal.scaled``);
 * each rational is scaled once, where it enters: ``hyperreal.scaled`` is
-  called only in ``hyperreal``, ``game``, ``lp`` and ``beliefs``, and in
-  ``dominance._justifier`` and ``dominance._dominating_mixture``, which
-  hand each LP answer out as one integer layer that no reader rescales;
+  called only in ``hyperreal``, ``game`` and ``beliefs``, and at one
+  site in ``dominance._justifier``, which spreads the LP's column masses
+  over their groups; the simplex takes and returns integers, so ``lp``
+  and ``dominance._dominating_mixture`` scale nothing;
+* the simplex stands alone: ``lp.py`` imports no prudens module;
 * a mass's coefficients are decoded in one place: ``.coeffs`` is read only
   in ``hyperreal.py`` and ``beliefs.py``;
 * Q[e] values are built only to be rendered or handed out, so the verify
@@ -22,7 +24,7 @@ Each module is parsed with ``ast`` and seven rules are checked:
   id-level dominance questions take ``cols`` with no default, and
   ``Columns(...)`` is called only in ``dominance.py``.
 
-An eighth rule keeps the soundness notes reachable: every section of
+A ninth rule keeps the soundness notes reachable: every section of
 ``docs/exactness.md`` that a citation names by title, from ``src/``,
 ``tests/`` or the README, or from inside the doc itself, is one of its
 ``##`` headings.
@@ -197,22 +199,35 @@ def test_solve_sites_are_found():
     assert visitor.imports == [1]
 
 
-SCALING_MODULES = ("hyperreal", "game", "lp", "beliefs")
-SCALING_FUNCTIONS = (("dominance", "_justifier"),
-                     ("dominance", "_dominating_mixture"))
+SCALING_MODULES = ("hyperreal", "game", "beliefs")
 
 
 def test_scaled_only_where_rationals_enter():
     found = []
+    justifier_sites = 0
     for stem, tree in trees():
         if stem in SCALING_MODULES:
             continue
         visitor = _CallSites("hyperreal", "scaled")
         visitor.visit(tree)
-        found += ["%s.py:%d calls scaled in %s" % (stem, line, function)
-                  for function, line in visitor.calls
-                  if (stem, function) not in SCALING_FUNCTIONS]
+        for function, line in visitor.calls:
+            if (stem, function) == ("dominance", "_justifier"):
+                justifier_sites += 1
+            else:
+                found.append("%s.py:%d calls scaled in %s" % (
+                    stem, line, function))
     assert not found, found
+    assert justifier_sites == 1
+
+
+def test_lp_imports_nothing_from_prudens():
+    tree = ast.parse(MODULES["lp"].read_text(encoding="utf-8"))
+    found = [where("lp", node) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and (
+                 node.level or (node.module or "").startswith("prudens"))
+             or isinstance(node, ast.Import) and any(
+                 alias.name.startswith("prudens") for alias in node.names)]
+    assert not found, "lp imports from prudens: %s" % found
 
 
 def test_scaled_sites_are_found():

@@ -2,11 +2,13 @@
 
 Each mutant is one monkeypatch that plants a wrong answer in one
 shortcut of the elimination or its justifiers, in one of the integer
-scalings of payoffs, ladder priors and explicit tables, or in the
-integer layer of an LP answer.  Over a fixed
-list of games (the corpus plus generated games of up to three players),
-``verify_equivalences`` must raise an ``EquivalenceViolation`` naming
-the expected stages or checks, while the unmutated list verifies.
+scalings of payoffs, ladder priors and explicit tables, in the integer
+layer of an LP answer, or in a prior's leading degrees and standard
+part.  Over a fixed list of games (the corpus plus generated games of up
+to three players), ``verify_equivalences`` must raise an
+``EquivalenceViolation`` naming the expected stages or checks, while the
+unmutated list verifies.  One mutant, every leading degree shifted by
+one, is one the audit rightly accepts; its test says why.
 """
 
 from fractions import Fraction
@@ -228,7 +230,7 @@ def test_first_relaxation_returned(games, monkeypatch):
         if result.status != "optimal" or result.value <= 0:
             return None
         m, w = result.x[0], result.x[1:1 + len(cols.groups)]
-        ints, den = scaled([(m + w_g) / len(members)
+        ints, den = scaled([Fraction(m + w_g, result.den * len(members))
                             for w_g, members in zip(w, cols.groups)])
         return {c: n for n, members in zip(ints, cols.groups)
                 for c in members}, den
@@ -237,3 +239,54 @@ def test_first_relaxation_returned(games, monkeypatch):
     found = violations(games)
     assert set(found) == {("justifiers",)}
     assert len(found) >= 2, found
+
+
+def test_leading_degree_off_by_one(games, monkeypatch):
+    """Every prior mass's leading degree read one too small where it is
+    positive, so the first deeper rung reads as rung 0: the c-strong
+    belief checks then find the ladder's first two rungs tied."""
+    real = beliefs.PriorCNPS.leading_degree
+
+    def shallower(self, event_ids, coid):
+        depth = real(self, event_ids, coid)
+        return depth and depth - 1
+
+    monkeypatch.setattr(beliefs.PriorCNPS, "leading_degree", shallower)
+    found = violations(games)
+    assert set(found) == {("c-strong-belief-in-round-1-survivors",)}
+    assert len(found) >= 30, found
+
+
+def test_leading_degree_shifted_is_accepted(games, monkeypatch):
+    """Every leading degree one too large, of priors and explicit tables
+    alike.  The audit rightly accepts it: the belief operators compare
+    leading degrees only with one another, and a zero mass still has
+    none, so no answer changes."""
+    for cls in (beliefs.PriorCNPS, beliefs.ExplicitCPS):
+        def deeper(self, event_ids, coid, real=cls.leading_degree):
+            depth = real(self, event_ids, coid)
+            return None if depth is None else depth + 1
+
+        monkeypatch.setattr(cls, "leading_degree", deeper)
+    assert violations(games) == []
+
+
+def test_standard_part_reads_the_next_layer(games, monkeypatch):
+    """Each event's standard part read off the layer below its least
+    depth (the same layer where there is none), masses and total alike.
+    That layer's entries can be negative and its total 0 or less, so the
+    table is no measure and ``ExplicitCPS`` refuses it."""
+    def next_layer(prior):
+        table = {}
+        layers = prior._layers
+        for ev, _ in prior.family.events:
+            depth = min(prior._depths[c] for c in ev)
+            ints = layers[min(depth + 1, len(layers) - 1)][0]
+            on = {c: ints[c] for c in ev if ints[c]}
+            table[ev] = (on, sum(on.values()))
+        return table
+
+    monkeypatch.setattr(beliefs.PriorCNPS, "standard_part", next_layer)
+    found = violations(games)
+    assert set(found) == {("belief-valid",)}
+    assert len(found) >= 30, found

@@ -260,9 +260,9 @@ class TestVerifyEquivalences:
 
         real_analysis = best_reply.ReplyAnalysis
 
-        def analysis(form, belief, i):
+        def analysis(belief, i):
             analysed.append(belief)
-            return real_analysis(form, belief, i)
+            return real_analysis(belief, i)
 
         for name in ("PriorCNPS", "ExplicitCPS"):
             monkeypatch.setattr(procedures, name,
