@@ -36,14 +36,19 @@ constraints from the distinct rival rows (docs/exactness.md,
 "Deduplicated justifier rows") and poses only those that beat sid
 against the uniform measure, then against each optimum in turn, until
 none does (docs/exactness.md, "Justifier LPs by rival-row
-generation"); twins pose the identical LPs.  Both LPs are
-posed in the form's integers, as exactly the payoff denominator times
-the rational problem, which keeps the simplex's pivots and vertex, and
-``lp.solve`` hands the vertex back as integers over its determinant D.
-Each answer is one integer layer made from those integers: a mixture
-(weights, den), the vertex's weights and D reduced by their gcd, or a
-justifier (on, den), mass ``on[c] / den``, each column's mass spread
-over its group by the one ``scaled`` call.
+generation"); twins pose the identical LPs.  The simplex is handed the
+dual of the justifier LP's Charnes-Cooper form, with one column per
+posed rival and a unit column per distinct column, which is feasible
+at its slack basis: unbounded exactly when there is no justifier, and
+otherwise its reduced costs give the measure (docs/exactness.md,
+"Justifier LPs in dual form").  Both LPs are posed in the form's
+integers, the slack LP as exactly the payoff denominator times the
+rational problem and the dual with its rival columns times it, which
+keeps the simplex's pivots, and ``lp.solve`` hands its answer back as
+integers over its determinant D.  Each answer is one integer layer made
+from those integers: a mixture (weights, den), the vertex's weights and
+D reduced by their gcd, or a justifier (on, den), mass ``on[c] / den``,
+each column's mass spread over its group by the one ``scaled`` call.
 """
 
 import math
@@ -213,20 +218,21 @@ def justifier_ids(form, q_sets, i, sid, cols):
 
     Found by maximizing the minimum mass m over distinct payoff columns
     (substituting nu_g = m + w_g turns strict positivity into the sign of
-    the optimum), then spreading each column's mass uniformly over the
-    co-profiles it aggregates.  The LP's constraints are drawn from the
-    distinct own rows other than sid's: a repeated row restates an
-    inequality and sid's own row states 0 >= 0.  They are posed by
+    the optimum), posed to the simplex in dual form
+    (``justifier_problem``), then spreading each column's mass uniformly
+    over the co-profiles it aggregates.  The LP's constraints are drawn
+    from the distinct own rows other than sid's: a repeated row restates
+    an inequality and sid's own row states 0 >= 0.  They are posed by
     rival-row generation: first the rivals with a larger row sum, which
     beat sid against the measure uniform over the distinct columns, then
     every rival that beats sid against the last optimum, until none
-    does.  A relaxation with no positive optimum settles None, and a
-    final optimum no rival beats is the full LP's optimum, so the
-    optimum and the None decision are those of one constraint per rival,
-    though the vertex returned may differ.  When no rival has a larger
-    row sum, the uniform measure is the unique optimum and is returned
-    without a tableau.  Twins pose the identical LPs and so share the
-    answer.
+    does.  A relaxation with no positive optimum (an unbounded dual)
+    settles None, and a final optimum no rival beats is the full LP's
+    optimum, so the optimum and the None decision are those of one
+    constraint per rival, though the vertex returned may differ.  When
+    no rival has a larger row sum, the uniform measure is the unique
+    optimum and is returned without a tableau.  Twins pose the identical
+    LPs and so share the answer.
     """
     return cols.justifier(sid)
 
@@ -239,7 +245,7 @@ def _justifier(cols, sid):
     if row_sum[sid] == max(row_sum):
         # the uniform point m = 1/G, w = 0 is feasible, hence the unique
         # optimum: G m + sum(w) = 1 and w >= 0 force m <= 1/G
-        masses, den = [1] * ngroups, ngroups
+        masses = [1] * ngroups
     else:
         # rival-row generation (docs/exactness.md, "Justifier LPs by
         # rival-row generation"): pose the rivals that beat sid against
@@ -253,15 +259,16 @@ def _justifier(cols, sid):
         while True:
             posed = sorted(posed + beaten)
             result = lp.solve(justifier_problem(cols, sid, posed))
-            if result.status == "infeasible":
+            # an unbounded dual is an infeasible Charnes-Cooper form: no
+            # measure with full support (docs/exactness.md, "Justifier
+            # LPs in dual form")
+            if result.status == "unbounded":
                 return None
             if result.status != "optimal":
-                raise DominanceError("justifier LP cannot be unbounded")
-            if result.value <= 0:
-                return None
-            # column masses over den > 0, compared below as they are
-            m, den = result.x[0], result.den
-            masses = [m + w for w in result.x[1:1 + ngroups]]
+                raise DominanceError("justifier dual is feasible at y = 0")
+            # column masses D (1 + w_g), w_g the reduced cost of z_g,
+            # compared below as they are
+            masses = [result.den + w for w in result.reduced[len(posed):]]
             if len(posed) == len(rivals):
                 break
             own = sum(map(mul, value[sid], masses))
@@ -269,7 +276,8 @@ def _justifier(cols, sid):
                       and sum(map(mul, value[r], masses)) > own]
             if not beaten:
                 break
-    ints, den = scaled([Fraction(mass, den * len(members))
+    total = sum(masses)
+    ints, den = scaled([Fraction(mass, total * len(members))
                         for mass, members in zip(masses, cols.groups)])
     return {coid: n for n, members in zip(ints, cols.groups)
             for coid in members}, den
@@ -277,29 +285,21 @@ def _justifier(cols, sid):
 
 def justifier_problem(cols, sid, rivals):
     """The justifier LP of own strategy sid over cols against the own
-    strategies ``rivals``, as posed to the simplex: maximize m subject
-    to G m + sum_g w_g = 1 and one row
-    sum_g (u(sid, g) - u(r, g)) (m + w_g) - s_r = 0 per rival r, in the
-    order given, over m, w, s >= 0, where u is the true payoff.  Every
-    row and rhs is posed times ``cols.den``, so every entry is an
-    integer."""
+    strategies ``rivals``, in dual form, as posed to the simplex:
+    maximize sum_r (row_sum[r] - row_sum[sid]) y_r subject to
+    sum_r (u(sid, g) - u(r, g)) y_r + z_g = 1 per distinct column g,
+    over y, z >= 0, with one y column per rival in the order given.  u
+    is the payoff times ``cols.den``, so every entry is an integer, and
+    each z column is a unit column, so the simplex starts feasible at
+    z = 1 (docs/exactness.md, "Justifier LPs in dual form")."""
     value = cols.value
     own = value[sid]
     ngroups = len(own)
-    den = cols.den
-
-    # columns: m, then w_g per distinct column, then one slack per rival;
-    # every row is den times the rational one
-    rows = [[ngroups * den] + [den] * ngroups + [0] * len(rivals)]
-    rhs = [den]
-    for j, r in enumerate(rivals):
-        row = [cols.row_sum[sid] - cols.row_sum[r]]
-        row += [own[g] - value[r][g] for g in range(ngroups)]
-        row += [-den if j == k else 0 for k in range(len(rivals))]
-        rows.append(row)
-        rhs.append(0)
-    objective = [1] + [0] * (ngroups + len(rivals))
-    return lp.LPProblem(objective, rows, rhs)
+    rows = [[own[g] - value[r][g] for r in rivals]
+            + [1 if g == k else 0 for k in range(ngroups)]
+            for g in range(ngroups)]
+    objective = [cols.row_sum[r] - cols.row_sum[sid] for r in rivals]
+    return lp.LPProblem(objective + [0] * ngroups, rows, [1] * ngroups)
 
 
 def measure_justifies_ids(form, q_sets, i, sid, measure, cols):

@@ -4,19 +4,24 @@ Problems are in standard equality form: maximize c.x subject to A x = b,
 x >= 0, with every entry an int.  Bland's smallest-index rule is used
 for both the entering and leaving choice, so the solver cannot cycle and
 is deterministic.  Results carry certificates that re-verify by plain
-substitution: a feasible optimal point, or a Farkas witness y with
-y.A <= 0 and y.b > 0 for infeasible systems.
+substitution: a feasible optimal point with its reduced costs, or a
+Farkas witness y with y.A <= 0 and y.b > 0 for infeasible systems.
 
-The tableau holds the problem's integers as given (artificial columns
-get coefficient 1).  Each row of it, and the z row, is D times the
-rational tableau row, where D > 0 is the absolute determinant of the
-current basis; a pivot divides by the previous D exactly (Edmonds 1967,
-Bareiss 1968), and D > 0 changes no sign, so each comparison Bland's
-rule makes is the rational simplex's.  Points, values and Farkas
-witnesses are returned as integers over D (``LPResult.den``).  A caller
-with rational data scales every row and the rhs by one common factor
-and the objective by another, which keeps every pivot; docs/exactness.md
-gives both arguments in full ("Fraction-free simplex").
+The simplex starts at the slack basis where it can: a column that is
+exactly e_r, in a row whose rhs is >= 0, starts basic in row r, and only
+the other rows get an artificial column, so a problem with a unit column
+in every row takes no phase-1 pivot.  The tableau holds the problem's
+integers as given (artificial columns get coefficient 1).  Each row of
+it, and the z row, is D times the rational tableau row, where D > 0 is
+the absolute determinant of the current basis; a pivot divides by the
+previous D exactly (Edmonds 1967, Bareiss 1968), and D > 0 changes no
+sign, so each comparison Bland's rule makes is the rational simplex's.
+Points, values, reduced costs and Farkas witnesses are returned as
+integers over D (``LPResult.den``).  A caller with rational data scales
+every row and the rhs by one common factor and the objective by
+another, which keeps every pivot as long as it keeps the same unit
+columns; docs/exactness.md gives the arguments in full ("Fraction-free
+simplex").
 """
 
 from dataclasses import dataclass
@@ -46,12 +51,13 @@ class LPProblem:
 
 @dataclass
 class LPResult:
-    """x, value and farkas are integers over ``den`` = D > 0."""
+    """x, value, reduced and farkas are integers over ``den`` = D > 0."""
 
     status: str           # "optimal" | "infeasible" | "unbounded"
     den: int = None       # unset when unbounded
     x: list = None        # optimal point (status == "optimal")
     value: int = None
+    reduced: list = None  # phase-2 reduced costs (status == "optimal")
     farkas: list = None   # infeasibility witness (status == "infeasible")
 
 
@@ -118,29 +124,59 @@ def _iterate(tab, basis, ncols, det):
         zrow = tab[m]
 
 
+def _unit_columns(rows, rhs):
+    """{row r: the least column that is exactly e_r}, for the rows with
+    rhs >= 0 that have one."""
+    unit = {}
+    for j, column in enumerate(zip(*rows)):
+        if 1 in column:
+            r = column.index(1)
+            if r not in unit and rhs[r] >= 0 and not any(column[:r]) \
+                    and not any(column[r + 1:]):
+                unit[r] = j
+    return unit
+
+
 def solve(problem):
     """Two-phase exact simplex for an LPProblem in standard form."""
     problem.check()
     n = len(problem.objective)
     m = len(problem.rows)
+    # slack-basis start: a unit column starts basic in its row, and only
+    # the other rows get an artificial, numbered in row order
+    unit = _unit_columns(problem.rows, problem.rhs)
+    basis = []
+    na = 0
+    for r in range(m):
+        if r in unit:
+            basis.append(unit[r])
+        else:
+            basis.append(n + na)
+            na += 1
+    start = list(basis)
     tab = []
-    for r, (row, b) in enumerate(zip(problem.rows, problem.rhs)):
+    for row, b, j in zip(problem.rows, problem.rhs, start):
         body = [*row, b]
         if b < 0:
             body = [-v for v in body]
-        tab.append(body[:n] + [1 if k == r else 0 for k in range(m)]
+        tab.append(body[:n] + [1 if n + k == j else 0 for k in range(na)]
                    + body[n:])
-    basis = [n + r for r in range(m)]
 
-    # phase 1: maximize -(sum of artificials); initial basis is artificial
-    zrow = [-sum(col) for col in zip(*tab)] if tab else [0] * (n + 1)
-    zrow[n:n + m] = [0] * m
+    # phase 1: maximize -(sum of artificials), from the starting basis; it
+    # takes no pivot when every row has a unit column
+    zrow = [0] * (n + na + 1)
+    for row, j in zip(tab, start):
+        if j >= n:
+            zrow = [z - v for z, v in zip(zrow, row)]
+    zrow[n:n + na] = [0] * na
     tab.append(zrow)
-    status, det = _iterate(tab, basis, n + m, 1)
+    status, det = _iterate(tab, basis, n + na, 1)
     assert status == "optimal"  # phase-1 objective is bounded above by 0
     zrow = tab.pop()
     if zrow[-1] < 0:  # artificial mass left: infeasible
-        y = [det - zrow[n + k] for k in range(m)]
+        # y = -D times the phase-1 multipliers: an artificial's cost is -1,
+        # a unit column's 0
+        y = [(det if j >= n else 0) - zrow[j] for j in start]
         for k, b in enumerate(problem.rhs):
             if b < 0:
                 y[k] = -y[k]
@@ -174,5 +210,8 @@ def solve(problem):
     x = [0] * n
     for row, j in zip(tab, basis):
         x[j] = row[-1]
-    # the z row's rhs is D times c.x
-    return LPResult(status="optimal", den=det, x=x, value=tab[-1][-1])
+    # the z row's rhs is D times c.x, its other entries D times the
+    # reduced costs
+    zrow = tab[-1]
+    return LPResult(status="optimal", den=det, x=x, value=zrow[-1],
+                    reduced=zrow[:n])

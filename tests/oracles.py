@@ -10,10 +10,12 @@ replaces with integer pivoting (it takes the same Bland-rule pivots) and
 which ``integer_problem`` and ``rational`` translate to and from, and
 ``fraction_value_row`` / ``fraction_best_replies_to_measure``, the
 per-strategy Fraction sums that ``best_reply`` replaces with integer
-twin-class sums.  ``full_justifier_problem`` is the justifier LP with
-one constraint per rival, the construction whose repeated rows
-``dominance`` drops and whose other rows it adds only as rivals beat
-its measures; its optimum must be the one ``dominance`` reaches.
+twin-class sums.  ``full_justifier_problem`` is the justifier LP in
+primal form with one constraint per rival, the construction whose
+repeated rows ``dominance`` drops, whose other rows it adds only as
+rivals beat its measures, and which it poses as the dual of its
+Charnes-Cooper form; its optimum must be the one ``dominance``
+reaches.
 ``full_slack_problem`` is the slack LP over every co-profile, with no
 columns merged.  ``condition_ladder`` conditions a lexicographic
 probability system rung by rung, the construction that
@@ -426,8 +428,8 @@ def integer_problem(problem):
 
 
 def rational(result):
-    """An ``lp.LPResult`` with its point, value and Farkas witness read
-    as Fractions over its ``den``."""
+    """An ``lp.LPResult`` with its point, value, reduced costs and Farkas
+    witness read as Fractions over its ``den``."""
     def over(values):
         return values and [Fraction(v, result.den) for v in values]
 
@@ -435,22 +437,46 @@ def rational(result):
     return lp.LPResult(result.status, x=over(result.x),
                        value=None if value is None
                        else Fraction(value, result.den),
+                       reduced=over(result.reduced),
                        farkas=over(result.farkas))
+
+
+def unit_columns(problem):
+    """{row k: the least column of problem that is exactly e_k}."""
+    unit = {}
+    for k in range(len(problem.rows)):
+        for j in range(len(problem.objective)):
+            if all(row[j] == (1 if r == k else 0)
+                   for r, row in enumerate(problem.rows)):
+                unit[k] = j
+                break
+    return unit
 
 
 def lp_certificate_holds(result, problem):
     """Re-check an ``lp.LPResult``'s certificate by substitution, in
     integers over its ``den`` > 0: a nonnegative point with A.x = den.b
     whose c.x is the value, or a Farkas witness y with y.A <= 0 and
-    y.b > 0."""
+    y.b > 0.  When every row k has a unit column u_k, an optimum's dual
+    certificate is checked too: y_k = reduced[u_k] + den c[u_k] must
+    satisfy y.A >= den c and y.b = value, so the value is the optimum."""
     if result.status not in ("optimal", "infeasible") or not result.den > 0:
         return False
     if result.status == "optimal":
         x = result.x
-        return all(v >= 0 for v in x) and all(
+        primal = all(v >= 0 for v in x) and all(
             sum(map(mul, row, x)) == result.den * b
             for row, b in zip(problem.rows, problem.rhs)) and \
             sum(map(mul, problem.objective, x)) == result.value
+        unit = unit_columns(problem)
+        if not primal or len(unit) < len(problem.rows):
+            return primal
+        c = problem.objective
+        y = [result.reduced[unit[k]] + result.den * c[unit[k]]
+             for k in range(len(problem.rows))]
+        return all(sum(map(mul, y, column)) >= result.den * cj
+                   for column, cj in zip(zip(*problem.rows), c)) and \
+            sum(map(mul, y, problem.rhs)) == result.value
     y = result.farkas
     return all(sum(map(mul, y, column)) <= 0
                for column in zip(*problem.rows)) and \
@@ -506,28 +532,39 @@ def full_slack_problem(form, q_sets, i, sid):
 
 
 def fraction_simplex(problem):
-    """The two-phase Bland-rule simplex over a Fraction tableau: the
-    reference ``lp.solve`` must agree with pivot for pivot, over
-    Fraction or int entries."""
+    """The two-phase Bland-rule simplex over a Fraction tableau, from the
+    same slack-basis start: the reference ``lp.solve`` must agree with
+    pivot for pivot, over Fraction or int entries.  An optimum carries
+    its phase-2 reduced costs."""
     n = len(problem.objective)
     m = len(problem.rows)
+    # slack-basis start: each row with rhs >= 0 and a unit column starts
+    # with it basic; every other row gets the next artificial
+    unit = {k: j for k, j in unit_columns(problem).items()
+            if problem.rhs[k] >= 0}
+    start = []
+    for k in range(m):
+        start.append(unit[k] if k in unit
+                     else n + sum(j >= n for j in start))
+    na = m - len(unit)
     a = []
     for r, (row, b) in enumerate(zip(problem.rows, problem.rhs)):
         flip = b < 0
         body = [-v if flip else Fraction(v) for v in row]
-        body += [_ONE if k == r else _ZERO for k in range(m)]
+        body += [_ONE if n + k == start[r] else _ZERO for k in range(na)]
         body.append(-b if flip else Fraction(b))
         a.append(body)
-    last = n + m
-    basis = [n + r for r in range(m)]
+    last = n + na
+    basis = list(start)
 
-    # phase 1: maximize -(sum of artificials); initial basis is artificial
-    costs1 = [_ZERO] * n + [Fraction(-1)] * m
-    zrow = _fraction_zrow(a, basis, costs1, n + m, last)
-    status = _fraction_iterate(a, zrow, basis, n + m, last)
+    # phase 1: maximize -(sum of artificials) from the starting basis
+    costs1 = [_ZERO] * n + [Fraction(-1)] * na
+    zrow = _fraction_zrow(a, basis, costs1, n + na, last)
+    status = _fraction_iterate(a, zrow, basis, n + na, last)
     assert status == "optimal"  # phase-1 objective is bounded above by 0
     if zrow[last] < 0:  # artificial mass left: infeasible
-        y = [_ONE - zrow[n + k] for k in range(m)]
+        # minus the phase-1 multipliers, read off each row's start column
+        y = [-zrow[j] - costs1[j] for j in start]
         for k, b in enumerate(problem.rhs):
             if b < 0:
                 y[k] = -y[k]
@@ -555,7 +592,8 @@ def fraction_simplex(problem):
     for r, j in enumerate(basis):
         x[j] = a[r][last]
     value = sum(c * v for c, v in zip(problem.objective, x))
-    return lp.LPResult(status="optimal", x=x, value=value)
+    return lp.LPResult(status="optimal", x=x, value=value,
+                       reduced=zrow[:n])
 
 
 # -- Fraction expected payoffs ------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -354,6 +355,23 @@ def all_rivals(cols, sid):
             if t == r and t != cols.twin[sid]]
 
 
+def dual_measure(result, nposed):
+    """The column masses a justifier dual's answer gives, or None when
+    the dual is unbounded: 1 + w_g over their sum, where w_g is the
+    reduced cost of z_g, the column after the ``nposed`` rival ones."""
+    if result.status == "unbounded":
+        return None
+    ones = [1 + Fraction(w) for w in result.reduced[nposed:]]
+    return [p / sum(ones) for p in ones]
+
+
+def least_share(result, ngroups):
+    """The optimum 1/(G + sum(w)) of the max-min-mass LP that a bounded
+    justifier dual's value sum(w) gives (docs/exactness.md, "Justifier
+    LPs in dual form")."""
+    return 1 / (ngroups + Fraction(result.value))
+
+
 def posed_justifiers(game):
     """(q_sets, cols, i, sid, problem, measure) for every own strategy of
     every player at every level of the elimination, eliminated ones
@@ -377,39 +395,47 @@ def posed_justifiers(game):
 
 
 class TestDeduplicatedJustifier:
-    """The justifier LP over every distinct rival keeps one rival row per
-    distinct own row other than sid's.  That drops only constraints that
-    restate another one or read 0 >= 0, so the optimum and the None
-    decision are those of the LP with one row per rival
-    (``oracles.full_justifier_problem``)."""
+    """The justifier dual over every distinct rival keeps one rival
+    column per distinct own row other than sid's.  That drops only
+    constraints of the max-min-mass LP that restate another one or read
+    0 >= 0, so its optimum and None decision are those of the LP with
+    one row per rival (``oracles.full_justifier_problem``): unbounded
+    exactly where that LP has no positive optimum, and otherwise of
+    value sum(w) with 1/(G + sum(w)) that LP's optimum."""
 
     def test_same_optimum_as_one_row_per_rival(self, corpus_games):
-        seen = {"lps": 0, "dropped": 0, "justified": 0}
+        seen = {"lps": 0, "dropped": 0, "justified": 0, "unbounded": 0}
         for game in lp_games(corpus_games):
             form, posed = posed_justifiers(game)
             for q_sets, cols, i, sid, problem, measure in posed:
                 if cols.twin[sid] != sid:
                     continue  # posed by its representative (next test)
                 ngroups = len(cols.value[sid])
-                rivals = [tuple(row[1:1 + ngroups])
-                          for row in problem.rows[1:]]
+                nrivals = len(problem.objective) - ngroups
+                assert nrivals == len(all_rivals(cols, sid))
+                rivals = [tuple(row[j] for row in problem.rows)
+                          for j in range(nrivals)]
                 assert all(any(diff) for diff in rivals)
                 assert len(set(rivals)) == len(rivals)
                 full = full_justifier_problem(cols.value, sid)
                 ours = fraction_simplex(problem)
                 theirs = fraction_simplex(full)
-                assert ours.status == theirs.status
-                assert ours.value == theirs.value
-                assert (measure is None) == \
-                    (ours.status == "infeasible" or ours.value <= 0)
+                none = theirs.status == "infeasible" or theirs.value <= 0
+                assert (ours.status == "unbounded") == none
+                if not none:
+                    assert ours.status == theirs.status == "optimal"
+                    assert least_share(ours, ngroups) == theirs.value
+                    assert min(dual_measure(ours, nrivals)) == theirs.value
+                assert (measure is None) == none
                 seen["lps"] += 1
-                seen["dropped"] += len(full.rows) > len(problem.rows)
+                seen["unbounded"] += none
+                seen["dropped"] += len(full.rows) - 1 > nrivals
                 if measure is not None:
                     seen["justified"] += 1
                     assert dominance.measure_justifies_ids(
                         form, q_sets, i, sid, measure, cols)
         assert seen["lps"] >= 600 and seen["dropped"] >= 300, seen
-        assert seen["justified"] >= 300, seen
+        assert seen["justified"] >= 300 and seen["unbounded"] >= 50, seen
 
     def test_twins_pose_the_identical_lp(self, corpus_games):
         members = 0
@@ -431,9 +457,10 @@ class TestDeduplicatedJustifier:
         a repeat; the deduplicated LP poses two, and rival-row generation
         only f's, which b does not beat at its optimum.  All have optimum
         2/11 but Bland's rule stops at different vertices, masses
-        (2,2,2,3,2)/11 with every row and (3,2,2,2,2)/11 without the
-        repeats, with or without b's row, so the change is not
-        pivot-identical.  Each vertex is a justifier by substitution."""
+        (2,2,2,3,2)/11 with every row and (3,2,2,2,2)/11 from the dual
+        without the repeats, with or without b's column (w = (1/2, 0, 0,
+        0, 0)), so the change is not pivot-identical.  Each vertex is a
+        justifier by substitution."""
         rows = ["1 -1 -1/2 1 0", "-1 0 -1/2 0 0", "-1 0 -1/2 0 0",
                 "1 -1 -1/2 1 0", "1 -1 -1/2 1 0", "0 1 0 0 0"]
         text = "players Row Col\nmatrix Row: a b c d e f Col: v w x y z\n"
@@ -454,10 +481,13 @@ class TestDeduplicatedJustifier:
             measure = dominance.justifier_ids(form, q_sets, 0, 3, cols)
         assert [call.args[2] for call in build.call_args_list] == [[5]]
         assert measure == ({0: 3, 1: 2, 2: 2, 3: 2, 4: 2}, 11)
-        both = rational(lp.solve(dominance.justifier_problem(cols, 3,
-                                                             [1, 5])))
-        assert [both.x[0] + both.x[1 + g] for g in range(5)] == \
-            [Fraction(n, 11) for n in (3, 2, 2, 2, 2)]
+        for posed in ([5], [1, 5]):
+            dual = rational(lp.solve(dominance.justifier_problem(cols, 3,
+                                                                 posed)))
+            assert dual.reduced[len(posed):] == [Fraction(1, 2), 0, 0, 0, 0]
+            assert dual_measure(dual, len(posed)) == \
+                [Fraction(n, 11) for n in (3, 2, 2, 2, 2)]
+            assert least_share(dual, 5) == Fraction(2, 11)
         full = rational(lp.solve(integer_problem(
             full_justifier_problem(true, 3))))
         assert full.value == Fraction(2, 11)
@@ -567,13 +597,14 @@ class TestRivalRowGeneration:
             posed = step
             unscaled, _ = rational_problem(form, i, q_sets, sid, "justifier",
                                            posed)
-            assert len(unscaled.rows) == len(posed) + 1
+            assert len(unscaled.rows) == len(nu)
+            assert len(unscaled.objective) == len(posed) + len(nu)
             result = fraction_simplex(unscaled)
-            if result.status == "infeasible" or result.value <= 0:
+            if result.status == "unbounded":
                 assert k == len(rounds) - 1
                 settled = "relaxation"
                 break
-            nu = [result.x[0] + w for w in result.x[1:1 + len(nu)]]
+            nu = dual_measure(result, len(posed))
         full = fraction_simplex(full_justifier_problem(u, sid))
         seen["questions"] += 1
         seen["rounds"] += len(rounds) > 1
@@ -608,7 +639,7 @@ class TestRivalRowGeneration:
     def test_pinned_second_round(self):
         """Own rows a = (0, 3, 4), b = (2, 2, 0) and c = (1, 3, 0), sid c.
         Against the uniform measure only a beats c (row sums 7, 4, 4), so
-        round one poses a's row, with the unique optimum (4, 1, 1)/6.
+        round one poses a's column, with the unique optimum (4, 1, 1)/6.
         There b earns 5/3 and c 7/6, so round two poses a and b and
         returns (4, 4, 1)/9, against which a, b and c all earn 16/9.  Its
         least mass 1/9 is the optimum of the LP over every rival."""
@@ -619,7 +650,7 @@ class TestRivalRowGeneration:
         cols, rounds, measure, solves = self.rounds(form, q_sets, 0, 2)
         assert rounds == [[0], [0, 1]] and solves == 2
         first = fraction_simplex(dominance.justifier_problem(cols, 2, [0]))
-        assert [first.x[0] + w for w in first.x[1:4]] == \
+        assert dual_measure(first, 1) == \
             [Fraction(4, 6), Fraction(1, 6), Fraction(1, 6)]
         assert measure == ({0: 4, 1: 4, 2: 1}, 9)
         assert [dot(row, [4, 4, 1]) for row in cols.value] == [16, 16, 16]
@@ -631,10 +662,11 @@ class TestRivalRowGeneration:
     def test_pinned_second_round_without_justifier(self):
         """Own rows a = (3, 0), b = (2, 1) and c = (1, 4), sid b.  Round
         one poses c alone (row sums 3, 3, 5) and returns (3, 1)/4, where
-        a earns 9/4 and b only 7/4.  Round two poses a and c and is
-        infeasible: b matches c only with mass >= 3/4 on L, and a only
-        with mass <= 1/2.  So b has no justifier, as the LP over every
-        rival says, and the first round's measure is not returned."""
+        a earns 9/4 and b only 7/4.  Round two poses a and c, and its
+        dual is unbounded: b matches c only with mass >= 3/4 on L, and a
+        only with mass <= 1/2.  So b has no justifier, as the LP over
+        every rival says, and the first round's measure is not
+        returned."""
         text = ("players Row Col\nmatrix Row: a b c Col: L R\n"
                 "a: 3,0 0,0\nb: 2,0 1,0\nc: 1,0 4,0\n")
         form = dsl.elaborate(dsl.parse(text)).strategic_form()
@@ -643,11 +675,73 @@ class TestRivalRowGeneration:
         assert rounds == [[2], [0, 2]] and solves == 2
         assert measure is None
         first = fraction_simplex(dominance.justifier_problem(cols, 1, [2]))
-        nu = [first.x[0] + w for w in first.x[1:3]]
+        nu = dual_measure(first, 1)
         assert nu == [Fraction(3, 4), Fraction(1, 4)]
         assert dot(cols.value[0], nu) > dot(cols.value[1], nu)
+        assert fraction_simplex(dominance.justifier_problem(
+            cols, 1, [0, 2])).status == "unbounded"
         assert fraction_simplex(full_justifier_problem(
             cols.value, 1)).status == "infeasible"
+
+
+class TestDualForm:
+    """Pinned questions of the justifier LP in dual form
+    (docs/exactness.md, "Justifier LPs in dual form"): an unbounded dual
+    is None, and a bounded one's measure is read off the reduced costs
+    of its unit columns."""
+
+    def test_pinned_unbounded_dual(self):
+        """Own rows a = (1, 0), b = (0, 1) and c = (2, 2), sid a.  Round
+        one poses c alone (row sums 1, 1, 4): maximize 3 y subject to
+        -y + z_L = 1 and -2 y + z_R = 1.  y enters and no row limits it,
+        so the dual is unbounded with no pivot, and a has no justifier,
+        as the LP over every rival, which is infeasible, says."""
+        text = ("players Row Col\nmatrix Row: a b c Col: L R\n"
+                "a: 1,0 0,0\nb: 0,0 1,0\nc: 2,0 2,0\n")
+        form = dsl.elaborate(dsl.parse(text)).strategic_form()
+        q_sets = [frozenset(range(count)) for count in form.counts]
+        cols, rounds, measure, solves = TestRivalRowGeneration.rounds(
+            form, q_sets, 0, 0)
+        assert rounds == [[2]] and solves == 1 and measure is None
+        problem = dominance.justifier_problem(cols, 0, [2])
+        assert problem == lp.LPProblem([3, 0, 0], [[-1, 1, 0], [-2, 0, 1]],
+                                       [1, 1])
+        with mock.patch.object(lp, "_pivot", wraps=lp._pivot) as pivot:
+            assert lp.solve(problem).status == "unbounded"
+        assert pivot.call_count == 0
+        assert fraction_simplex(problem).status == "unbounded"
+        assert fraction_simplex(full_justifier_problem(
+            cols.value, 0)).status == "infeasible"
+
+    def test_pinned_measure_differs_from_the_primal_vertex(self):
+        """Own rows a = (-1, 0, 1), b = (0, 0, -1) and c = (-1, -1, 3),
+        sid b.  Round one poses a and c (row sums 0, -1, 1), every
+        rival.  The dual's optimum y = (0, 1), z = (0, 0, 5) has value
+        sum(w) = 2 and reduced costs w = (2, 0, 0), so the measure is
+        (3, 1, 1)/5, with least share 1/(3 + 2) = 1/5.  The max-min-mass
+        LP over the same rivals, which the primal form posed, stops at
+        (2, 2, 1)/5: the same optimum 1/5 at another vertex.  Both are
+        justifiers by substitution: b ties c against each, and beats a
+        against the dual's."""
+        text = ("players Row Col\nmatrix Row: a b c Col: L M R\n"
+                "a: -1,0 0,0 1,0\nb: 0,0 0,0 -1,0\nc: -1,0 -1,0 3,0\n")
+        form = dsl.elaborate(dsl.parse(text)).strategic_form()
+        q_sets = [frozenset(range(count)) for count in form.counts]
+        cols, rounds, measure, solves = TestRivalRowGeneration.rounds(
+            form, q_sets, 0, 1)
+        assert rounds == [[0, 2]] and solves == 1
+        assert measure == ({0: 3, 1: 1, 2: 1}, 5)
+        dual = lp.solve(dominance.justifier_problem(cols, 1, [0, 2]))
+        assert (dual.x, dual.value, dual.den) == ([0, 1, 0, 0, 5], 2, 1)
+        assert dual.reduced[2:] == [2, 0, 0]
+        assert least_share(dual, 3) == Fraction(1, 5)
+        full = fraction_simplex(full_justifier_problem(cols.value, 1))
+        assert full.value == Fraction(1, 5)
+        primal = [full.x[0] + full.x[1 + g] for g in range(3)]
+        assert primal == [Fraction(2, 5), Fraction(2, 5), Fraction(1, 5)]
+        for nu in (measure, ({0: 2, 1: 2, 2: 1}, 5)):
+            assert dominance.measure_justifies_ids(form, q_sets, 0, 1, nu,
+                                                   cols)
 
 
 def elimination_questions(game):
@@ -779,9 +873,9 @@ def true_payoff(form, i, sid, coid):
 
 def rational_problem(form, i, q_sets, sid, question, rivals=None):
     """The LP a question about sid poses, rebuilt from true payoffs with
-    no scaling: distinct columns over Q_{-i} and distinct rival rows,
-    each in first-occurrence order.  ``rivals``, if given, keeps only
-    the rows of those rivals."""
+    no scaling: distinct columns over Q_{-i} and distinct rivals, each
+    in first-occurrence order, the justifier LP in dual form.
+    ``rivals``, if given, keeps only those rivals."""
     count = form.counts[i]
     grouped = {}
     for coid in sorted(form.co_restriction(i, q_sets)):
@@ -804,32 +898,38 @@ def rational_problem(form, i, q_sets, sid, question, rivals=None):
             first.setdefault(tuple(u[r]), r)
         others = [r for row, r in first.items() if row != tuple(u[sid])
                   and (rivals is None or r in rivals)]
-        rows = [[ngroups] + [1] * ngroups + [0] * len(others)]
-        rhs = [1]
-        for j, r in enumerate(others):
-            diff = [u[sid][g] - u[r][g] for g in range(ngroups)]
-            rows.append([sum(diff)] + diff
-                        + [-1 if j == k else 0 for k in range(len(others))])
-            rhs.append(0)
-        objective = [1] + [0] * (ngroups + len(others))
+        # the dual of the Charnes-Cooper form, over y per rival and z
+        rows = [[u[sid][g] - u[r][g] for r in others]
+                + [1 if g == k else 0 for k in range(ngroups)]
+                for g in range(ngroups)]
+        rhs = [1] * ngroups
+        objective = [sum(u[r]) - sum(u[sid]) for r in others]
+        objective += [0] * ngroups
     return lp.LPProblem(objective, rows, rhs), list(grouped.values())
 
 
 class TestIntegerLP:
-    """Both LPs are posed in integers, as exactly ``payoff_den[i]`` times
-    the rational problem: a positive factor on every row and rhs, with
-    the artificials at 1, keeps every Bland comparison, so the pivots,
-    the vertex and the value are the rational problem's
-    (docs/exactness.md, "Integers from the source")."""
+    """Both LPs are posed in integers from ``payoff_den[i]`` times the
+    true payoffs.  The slack LP is den times the rational problem: a
+    positive factor on every row and rhs, with the artificials at 1,
+    keeps every Bland comparison (docs/exactness.md, "Integers from the
+    source").  The justifier dual is the rational dual with each rival
+    column, objective entry included, times den, and its unit columns
+    and rhs as they are: a positive factor on one column keeps every
+    Bland comparison too (docs/exactness.md, "Justifier LPs in dual
+    form").  So the pivots, the vertex and the value are the rational
+    problem's."""
 
     def test_posed_problem_is_den_times_the_rational_one(
             self, corpus_games, monkeypatch):
-        """Every posed LP, each justifier relaxation included, is den
-        times the rational problem over the same rivals, and takes the
-        reference simplex's pivots to its vertex.  Where a justifier
-        question returns a measure, its last relaxation's value is the
+        """Every posed LP, each justifier relaxation included, is the
+        rational problem over the same rivals scaled as above, and takes
+        the reference simplex's pivots to its vertex; each justifier
+        dual has a unit column in every row.  Where a justifier question
+        returns a measure, its last relaxation's least share is the
         optimum of the LP with one row per rival; where it returns None,
-        that LP has no positive optimum."""
+        the last dual is unbounded and that LP has no positive
+        optimum."""
         from prudens.procedures import verify_equivalences
         owners = {}
         asking = []
@@ -894,7 +994,10 @@ class TestIntegerLP:
                        {z: tuple(u / (i + 2) for i, u in enumerate(pv))
                         for z, pv in game.payoffs.items()})
                   for game in map(corpus_games.get, sorted(corpus_games))]
-        for game in lp_games(corpus_games) + thirds + bimatrix_games(4):
+        # two 8 x 8 games too, since the dual form pivots far less
+        games = lp_games(corpus_games) + thirds + bimatrix_games(4) \
+            + bimatrix_games(2, k=8)
+        for game in games:
             del posed[:]
             answers.clear()
             verify_equivalences(game)
@@ -910,20 +1013,38 @@ class TestIntegerLP:
                                                     sid, question, rivals)
                 assert groups == cols.groups
                 den = form.payoff_den[i]
-                assert problem.objective == unscaled.objective
-                assert problem.rhs == [den * b for b in unscaled.rhs]
-                assert problem.rows == [[den * v for v in row]
+                references = [fraction_simplex]
+                if question == "justifier":
+                    # rival columns times den, unit columns and rhs as
+                    # they are
+                    factor = [den] * len(rivals) + [1] * len(groups)
+                    scale = 1
+                    assert len(oracles.unit_columns(problem)) == \
+                        len(problem.rows)
+                else:
+                    # every row and the rhs times den
+                    factor = [1] * len(problem.objective)
+                    scale = den
+                    references.append(lambda p: rational(
+                        real_solve(integer_problem(p))))
+                assert problem.objective == list(map(mul, factor,
+                                                     unscaled.objective))
+                assert problem.rhs == [scale * b for b in unscaled.rhs]
+                assert problem.rows == [[scale * f * v
+                                         for f, v in zip(factor, row)]
                                         for row in unscaled.rows]
                 answer = rational(result)
-                for reference_solve in (
-                        lambda p: rational(
-                            real_solve(integer_problem(p))),
-                        fraction_simplex):
+                for reference_solve in references:
                     before = len(pivots)
                     reference = reference_solve(unscaled)
                     assert len(pivots) - before == count
-                    assert (reference.status, reference.x, reference.value) \
-                        == (answer.status, answer.x, answer.value)
+                    assert (reference.status, reference.value) == \
+                        (answer.status, answer.value)
+                    if answer.status == "optimal":
+                        assert reference.x == list(map(mul, factor,
+                                                       answer.x))
+                        assert answer.reduced == list(map(
+                            mul, factor, reference.reduced))
                 seen[question] += 1
                 seen["scaled"] += den > 1
                 seen["pivots"] += count
@@ -934,10 +1055,12 @@ class TestIntegerLP:
                 full = fraction_simplex(full_justifier_problem(cols.value,
                                                                sid))
                 if answers[("justifier",) + key] is None:
+                    assert answer.status == "unbounded"
                     assert full.status == "infeasible" or full.value <= 0
                 else:
                     assert full.status == "optimal"
-                    assert full.value == answer.value > 0
+                    assert full.value == least_share(
+                        answer, len(cols.groups)) > 0
                 seen["decided"] += 1
         assert seen["slack"] > 1 and seen["justifier"] >= 80, seen
         assert seen["scaled"] >= 20 and seen["pivots"] >= 400, seen
@@ -945,9 +1068,13 @@ class TestIntegerLP:
 
     def test_every_answer_is_integers_over_a_positive_den(
             self, corpus_games, monkeypatch):
-        """Every LP the audit poses is answered in integers over
-        ``den`` > 0: an optimum's value is c.x at its point, and each
-        certificate holds by substitution."""
+        """Every LP the audit poses that is bounded is answered in
+        integers over ``den`` > 0: an optimum's value is c.x at its
+        point, its reduced costs are integers, and each certificate holds
+        by substitution, a justifier dual's dual certificate included.
+        Only justifier duals are unbounded, as under the rational
+        reference, and none is infeasible: the slack LP is feasible at
+        sid itself and each dual at y = 0."""
         from prudens.procedures import verify_equivalences
         answered = []
         real_solve = lp.solve
@@ -959,16 +1086,23 @@ class TestIntegerLP:
         monkeypatch.setattr(lp, "solve", solve)
         for game in lp_games(corpus_games) + bimatrix_games(4):
             verify_equivalences(game)
-        statuses = {"optimal": 0, "infeasible": 0}
+        statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0, "dual": 0}
         for problem, result in answered:
-            assert type(result.den) is int and result.den > 0
-            if result.status == "optimal":
-                assert all(type(v) is int for v in result.x)
-                assert result.value == sum(
-                    c * v for c, v in zip(problem.objective, result.x))
-            assert oracles.lp_certificate_holds(result, problem)
             statuses[result.status] += 1
-        assert statuses["optimal"] >= 120 and statuses["infeasible"] >= 3, \
+            dual = len(oracles.unit_columns(problem)) == len(problem.rows)
+            if result.status == "unbounded":
+                assert dual
+                assert fraction_simplex(problem).status == "unbounded"
+                continue
+            assert type(result.den) is int and result.den > 0
+            assert all(type(v) is int for v in result.x + result.reduced)
+            assert result.value == sum(
+                c * v for c, v in zip(problem.objective, result.x))
+            assert oracles.lp_certificate_holds(result, problem)
+            statuses["dual"] += dual
+        assert statuses["optimal"] >= 120 and statuses["dual"] >= 100, \
+            statuses
+        assert statuses["unbounded"] >= 3 and not statuses["infeasible"], \
             statuses
 
     def test_answers_are_integer_layers(self, corpus_games):

@@ -1,6 +1,6 @@
 """Layering lint over the package source.
 
-Each module is parsed with ``ast`` and eight rules are checked:
+Each module is parsed with ``ast`` and nine rules are checked:
 
 * rationals become integers in one place: ``math.lcm`` is called only in
   ``hyperreal.py`` (``hyperreal.scaled``);
@@ -20,11 +20,15 @@ Each module is parsed with ``ast`` and eight rules are checked:
 * the simplex is asked in two places, one per LP question: ``lp.solve``
   is called only inside ``dominance._justifier`` and
   ``dominance._dominating_mixture``;
+* reduced costs are read in one place: an LP answer exists only in a
+  module that imports ``lp``, and there ``.reduced`` is read only inside
+  ``dominance._justifier``, which takes its measure from the dual's
+  reduced costs;
 * a level's ``Columns`` is built in one module and handed on: the four
   id-level dominance questions take ``cols`` with no default, and
   ``Columns(...)`` is called only in ``dominance.py``.
 
-A ninth rule keeps the soundness notes reachable: every section of
+A tenth rule keeps the soundness notes reachable: every section of
 ``docs/exactness.md`` that a citation names by title, from ``src/``,
 ``tests/`` or the README, or from inside the doc itself, is one of its
 ``##`` headings.
@@ -132,18 +136,11 @@ def test_no_module_reaches_into_anothers_private_names():
     assert not found, found
 
 
-class _CallSites(ast.NodeVisitor):
-    """(innermost enclosing function, line) of every call of ``name``
-    from the prudens module ``module``, as ``module.name`` or by a name
-    imported from it, and the line of every such import."""
+class _Scoped(ast.NodeVisitor):
+    """A visitor that knows the innermost function enclosing a node."""
 
-    def __init__(self, module, name):
-        self.module = module
-        self.name = name
-        self.aliases = set()
+    def __init__(self):
         self.functions = []
-        self.calls = []
-        self.imports = []
 
     def visit_FunctionDef(self, node):
         self.functions.append(node.name)
@@ -152,14 +149,30 @@ class _CallSites(ast.NodeVisitor):
 
     visit_AsyncFunctionDef = visit_FunctionDef
 
+    def at(self, node):
+        return self.functions[-1] if self.functions else None, node.lineno
+
+
+class _CallSites(_Scoped):
+    """(innermost enclosing function, line) of every call of ``name``
+    from the prudens module ``module``, as ``module.name`` or by a name
+    imported from it, and the line of every such import."""
+
+    def __init__(self, module, name):
+        super().__init__()
+        self.module = module
+        self.name = name
+        self.aliases = set()
+        self.calls = []
+        self.imports = []
+
     def visit_Call(self, node):
         func = node.func
         if (isinstance(func, ast.Attribute) and func.attr == self.name
                 and isinstance(func.value, ast.Name)
                 and func.value.id == self.module) or (
                     isinstance(func, ast.Name) and func.id in self.aliases):
-            self.calls.append((self.functions[-1] if self.functions
-                               else None, node.lineno))
+            self.calls.append(self.at(node))
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node):
@@ -197,6 +210,59 @@ def test_solve_sites_are_found():
         "def f():\n    def g():\n        return lp.solve(q)\n"))
     assert visitor.calls == [(None, 2), ("g", 5)]
     assert visitor.imports == [1]
+
+
+class _AttributeReads(_Scoped):
+    """(innermost enclosing function, line) of every read of the
+    attribute ``name``."""
+
+    def __init__(self, name):
+        super().__init__()
+        self.name = name
+        self.reads = []
+
+    def visit_Attribute(self, node):
+        if node.attr == self.name and isinstance(node.ctx, ast.Load):
+            self.reads.append(self.at(node))
+        self.generic_visit(node)
+
+
+def imports_lp(tree):
+    """Whether tree imports the prudens module ``lp``."""
+    return any(isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("prudens"))
+               and ((node.module or "").split(".")[-1] == "lp"
+                    or any(alias.name == "lp" for alias in node.names))
+               for node in ast.walk(tree))
+
+
+def test_reduced_costs_read_only_by_the_justifier():
+    sites = set()
+    found = []
+    for stem, tree in trees():
+        if stem != "lp" and not imports_lp(tree):
+            continue
+        visitor = _AttributeReads("reduced")
+        visitor.visit(tree)
+        for function, line in visitor.reads:
+            sites.add((stem, function))
+            if (stem, function) != ("dominance", "_justifier"):
+                found.append("%s.py:%d reads .reduced in %s" % (
+                    stem, line, function))
+    assert not found, found
+    assert sites == {("dominance", "_justifier")}
+
+
+def test_attribute_reads_are_found():
+    visitor = _AttributeReads("reduced")
+    visitor.visit(ast.parse(
+        "r.reduced\nr.reduced = 1\nLPResult(reduced=[])\n"
+        "def f():\n    return g().reduced[1:]\n"))
+    assert visitor.reads == [(None, 1), ("f", 5)]
+    assert [imports_lp(ast.parse(text)) for text in (
+        "from . import lp", "from .lp import solve", "from prudens import lp",
+        "from . import dominance", "import lp")] == \
+        [True, True, True, False, False]
 
 
 SCALING_MODULES = ("hyperreal", "game", "beliefs")

@@ -8,6 +8,7 @@ import pytest
 
 from prudens import lp
 
+import oracles
 from oracles import (fraction_simplex, integer_problem, lp_certificate_holds,
                      rational)
 
@@ -97,16 +98,20 @@ def test_random_problems_verify_and_are_deterministic():
 
 
 def _outcome(result):
-    return result.status, result.x, result.value, result.farkas
+    return (result.status, result.x, result.value, result.reduced,
+            result.farkas)
 
 
 def _reference_outcome(problem):
-    """``fraction_simplex``'s answer to a rational problem, its value
-    multiplied by the objective's factor in ``integer_problem``."""
+    """``fraction_simplex``'s answer to a rational problem, its value and
+    reduced costs multiplied by the objective's factor in
+    ``integer_problem``."""
     reference = fraction_simplex(problem)
     if reference.value is not None:
-        reference.value *= math.lcm(
-            *(Fraction(c).denominator for c in problem.objective))
+        factor = math.lcm(*(Fraction(c).denominator
+                            for c in problem.objective))
+        reference.value *= factor
+        reference.reduced = [factor * v for v in reference.reduced]
     return _outcome(reference)
 
 
@@ -130,8 +135,10 @@ def _random_problem(rng):
 def test_matches_rational_simplex_on_random_problems():
     """The integer tableau of the scaled problem takes the rational
     tableau's pivots, so every status, point and Farkas witness is
-    equal, and the value is the objective's factor times the rational
-    one."""
+    equal, and the value and reduced costs are the objective's factor
+    times the rational ones.  Where the factor turns a unit column e_r
+    into L e_r, or a column into e_r, the two start from different
+    bases; on these problems they still reach the same answer."""
     rng = random.Random(20240817)
     statuses = set()
     for _ in range(2500):
@@ -200,3 +207,134 @@ def test_problem_is_not_mutated():
     result = lp.solve(problem)
     assert problem == before
     assert _outcome(rational(result)) == _outcome(fraction_simplex(problem))
+
+
+def _counted(monkeypatch):
+    """Pivots per ``lp._iterate`` call (phase 1, then phase 2) and per
+    rational reference pivot, recorded as they happen."""
+    counts = {"phases": [], "reference": 0}
+    real_iterate, real_pivot = lp._iterate, lp._pivot
+    real_fraction_pivot = oracles._fraction_pivot
+
+    def iterate(*args):
+        counts["phases"].append(0)
+        return real_iterate(*args)
+
+    def pivot(*args):
+        if counts["phases"]:
+            counts["phases"][-1] += 1
+        return real_pivot(*args)
+
+    def fraction_pivot(*args):
+        counts["reference"] += 1
+        return real_fraction_pivot(*args)
+
+    monkeypatch.setattr(lp, "_iterate", iterate)
+    monkeypatch.setattr(lp, "_pivot", pivot)
+    monkeypatch.setattr(oracles, "_fraction_pivot", fraction_pivot)
+    return counts
+
+
+def test_unit_column_in_every_row_takes_no_phase_one_pivot(monkeypatch):
+    """Columns 2 and 3 are e_0 and e_1 with rhs >= 0, so the slack basis
+    is feasible: phase 1 takes no pivot, phase 2 two, as the reference
+    does, and the reduced costs carry a dual certificate."""
+    counts = _counted(monkeypatch)
+    problem = lp.LPProblem(objective=[1, 1, 0, 0],
+                           rows=[[1, 2, 1, 0], [3, 1, 0, 1]], rhs=[4, 6])
+    result = lp.solve(problem)
+    assert counts["phases"] == [0, 2]
+    reference = fraction_simplex(problem)
+    assert counts["reference"] == 2
+    assert _outcome(rational(result)) == _outcome(reference)
+    assert rational(result).reduced == [0, 0, Fraction(2, 5),
+                                        Fraction(1, 5)]
+    assert lp_certificate_holds(result, problem)
+
+
+def test_dual_certificate_is_checked():
+    """With a unit column in every row the certificate check reads the
+    duals y_k = reduced[u_k] + den c[u_k] and requires y.A >= den c and
+    y.b == value: a reduced cost or value moved by one fails it."""
+    problem = lp.LPProblem(objective=[1, 1, 0, 0],
+                           rows=[[1, 2, 1, 0], [3, 1, 0, 1]], rhs=[4, 6])
+    result = lp.solve(problem)
+    assert lp_certificate_holds(result, problem)
+    for field, k in (("reduced", 2), ("reduced", 3)):
+        wrong = copy.deepcopy(result)
+        getattr(wrong, field)[k] -= 1
+        assert not lp_certificate_holds(wrong, problem)
+
+
+def test_infeasible_mixing_unit_and_artificial_rows(monkeypatch):
+    """Row 0 has the unit column 1 and row 1 an artificial: x0 <= 1 and
+    x0 = 2.  The Farkas entry of the unit row is -z[1] and that of the
+    artificial row D - z[artificial], so y = (-1, 1); reading both as
+    D - z would give (0, 1), which is no certificate."""
+    counts = _counted(monkeypatch)
+    problem = lp.LPProblem(objective=[0, 0], rows=[[1, 1], [1, 0]],
+                           rhs=[1, 2])
+    result = lp.solve(problem)
+    assert result.status == "infeasible"
+    assert counts["phases"] == [1]
+    assert (result.farkas, result.den) == ([-1, 1], 1)
+    assert lp_certificate_holds(result, problem)
+    assert _outcome(rational(result)) == _outcome(fraction_simplex(problem))
+    assert counts["reference"] == 1
+    assert not lp_certificate_holds(
+        lp.LPResult("infeasible", den=1, farkas=[0, 1]), problem)
+
+
+def test_unit_column_with_negative_rhs_gets_an_artificial(monkeypatch):
+    """e_0 in a row with rhs -1 is no start: flipped, it reads -e_0, so
+    row 0 gets an artificial, and the LP is infeasible."""
+    counts = _counted(monkeypatch)
+    problem = lp.LPProblem(objective=[1, 0], rows=[[1, 1]], rhs=[-1])
+    result = lp.solve(problem)
+    assert result.status == "infeasible"
+    assert counts["phases"] == [0]
+    assert lp_certificate_holds(result, problem)
+    assert _outcome(rational(result)) == _outcome(fraction_simplex(problem))
+
+
+def test_identity_columns_match_the_reference_pivot_for_pivot(monkeypatch):
+    """Random integer problems with some unit columns inserted, so that
+    each row with rhs >= 0 may or may not start at a unit column: every
+    status, point, value, reduced cost and Farkas witness, and the pivot
+    count, are the rational reference's, and each certificate holds.
+    Where every row has a unit column and rhs >= 0, phase 1 takes no
+    pivot and the dual certificate is checked too."""
+    counts = _counted(monkeypatch)
+    rng = random.Random(23)
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0, "slack": 0,
+            "mixed": 0}
+    for _ in range(1500):
+        n = rng.randrange(1, 6)
+        m = rng.randrange(1, 5)
+        rows = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(m)]
+        rhs = [rng.randrange(-2, 5) for _ in range(m)]
+        for k in range(m):
+            if rng.random() < 0.7:
+                at = rng.randrange(len(rows[0]) + 1)
+                for r, row in enumerate(rows):
+                    row.insert(at, int(r == k))
+        width = len(rows[0])
+        problem = lp.LPProblem([rng.randrange(-3, 4) for _ in range(width)],
+                               rows, rhs)
+        del counts["phases"][:]
+        counts["reference"] = 0
+        result = lp.solve(problem)
+        phases = list(counts["phases"])
+        reference = fraction_simplex(problem)
+        assert sum(phases) == counts["reference"]
+        assert _outcome(rational(result)) == _outcome(reference)
+        if result.status != "unbounded":
+            assert lp_certificate_holds(result, problem)
+        starts = oracles.unit_columns(problem)
+        if len(starts) == m and min(rhs) >= 0:
+            assert phases[0] == 0
+            seen["slack"] += 1
+        elif any(rhs[k] >= 0 for k in starts):
+            seen["mixed"] += 1  # unit-column rows and artificial rows
+        seen[result.status] += 1
+    assert min(seen.values()) >= 50, seen

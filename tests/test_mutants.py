@@ -227,11 +227,12 @@ def test_first_relaxation_returned(games, monkeypatch):
         if not larger:
             return real(cols, sid)
         result = lp.solve(dominance.justifier_problem(cols, sid, larger))
-        if result.status != "optimal" or result.value <= 0:
+        if result.status != "optimal":
             return None
-        m, w = result.x[0], result.x[1:1 + len(cols.groups)]
-        ints, den = scaled([Fraction(m + w_g, result.den * len(members))
-                            for w_g, members in zip(w, cols.groups)])
+        # the dual's reduced costs w over den: column masses 1 + w_g
+        masses = [result.den + w for w in result.reduced[len(larger):]]
+        ints, den = scaled([Fraction(mass, sum(masses) * len(members))
+                            for mass, members in zip(masses, cols.groups)])
         return {c: n for n, members in zip(ints, cols.groups)
                 for c in members}, den
 
