@@ -1,59 +1,61 @@
 """Admissibility: weak dominance tests, iterated elimination, justifiers.
 
-Two dual routes decide admissibility exactly, and each returns an object
-that re-verifies by substitution:
+A strategy sid of Q_i is not weakly dominated on Q_i against Q_{-i}
+exactly when some measure with support exactly Q_{-i} makes it a best
+reply among Q_i (Pearce 1984, Lemma 4).  One LP per question decides
+which, and its answer carries either certificate, each of which
+re-verifies by substitution:
 
-* ``weakly_dominated`` searches for a dominating mixture by maximizing
-  total slack over the weak-inequality polytope (dominated iff the
-  optimum is positive);
-* ``justifying_full_support_measure`` searches for a measure with support
-  exactly the co-player restriction against which the strategy maximizes
-  expected payoff among all own strategies, by maximizing the minimum
-  mass (one exists iff the optimum is positive).
+* ``justifier_ids`` returns the measure (on, den), found by maximizing
+  the minimum mass, when the LP has a positive optimum;
+* ``dominating_mixture_ids`` returns a mixture (weights, den) on Q_i
+  that weakly dominates sid, read off the unbounded ray of the same
+  LP's dual when it has none.  A purely dominating row of Q_i is
+  returned first, without a tableau.
 
-On restrictions arising from iterated elimination the two answers are
-complementary; the test suite exercises that equivalence instance by
-instance rather than assuming it.
+The LP's rivals are the members of Q_i.  On the elimination's sets a
+best reply among Q_i against a measure with full support is one among
+all of S_i, since each strategy the elimination removed hands its
+payoff down a chain of dominating mixtures to a member of Q_i; the
+public ``justifying_full_support_measure`` asks over all of S_i.
 
-Co-player profiles with identical payoff columns are interchangeable in
-both problems, so the solvers work over distinct columns (with measures
-spread back uniformly within each group).  A strategy whose row sum
-over those columns is the largest of all gets the measure uniform over
-them as its justifier, the LP's unique optimum, without a tableau.  The
-slack solver keeps a strategy that has a justifier and poses its tableau
-only for one that has none (docs/exactness.md, "Questions the uniform
-measure settles").
+Co-player profiles with identical payoff columns are interchangeable, so
+the LP works over distinct columns (with measures spread back uniformly
+within each group).  A strategy whose row sum over those columns is the
+largest in Q_i gets the measure uniform over them as its justifier, the
+LP's unique optimum, without a tableau (docs/exactness.md, "Questions
+the uniform measure settles").
 
 Own strategies with identical rows over those columns (twins, such as
-the behaviourally equivalent plans of a sequential game) get the same answer
-from both solvers, so a :class:`Columns` solves each question once per
-twin class and hands the answer to every member; each member's answer is
-still substituted on its own (see docs/exactness.md, "Twin-shared LP
+the behaviourally equivalent plans of a sequential game) get the same
+answer, so a :class:`Columns` solves each question once per twin class
+and hands the answer to every member; each member's answer is still
+substituted on its own (see docs/exactness.md, "Twin-shared LP
 answers").  Every id-level question and substitution check takes i's
 ``Columns`` over q_sets as ``cols``, so the elimination builds one per
-player and level, and a public query one.  The justifier LP draws its
-constraints from the distinct rival rows (docs/exactness.md,
-"Deduplicated justifier rows") and poses only those that beat sid
-against the uniform measure, then against each optimum in turn, until
-none does (docs/exactness.md, "Justifier LPs by rival-row
-generation"); twins pose the identical LPs.  The simplex is handed the
-dual of the justifier LP's Charnes-Cooper form, with one column per
-posed rival and a unit column per distinct column, which is feasible
-at its slack basis: unbounded exactly when there is no justifier, and
-otherwise its reduced costs give the measure (docs/exactness.md,
-"Justifier LPs in dual form").  Both LPs are posed in the form's
-integers, the slack LP as exactly the payoff denominator times the
-rational problem and the dual with its rival columns times it, which
-keeps the simplex's pivots, and ``lp.solve`` hands its answer back as
-integers over its determinant D.  Each answer is one integer layer made
-from those integers: a mixture (weights, den), the vertex's weights and
-D reduced by their gcd, or a justifier (on, den), mass ``on[c] / den``,
-each column's mass spread over its group by the one ``scaled`` call.
+player and level, and a public query one.  The LP draws its constraints
+from the distinct rival rows (docs/exactness.md, "Deduplicated justifier
+rows") and poses only those that beat sid against the uniform measure,
+then against each optimum in turn, until none does (docs/exactness.md,
+"Justifier LPs by rival-row generation"); twins pose the identical LPs.
+The simplex is handed the dual of the LP's Charnes-Cooper form, with
+one column per posed rival and one row per distinct column, which is
+feasible at its slack basis: unbounded exactly when there is no
+justifier, its ray then a dominating mixture (docs/exactness.md,
+"Dominating mixtures from the dual's ray"), and otherwise its reduced
+costs give the measure (docs/exactness.md, "Justifier LPs in dual
+form").  The dual is posed with its rival columns times the payoff
+denominator, which keeps the simplex's pivots, and ``lp.solve`` hands
+its answer back as integers over its determinant D.  Each answer is one
+integer layer made from those integers: a mixture (weights, den), the
+ray's entries and their sum reduced by their gcd, or a justifier
+(on, den), mass ``on[c] / den``, each column's mass spread over its
+group by the one ``scaled`` call.
 """
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import ge, mul
 
 from . import lp
 from .best_reply import best_replies_to_measure
@@ -98,12 +100,12 @@ class Columns:
     ``twin[r]`` is the least own strategy whose row in ``value`` equals
     r's, and ``row_sum[r]`` the sum of that row, r's payoff against the
     measure uniform over the distinct columns times their number and den.
-    ``answers`` keeps each LP question's answer per twin class, so that
-    one Columns object poses each question once.
+    ``own`` lists Q_i in id order.  ``answers`` keeps each twin class's
+    LP answer, so that one Columns object poses each question once.
     """
 
     __slots__ = ("q_sets", "co_event", "co_ids", "den", "groups", "value",
-                 "twin", "row_sum", "answers")
+                 "twin", "row_sum", "own", "answers")
 
     def __init__(self, form, i, q_sets):
         self.q_sets = q_sets
@@ -122,73 +124,43 @@ class Columns:
         self.twin = [first.setdefault(tuple(row), r)
                      for r, row in enumerate(self.value)]
         self.row_sum = [sum(row) for row in self.value]
+        self.own = sorted(q_sets[i])
         self.answers = {}
 
-    def shared(self, question, solve):
-        """``solve()``'s answer to question, solved once, not copied."""
-        if question not in self.answers:
-            self.answers[question] = solve()
-        return self.answers[question]
-
-    def justifier(self, sid):
-        """``justifier_ids``'s answer for sid, solved once per twin class."""
-        return self.shared(("justifier", self.twin[sid]),
-                           lambda: _justifier(self, sid))
+    def answer(self, sid):
+        """``_justifier``'s answer (measure, mixture) for sid, solved
+        once per twin class, not copied."""
+        key = self.twin[sid]
+        if key not in self.answers:
+            self.answers[key] = _justifier(self, sid)
+        return self.answers[key]
 
 
 def dominating_mixture_ids(form, q_sets, i, sid, cols):
-    """A mixture on Q_i weakly dominating sid against Q_{-i}, or None.
+    """A mixture (weights, den) on Q_i weakly dominating sid against
+    Q_{-i}, or None.
 
-    A purely dominating row of Q_i is returned as is and a strategy with
-    a justifier is kept; otherwise the total dominance slack is maximized
-    subject to the weak inequalities, and sid is dominated exactly when
-    the optimum is positive.  sid enters only through its own row, so
-    its twins in Q_i share the answer.
+    A purely dominating row of Q_i is returned as is; otherwise the
+    answer is the one sid's justifier question found, a mixture exactly
+    when no measure with support Q_{-i} makes sid a best reply among
+    Q_i.  sid enters only through its own row, so its twins in Q_i
+    share the answer.
     """
     if sid not in q_sets[i]:
         raise DominanceError("strategy must belong to its own restriction")
-    return cols.shared(("slack", cols.twin[sid]),
-                       lambda: _dominating_mixture(cols, sorted(q_sets[i]),
-                                                   sid))
+    return _dominating_mixture(cols, cols.own, sid)
 
 
 def _dominating_mixture(cols, q_i, sid):
     value = cols.value
     own = value[sid]
-    ngroups = len(own)
-
-    # pure dominance needs no tableau
+    # pure dominance needs no tableau: a row at least sid's everywhere
+    # and not equal to it is strictly above it somewhere
     for r in q_i:
-        if r == sid:
-            continue
         other = value[r]
-        if all(other[g] >= own[g] for g in range(ngroups)) \
-                and any(other[g] > own[g] for g in range(ngroups)):
+        if all(map(ge, other, own)) and other != own:
             return {r: 1}, 1
-    # a justified strategy is undominated; a None justifier decides nothing
-    if cols.justifier(sid) is not None:
-        return None
-
-    # columns: sigma weights over Q_i, then one slack per distinct column;
-    # every row is den times the rational one (docs/exactness.md,
-    # "Integers from the source")
-    den = cols.den
-    rows = [[den] * len(q_i) + [0] * ngroups]
-    rhs = [den]
-    for g in range(ngroups):
-        row = [value[r][g] for r in q_i]
-        row += [-den if g == j else 0 for j in range(ngroups)]
-        rows.append(row)
-        rhs.append(own[g])
-    objective = [0] * len(q_i) + [1] * ngroups
-    result = lp.solve(lp.LPProblem(objective, rows, rhs))
-    if result.status != "optimal":
-        raise DominanceError("slack LP must be solvable, got %s" % result.status)
-    if result.value <= 0:
-        return None
-    weights = result.x[:len(q_i)]
-    g = math.gcd(result.den, *weights)
-    return {r: w // g for r, w in zip(q_i, weights) if w}, result.den // g
+    return cols.answer(sid)[1]
 
 
 def mixture_dominates_ids(form, q_sets, i, sid, mixture, cols):
@@ -214,35 +186,45 @@ def mixture_dominates_ids(form, q_sets, i, sid, mixture, cols):
 
 def justifier_ids(form, q_sets, i, sid, cols):
     """A measure (on, den) with support exactly Q_{-i} against which sid
-    maximizes expected payoff over all own strategies, or None.
+    is a best reply among Q_i, or None.
 
     Found by maximizing the minimum mass m over distinct payoff columns
     (substituting nu_g = m + w_g turns strict positivity into the sign of
     the optimum), posed to the simplex in dual form
     (``justifier_problem``), then spreading each column's mass uniformly
     over the co-profiles it aggregates.  The LP's constraints are drawn
-    from the distinct own rows other than sid's: a repeated row restates
-    an inequality and sid's own row states 0 >= 0.  They are posed by
-    rival-row generation: first the rivals with a larger row sum, which
-    beat sid against the measure uniform over the distinct columns, then
-    every rival that beats sid against the last optimum, until none
-    does.  A relaxation with no positive optimum (an unbounded dual)
-    settles None, and a final optimum no rival beats is the full LP's
-    optimum, so the optimum and the None decision are those of one
-    constraint per rival, though the vertex returned may differ.  When
-    no rival has a larger row sum, the uniform measure is the unique
-    optimum and is returned without a tableau.  Twins pose the identical
-    LPs and so share the answer.
+    from the twin classes that meet Q_i other than sid's, each named by
+    its least member in Q_i: a repeated row restates an inequality and
+    sid's own row states 0 >= 0.  They are posed by rival-row
+    generation: first the rivals with a larger row sum, which beat sid
+    against the measure uniform over the distinct columns, then every
+    rival that beats sid against the last optimum, until none does.  A
+    relaxation with no positive optimum (an unbounded dual) settles
+    None, and a final optimum no rival beats is the full LP's optimum,
+    so the optimum and the None decision are those of one constraint
+    per rival, though the vertex returned may differ.  When no rival has
+    a larger row sum, the uniform measure is the unique optimum and is
+    returned without a tableau.  Twins pose the identical LPs and so
+    share the answer.  On the elimination's sets a best reply among Q_i
+    is one among all of S_i.
     """
-    return cols.justifier(sid)
+    return cols.answer(sid)[0]
 
 
 def _justifier(cols, sid):
+    """(measure, mixture) for sid: the measure when the LP has a
+    positive optimum, else the mixture its dual's ray gives; both are
+    None only when there is no column."""
     ngroups = len(cols.groups)
     if not ngroups:
-        return None  # no measure has full support on an empty event
+        return None, None  # no measure has full support on an empty event
     row_sum = cols.row_sum
-    if row_sum[sid] == max(row_sum):
+    named = {}
+    for r in cols.own:
+        named.setdefault(cols.twin[r], r)
+    rivals = [r for t, r in named.items() if t != cols.twin[sid]]
+    beaten = [r for r in rivals if row_sum[r] > row_sum[sid]]
+    if not beaten:
         # the uniform point m = 1/G, w = 0 is feasible, hence the unique
         # optimum: G m + sum(w) = 1 and w >= 0 force m <= 1/G
         masses = [1] * ngroups
@@ -252,22 +234,20 @@ def _justifier(cols, sid):
         # the uniform measure, those with a larger row sum, then every
         # rival that beats sid against the last optimum, until none does
         value = cols.value
-        rivals = [r for r, t in enumerate(cols.twin)
-                  if t == r and t != cols.twin[sid]]
-        beaten = [r for r in rivals if row_sum[r] > row_sum[sid]]
         posed = []
         while True:
             posed = sorted(posed + beaten)
             result = lp.solve(justifier_problem(cols, sid, posed))
-            # an unbounded dual is an infeasible Charnes-Cooper form: no
-            # measure with full support (docs/exactness.md, "Justifier
-            # LPs in dual form")
             if result.status == "unbounded":
-                return None
-            if result.status != "optimal":
-                raise DominanceError("justifier dual is feasible at y = 0")
-            # column masses D (1 + w_g), w_g the reduced cost of z_g,
-            # compared below as they are
+                # the ray's rival entries weakly dominate sid's row
+                # (docs/exactness.md, "Dominating mixtures from the
+                # dual's ray")
+                ray = result.ray
+                g = math.gcd(*ray)
+                return None, ({r: d // g for r, d in zip(posed, ray) if d},
+                              sum(ray) // g)
+            # column masses D (1 + w_g), w_g the reduced cost of the slack
+            # z_g, compared below as they are
             masses = [result.den + w for w in result.reduced[len(posed):]]
             if len(posed) == len(rivals):
                 break
@@ -279,27 +259,24 @@ def _justifier(cols, sid):
     total = sum(masses)
     ints, den = scaled([Fraction(mass, total * len(members))
                         for mass, members in zip(masses, cols.groups)])
-    return {coid: n for n, members in zip(ints, cols.groups)
-            for coid in members}, den
+    return ({coid: n for n, members in zip(ints, cols.groups)
+             for coid in members}, den), None
 
 
 def justifier_problem(cols, sid, rivals):
     """The justifier LP of own strategy sid over cols against the own
     strategies ``rivals``, in dual form, as posed to the simplex:
     maximize sum_r (row_sum[r] - row_sum[sid]) y_r subject to
-    sum_r (u(sid, g) - u(r, g)) y_r + z_g = 1 per distinct column g,
-    over y, z >= 0, with one y column per rival in the order given.  u
-    is the payoff times ``cols.den``, so every entry is an integer, and
-    each z column is a unit column, so the simplex starts feasible at
-    z = 1 (docs/exactness.md, "Justifier LPs in dual form")."""
+    sum_r (u(sid, g) - u(r, g)) y_r <= 1 per distinct column g, over
+    y >= 0, with one y column per rival in the order given.  u is the
+    payoff times ``cols.den``, so every entry is an integer, and the
+    simplex starts feasible at y = 0, the slack z_g of row g at 1
+    (docs/exactness.md, "Justifier LPs in dual form")."""
     value = cols.value
     own = value[sid]
-    ngroups = len(own)
-    rows = [[own[g] - value[r][g] for r in rivals]
-            + [1 if g == k else 0 for k in range(ngroups)]
-            for g in range(ngroups)]
+    rows = [[own[g] - value[r][g] for r in rivals] for g in range(len(own))]
     objective = [cols.row_sum[r] - cols.row_sum[sid] for r in rivals]
-    return lp.LPProblem(objective + [0] * ngroups, rows, [1] * ngroups)
+    return lp.LPProblem(objective, rows, [1] * len(own))
 
 
 def measure_justifies_ids(form, q_sets, i, sid, measure, cols):
@@ -380,6 +357,8 @@ def justifying_full_support_measure(game, Q, i, s):
     form = game.strategic_form()
     sid = form.strategy_id(i, s)
     q_sets = form.ids_from_restriction(Q)
+    # rivals over all of S_i, whatever Q_i is
+    q_sets[i] = frozenset(range(form.counts[i]))
     cols = Columns(form, i, q_sets)
     measure = justifier_ids(form, q_sets, i, sid, cols)
     if measure is None:

@@ -5,9 +5,11 @@ exhaustive enumeration, vertex enumeration, symbolic limits) and shares no
 decision logic with the library implementations it checks.  Two kinds
 are exceptions, kept on purpose as the rational versions of integer code
 that must agree with them exactly, result for result:
-``fraction_simplex``, the rational tableau simplex that ``lp.solve``
-replaces with integer pivoting (it takes the same Bland-rule pivots) and
-which ``integer_problem`` and ``rational`` translate to and from, and
+``fraction_simplex``, the rational two-phase tableau simplex that
+``lp.solve`` replaces with one-phase integer pivoting (on a problem with
+its identity appended by ``with_slacks`` it takes the same Bland-rule
+pivots) and which ``integer_problem`` and ``rational`` translate to and
+from, and
 ``fraction_value_row`` / ``fraction_best_replies_to_measure``, the
 per-strategy Fraction sums that ``best_reply`` replaces with integer
 twin-class sums.  ``full_justifier_problem`` is the justifier LP in
@@ -17,8 +19,10 @@ rivals beat its measures, and which it poses as the dual of its
 Charnes-Cooper form; its optimum must be the one ``dominance``
 reaches.
 ``full_slack_problem`` is the slack LP over every co-profile, with no
-columns merged.  ``condition_ladder`` conditions a lexicographic
-probability system rung by rung, the construction that
+columns merged, whose positive optimum the justifier dual's ray
+replaces as the test for a dominating mixture.  ``condition_ladder``
+conditions a lexicographic probability system rung by rung, the
+construction that
 ``PriorCNPS.standard_part`` replaces with one read of the prior's
 least-degree layer, and ``mass_within`` and ``singleton_mass`` sum a
 belief's masses, which the library's operators never do.
@@ -363,7 +367,8 @@ def _fraction_pivot(a, zrow, basis, r, c, last):
 
 
 def _fraction_iterate(a, zrow, basis, ncols, last):
-    """Bland-rule simplex until optimal or unbounded."""
+    """Bland-rule simplex until optimal or unbounded.  Returns -1 when
+    optimal, else the entering column that no row limits."""
     m = len(a)
     while True:
         enter = -1
@@ -372,7 +377,7 @@ def _fraction_iterate(a, zrow, basis, ncols, last):
                 enter = j
                 break
         if enter < 0:
-            return "optimal"
+            return -1
         leave = -1
         best_n = best_d = None  # best ratio as exact pair, compared crosswise
         for r in range(m):
@@ -389,7 +394,7 @@ def _fraction_iterate(a, zrow, basis, ncols, last):
                 if better:
                     best_n, best_d, leave = num, coef, r
         if leave < 0:
-            return "unbounded"
+            return enter
         _fraction_pivot(a, zrow, basis, leave, enter, last)
 
 
@@ -412,10 +417,10 @@ def _fraction_zrow(a, basis, costs, ncols, last):
 
 def integer_problem(problem):
     """A rational ``lp.LPProblem`` as the integers ``lp.solve`` takes:
-    every row and the rhs times one least common denominator, the
-    objective times its own.  The pivots, the point and the Farkas
-    witness are the rational problem's; the value is multiplied by the
-    objective's factor."""
+    every row and the rhs times one least common denominator L, the
+    objective times its own K.  The pivots, the point and the ray's
+    direction are the rational problem's; the value and the structural
+    reduced costs are multiplied by K, the duals by K / L."""
     def factor(values):
         return math.lcm(*(Fraction(v).denominator for v in values))
 
@@ -427,9 +432,21 @@ def integer_problem(problem):
                         [int(b * cells) for b in problem.rhs])
 
 
+def with_slacks(problem):
+    """A canonical ``lp.LPProblem`` (A x <= b) in standard equality form,
+    [A | I] (x, s) = b, the identity appended as ``lp.solve`` appends
+    it, for ``fraction_simplex``."""
+    m = len(problem.rows)
+    return lp.LPProblem(
+        list(problem.objective) + [0] * m,
+        [list(row) + [int(r == k) for k in range(m)]
+         for r, row in enumerate(problem.rows)],
+        list(problem.rhs))
+
+
 def rational(result):
-    """An ``lp.LPResult`` with its point, value, reduced costs and Farkas
-    witness read as Fractions over its ``den``."""
+    """An ``lp.LPResult`` with its point, value, reduced costs and ray
+    read as Fractions over its ``den``."""
     def over(values):
         return values and [Fraction(v, result.den) for v in values]
 
@@ -437,15 +454,15 @@ def rational(result):
     return lp.LPResult(result.status, x=over(result.x),
                        value=None if value is None
                        else Fraction(value, result.den),
-                       reduced=over(result.reduced),
-                       farkas=over(result.farkas))
+                       reduced=over(result.reduced), ray=over(result.ray))
 
 
 def unit_columns(problem):
-    """{row k: the least column of problem that is exactly e_k}."""
+    """{row k: the greatest column of problem that is exactly e_k}, so
+    that an appended identity (``with_slacks``) supplies every one."""
     unit = {}
     for k in range(len(problem.rows)):
-        for j in range(len(problem.objective)):
+        for j in reversed(range(len(problem.objective))):
             if all(row[j] == (1 if r == k else 0)
                    for r, row in enumerate(problem.rows)):
                 unit[k] = j
@@ -454,33 +471,35 @@ def unit_columns(problem):
 
 
 def lp_certificate_holds(result, problem):
-    """Re-check an ``lp.LPResult``'s certificate by substitution, in
-    integers over its ``den`` > 0: a nonnegative point with A.x = den.b
-    whose c.x is the value, or a Farkas witness y with y.A <= 0 and
-    y.b > 0.  When every row k has a unit column u_k, an optimum's dual
-    certificate is checked too: y_k = reduced[u_k] + den c[u_k] must
-    satisfy y.A >= den c and y.b = value, so the value is the optimum."""
-    if result.status not in ("optimal", "infeasible") or not result.den > 0:
+    """Re-check an ``lp.LPResult`` for a canonical problem (maximize c.x
+    subject to A x <= b, x >= 0) by substitution, in integers over its
+    ``den`` > 0.  An optimum: x >= 0 with A.x <= den b and c.x the value,
+    and the dual y = ``reduced[n:]`` >= 0 with y.A >= den c, y.b the
+    value and ``reduced[:n]`` = y.A - den c, so the value is the
+    optimum.  An unbounded answer: a ray d >= 0 with A.d <= 0 and
+    c.d > 0, so c.x grows without bound from x = 0."""
+    rows, b, c = problem.rows, problem.rhs, problem.objective
+    n = len(c)
+    columns = [[row[j] for row in rows] for j in range(n)]
+    if type(result.den) is not int or result.den <= 0:
         return False
-    if result.status == "optimal":
-        x = result.x
-        primal = all(v >= 0 for v in x) and all(
-            sum(map(mul, row, x)) == result.den * b
-            for row, b in zip(problem.rows, problem.rhs)) and \
-            sum(map(mul, problem.objective, x)) == result.value
-        unit = unit_columns(problem)
-        if not primal or len(unit) < len(problem.rows):
-            return primal
-        c = problem.objective
-        y = [result.reduced[unit[k]] + result.den * c[unit[k]]
-             for k in range(len(problem.rows))]
-        return all(sum(map(mul, y, column)) >= result.den * cj
-                   for column, cj in zip(zip(*problem.rows), c)) and \
-            sum(map(mul, y, problem.rhs)) == result.value
-    y = result.farkas
-    return all(sum(map(mul, y, column)) <= 0
-               for column in zip(*problem.rows)) and \
-        sum(map(mul, y, problem.rhs)) > 0
+    if result.status == "unbounded":
+        d = result.ray
+        return len(d) == n and all(v >= 0 for v in d) and \
+            all(sum(map(mul, row, d)) <= 0 for row in rows) and \
+            sum(map(mul, c, d)) > 0
+    if result.status != "optimal":
+        return False
+    den, x = result.den, result.x
+    y = result.reduced[n:]
+    return len(x) == n and len(y) == len(rows) and \
+        all(v >= 0 for v in x + y) and \
+        all(sum(map(mul, row, x)) <= den * bk for row, bk in zip(rows, b)) \
+        and sum(map(mul, c, x)) == result.value and \
+        sum(map(mul, y, b)) == result.value and \
+        result.reduced[:n] == [sum(map(mul, y, column)) - den * cj
+                               for column, cj in zip(columns, c)] and \
+        all(v >= 0 for v in result.reduced[:n])
 
 
 def full_justifier_problem(value, sid):
@@ -532,14 +551,17 @@ def full_slack_problem(form, q_sets, i, sid):
 
 
 def fraction_simplex(problem):
-    """The two-phase Bland-rule simplex over a Fraction tableau, from the
-    same slack-basis start: the reference ``lp.solve`` must agree with
-    pivot for pivot, over Fraction or int entries.  An optimum carries
-    its phase-2 reduced costs."""
+    """The two-phase Bland-rule simplex over a Fraction tableau, for a
+    problem in standard equality form, A x = b and x >= 0.  Each row
+    with rhs >= 0 and a unit column starts with it basic; every other
+    row gets the next artificial.  On ``with_slacks(p)`` it therefore
+    starts at the slack basis and takes no phase-1 pivot, so
+    ``lp.solve(p)`` must agree with it pivot for pivot, over Fraction or
+    int entries.  An optimum carries its phase-2 reduced costs, an
+    unbounded answer its ray over the structural columns, and an
+    infeasible one nothing."""
     n = len(problem.objective)
     m = len(problem.rows)
-    # slack-basis start: each row with rhs >= 0 and a unit column starts
-    # with it basic; every other row gets the next artificial
     unit = {k: j for k, j in unit_columns(problem).items()
             if problem.rhs[k] >= 0}
     start = []
@@ -560,15 +582,10 @@ def fraction_simplex(problem):
     # phase 1: maximize -(sum of artificials) from the starting basis
     costs1 = [_ZERO] * n + [Fraction(-1)] * na
     zrow = _fraction_zrow(a, basis, costs1, n + na, last)
-    status = _fraction_iterate(a, zrow, basis, n + na, last)
-    assert status == "optimal"  # phase-1 objective is bounded above by 0
+    # the phase-1 objective is bounded above by 0
+    assert _fraction_iterate(a, zrow, basis, n + na, last) < 0
     if zrow[last] < 0:  # artificial mass left: infeasible
-        # minus the phase-1 multipliers, read off each row's start column
-        y = [-zrow[j] - costs1[j] for j in start]
-        for k, b in enumerate(problem.rhs):
-            if b < 0:
-                y[k] = -y[k]
-        return lp.LPResult(status="infeasible", farkas=y)
+        return lp.LPResult(status="infeasible")
 
     # drive zero-level artificials out of the basis, drop redundant rows
     r = 0
@@ -585,9 +602,13 @@ def fraction_simplex(problem):
     # phase 2 on structural columns
     costs2 = list(problem.objective)
     zrow = _fraction_zrow(a, basis, costs2, n, last)
-    status = _fraction_iterate(a, zrow, basis, n, last)
-    if status == "unbounded":
-        return lp.LPResult(status="unbounded")
+    enter = _fraction_iterate(a, zrow, basis, n, last)
+    if enter >= 0:
+        ray = [_ZERO] * n
+        ray[enter] = _ONE
+        for r, j in enumerate(basis):
+            ray[j] = -a[r][enter]
+        return lp.LPResult(status="unbounded", ray=ray)
     x = [_ZERO] * n
     for r, j in enumerate(basis):
         x[j] = a[r][last]

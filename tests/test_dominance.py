@@ -20,7 +20,7 @@ import oracles
 from oracles import (brute_iterated_admissibility,
                      fraction_best_replies_to_measure, fraction_simplex,
                      full_justifier_problem, full_slack_problem,
-                     integer_problem, rational, vertex_weakly_dominated)
+                     rational, vertex_weakly_dominated, with_slacks)
 
 
 def by_name(game, i, name):
@@ -295,8 +295,8 @@ def lp_games(corpus_games):
 
 
 class TestTwinSharing:
-    """One Columns poses each slack and justifier LP once per twin class
-    of own payoff rows and hands the answer to every member.  At every
+    """One Columns poses each LP once per twin class of own payoff rows
+    and hands the answer to every member.  At every
     level of the elimination, and for every own strategy (eliminated ones
     too), the answer shared through the elimination's Columns must equal
     the member's own, unshared one."""
@@ -326,7 +326,7 @@ class TestTwinSharing:
                                 form, q_sets, i, sid,
                                 dominance.Columns(form, i, q_sets))
                     alive = [sid for sid in members if sid in q_sets[i]]
-                    seen["slack"] += len(alive) > 1
+                    seen["mixture"] += len(alive) > 1
                     for sid in alive:
                         assert dominance.dominating_mixture_ids(
                             form, q_sets, i, sid, shared) == \
@@ -336,29 +336,31 @@ class TestTwinSharing:
                 # the elimination's own keep tests store answers too, so
                 # require only the classes asked about here, each once
                 # under its least member
-                assert {("justifier", members[0]) for members in twins} \
+                assert {members[0] for members in twins} \
                     <= set(shared.answers)
-                assert all(shared.twin[key[1]] == key[1]
-                           for key in shared.answers)
+                assert all(shared.twin[key] == key for key in shared.answers)
 
     def test_shared_answers_equal_unshared_ones(self, corpus_games):
-        seen = {"justifier": 0, "slack": 0}
+        seen = {"justifier": 0, "mixture": 0}
         for game in lp_games(corpus_games):
             self.check(game, seen)
-        assert seen["justifier"] >= 200 and seen["slack"] >= 100, seen
+        assert seen["justifier"] >= 200 and seen["mixture"] >= 100, seen
 
 
-def all_rivals(cols, sid):
-    """Every distinct rival of sid: the least member of each twin class
-    but sid's, in id order."""
-    return [r for r, t in enumerate(cols.twin)
-            if t == r and t != cols.twin[sid]]
+def all_rivals(cols, q_i, sid):
+    """Every distinct rival of sid in Q_i: each own row of Q_i but sid's,
+    named by its least member in Q_i, in id order."""
+    named = {}
+    for r in sorted(q_i):
+        named.setdefault(tuple(cols.value[r]), r)
+    return [r for row, r in named.items() if row != tuple(cols.value[sid])]
 
 
 def dual_measure(result, nposed):
     """The column masses a justifier dual's answer gives, or None when
     the dual is unbounded: 1 + w_g over their sum, where w_g is the
-    reduced cost of z_g, the column after the ``nposed`` rival ones."""
+    reduced cost of the slack z_g, the column after the ``nposed`` rival
+    ones."""
     if result.status == "unbounded":
         return None
     ones = [1 + Fraction(w) for w in result.reduced[nposed:]]
@@ -375,9 +377,9 @@ def least_share(result, ngroups):
 def posed_justifiers(game):
     """(q_sets, cols, i, sid, problem, measure) for every own strategy of
     every player at every level of the elimination, eliminated ones
-    included: the justifier LP over every distinct rival, whether or not
-    the simplex is asked to solve it, and the measure the unshared route
-    returns."""
+    included: the justifier LP over every distinct rival in Q_i, whether
+    or not the simplex is asked to solve it, and the measure the
+    unshared route returns."""
     form = game.strategic_form()
     steps, _, _ = dominance.iterated_elimination_ids(form)
     out = []
@@ -387,7 +389,7 @@ def posed_justifiers(game):
             cols = dominance.Columns(form, i, q_sets)
             for sid in range(form.counts[i]):
                 problem = dominance.justifier_problem(
-                    cols, sid, all_rivals(cols, sid))
+                    cols, sid, all_rivals(cols, q_sets[i], sid))
                 measure = dominance.justifier_ids(
                     form, q_sets, i, sid, dominance.Columns(form, i, q_sets))
                 out.append((q_sets, cols, i, sid, problem, measure))
@@ -396,12 +398,14 @@ def posed_justifiers(game):
 
 class TestDeduplicatedJustifier:
     """The justifier dual over every distinct rival keeps one rival
-    column per distinct own row other than sid's.  That drops only
+    column per distinct own row of Q_i other than sid's.  That drops
     constraints of the max-min-mass LP that restate another one or read
-    0 >= 0, so its optimum and None decision are those of the LP with
-    one row per rival (``oracles.full_justifier_problem``): unbounded
-    exactly where that LP has no positive optimum, and otherwise of
-    value sum(w) with 1/(G + sum(w)) that LP's optimum."""
+    0 >= 0, and, on the elimination's sets, those of strategies outside
+    Q_i, which bind no measure with full support there.  So its optimum
+    and None decision are those of the LP with one row per rival of all
+    of S_i (``oracles.full_justifier_problem``): unbounded exactly where
+    that LP has no positive optimum, and otherwise of value sum(w) with
+    1/(G + sum(w)) that LP's optimum."""
 
     def test_same_optimum_as_one_row_per_rival(self, corpus_games):
         seen = {"lps": 0, "dropped": 0, "justified": 0, "unbounded": 0}
@@ -411,14 +415,15 @@ class TestDeduplicatedJustifier:
                 if cols.twin[sid] != sid:
                     continue  # posed by its representative (next test)
                 ngroups = len(cols.value[sid])
-                nrivals = len(problem.objective) - ngroups
-                assert nrivals == len(all_rivals(cols, sid))
+                nrivals = len(problem.objective)
+                assert len(problem.rows) == ngroups
+                assert nrivals == len(all_rivals(cols, q_sets[i], sid))
                 rivals = [tuple(row[j] for row in problem.rows)
                           for j in range(nrivals)]
                 assert all(any(diff) for diff in rivals)
                 assert len(set(rivals)) == len(rivals)
                 full = full_justifier_problem(cols.value, sid)
-                ours = fraction_simplex(problem)
+                ours = fraction_simplex(with_slacks(problem))
                 theirs = fraction_simplex(full)
                 none = theirs.status == "infeasible" or theirs.value <= 0
                 assert (ours.status == "unbounded") == none
@@ -488,8 +493,7 @@ class TestDeduplicatedJustifier:
             assert dual_measure(dual, len(posed)) == \
                 [Fraction(n, 11) for n in (3, 2, 2, 2, 2)]
             assert least_share(dual, 5) == Fraction(2, 11)
-        full = rational(lp.solve(integer_problem(
-            full_justifier_problem(true, 3))))
+        full = fraction_simplex(full_justifier_problem(true, 3))
         assert full.value == Fraction(2, 11)
         assert Fraction(min(measure[0].values()), measure[1]) == full.value
         ints, den = scaled([full.x[0] + full.x[1 + g] for g in range(5)])
@@ -562,7 +566,10 @@ class TestRivalRowGeneration:
     "Justifier LPs by rival-row generation"): first the rivals that beat
     sid against the uniform measure, then, round by round, every unposed
     rival that beats sid against the last relaxation's optimum, until
-    none does or a relaxation has no positive optimum."""
+    none does or a relaxation has no positive optimum.  The rivals are
+    the distinct own rows of Q_i; a relaxation with no positive optimum
+    has an unbounded dual, whose ray weighs rivals into a mixture that
+    dominates sid."""
 
     @staticmethod
     def rounds(form, q_sets, i, sid):
@@ -580,7 +587,7 @@ class TestRivalRowGeneration:
         cols, rounds, measure, solves = self.rounds(form, q_sets, i, sid)
         assert solves == len(rounds)
         u = [[Fraction(v, cols.den) for v in row] for row in cols.value]
-        rivals = all_rivals(cols, sid)
+        rivals = all_rivals(cols, q_sets[i], sid)
         larger = [r for r in rivals if cols.row_sum[r] > cols.row_sum[sid]]
         assert rounds[:1] == ([larger] if larger else [])
 
@@ -595,11 +602,10 @@ class TestRivalRowGeneration:
             added = beaten(nu, posed)
             assert added and step == sorted(posed + added)
             posed = step
-            unscaled, _ = rational_problem(form, i, q_sets, sid, "justifier",
-                                           posed)
+            unscaled, _ = rational_problem(form, i, q_sets, sid, posed)
             assert len(unscaled.rows) == len(nu)
-            assert len(unscaled.objective) == len(posed) + len(nu)
-            result = fraction_simplex(unscaled)
+            assert len(unscaled.objective) == len(posed)
+            result = fraction_simplex(with_slacks(unscaled))
             if result.status == "unbounded":
                 assert k == len(rounds) - 1
                 settled = "relaxation"
@@ -611,6 +617,11 @@ class TestRivalRowGeneration:
         if measure is None:
             assert settled
             assert full.status == "infeasible" or full.value <= 0
+            # the ray's mixture is on the last relaxation's rivals
+            weights, den = cols.answer(sid)[1]
+            assert set(weights) <= set(posed)
+            assert dominance.mixture_dominates_ids(
+                form, q_sets, i, sid, (weights, den), cols)
             seen["none"] += 1
             return
         assert not settled
@@ -649,7 +660,8 @@ class TestRivalRowGeneration:
         q_sets = [frozenset(range(count)) for count in form.counts]
         cols, rounds, measure, solves = self.rounds(form, q_sets, 0, 2)
         assert rounds == [[0], [0, 1]] and solves == 2
-        first = fraction_simplex(dominance.justifier_problem(cols, 2, [0]))
+        first = fraction_simplex(with_slacks(
+            dominance.justifier_problem(cols, 2, [0])))
         assert dual_measure(first, 1) == \
             [Fraction(4, 6), Fraction(1, 6), Fraction(1, 6)]
         assert measure == ({0: 4, 1: 4, 2: 1}, 9)
@@ -666,7 +678,8 @@ class TestRivalRowGeneration:
         dual is unbounded: b matches c only with mass >= 3/4 on L, and a
         only with mass <= 1/2.  So b has no justifier, as the LP over
         every rival says, and the first round's measure is not
-        returned."""
+        returned.  The ray (1, 1) of round two weighs a and c equally, and
+        (a + c) / 2 = (2, 2) dominates b."""
         text = ("players Row Col\nmatrix Row: a b c Col: L R\n"
                 "a: 3,0 0,0\nb: 2,0 1,0\nc: 1,0 4,0\n")
         form = dsl.elaborate(dsl.parse(text)).strategic_form()
@@ -674,12 +687,14 @@ class TestRivalRowGeneration:
         cols, rounds, measure, solves = self.rounds(form, q_sets, 0, 1)
         assert rounds == [[2], [0, 2]] and solves == 2
         assert measure is None
-        first = fraction_simplex(dominance.justifier_problem(cols, 1, [2]))
+        assert cols.answer(1) == (None, ({0: 1, 2: 1}, 2))
+        first = fraction_simplex(with_slacks(
+            dominance.justifier_problem(cols, 1, [2])))
         nu = dual_measure(first, 1)
         assert nu == [Fraction(3, 4), Fraction(1, 4)]
         assert dot(cols.value[0], nu) > dot(cols.value[1], nu)
-        assert fraction_simplex(dominance.justifier_problem(
-            cols, 1, [0, 2])).status == "unbounded"
+        assert fraction_simplex(with_slacks(dominance.justifier_problem(
+            cols, 1, [0, 2]))).status == "unbounded"
         assert fraction_simplex(full_justifier_problem(
             cols.value, 1)).status == "infeasible"
 
@@ -687,15 +702,16 @@ class TestRivalRowGeneration:
 class TestDualForm:
     """Pinned questions of the justifier LP in dual form
     (docs/exactness.md, "Justifier LPs in dual form"): an unbounded dual
-    is None, and a bounded one's measure is read off the reduced costs
-    of its unit columns."""
+    is None, with its ray's mixture, and a bounded one's measure is read
+    off the reduced costs of its slack columns."""
 
     def test_pinned_unbounded_dual(self):
         """Own rows a = (1, 0), b = (0, 1) and c = (2, 2), sid a.  Round
         one poses c alone (row sums 1, 1, 4): maximize 3 y subject to
-        -y + z_L = 1 and -2 y + z_R = 1.  y enters and no row limits it,
-        so the dual is unbounded with no pivot, and a has no justifier,
-        as the LP over every rival, which is infeasible, says."""
+        -y <= 1 and -2 y <= 1.  y enters and no row limits it, so the
+        dual is unbounded with no pivot, and a has no justifier, as the
+        LP over every rival, which is infeasible, says.  The ray is
+        y = 1: c alone dominates a."""
         text = ("players Row Col\nmatrix Row: a b c Col: L R\n"
                 "a: 1,0 0,0\nb: 0,0 1,0\nc: 2,0 2,0\n")
         form = dsl.elaborate(dsl.parse(text)).strategic_form()
@@ -704,20 +720,22 @@ class TestDualForm:
             form, q_sets, 0, 0)
         assert rounds == [[2]] and solves == 1 and measure is None
         problem = dominance.justifier_problem(cols, 0, [2])
-        assert problem == lp.LPProblem([3, 0, 0], [[-1, 1, 0], [-2, 0, 1]],
-                                       [1, 1])
+        assert problem == lp.LPProblem([3], [[-1], [-2]], [1, 1])
         with mock.patch.object(lp, "_pivot", wraps=lp._pivot) as pivot:
-            assert lp.solve(problem).status == "unbounded"
+            result = lp.solve(problem)
+        assert (result.status, result.ray) == ("unbounded", [1])
         assert pivot.call_count == 0
-        assert fraction_simplex(problem).status == "unbounded"
+        assert cols.answer(0) == (None, ({2: 1}, 1))
+        assert fraction_simplex(with_slacks(problem)).status == "unbounded"
         assert fraction_simplex(full_justifier_problem(
             cols.value, 0)).status == "infeasible"
 
     def test_pinned_measure_differs_from_the_primal_vertex(self):
         """Own rows a = (-1, 0, 1), b = (0, 0, -1) and c = (-1, -1, 3),
         sid b.  Round one poses a and c (row sums 0, -1, 1), every
-        rival.  The dual's optimum y = (0, 1), z = (0, 0, 5) has value
-        sum(w) = 2 and reduced costs w = (2, 0, 0), so the measure is
+        rival.  The dual's optimum y = (0, 1), with slacks z = (0, 0, 5),
+        has value sum(w) = 2 and reduced costs w = (2, 0, 0) on the
+        slacks, so the measure is
         (3, 1, 1)/5, with least share 1/(3 + 2) = 1/5.  The max-min-mass
         LP over the same rivals, which the primal form posed, stops at
         (2, 2, 1)/5: the same optimum 1/5 at another vertex.  Both are
@@ -732,7 +750,7 @@ class TestDualForm:
         assert rounds == [[0, 2]] and solves == 1
         assert measure == ({0: 3, 1: 1, 2: 1}, 5)
         dual = lp.solve(dominance.justifier_problem(cols, 1, [0, 2]))
-        assert (dual.x, dual.value, dual.den) == ([0, 1, 0, 0, 5], 2, 1)
+        assert (dual.x, dual.value, dual.den) == ([0, 1], 2, 1)
         assert dual.reduced[2:] == [2, 0, 0]
         assert least_share(dual, 3) == Fraction(1, 5)
         full = fraction_simplex(full_justifier_problem(cols.value, 1))
@@ -757,19 +775,21 @@ def elimination_questions(game):
 
 
 class TestKeepByJustifier:
-    """The slack solver keeps a strategy that has a justifier, and poses
-    the slack tableau only for one that has none.  A justifier has
-    support exactly Q_{-i} and sid is a best reply to it among all of
-    S_i, so no mixture on Q_i dominates sid (the easy half of Pearce's
-    lemma, for any Q)."""
+    """The elimination keeps a strategy that has a justifier and excludes
+    one that has none by the mixture its LP's unbounded dual gives.  A
+    justifier has support exactly Q_{-i} and sid is a best reply to it,
+    so no mixture on Q_i dominates sid (the easy half of Pearce's
+    lemma); a ray is a dominating mixture by substitution (the other
+    half, which the dual's ray proves instance by instance)."""
 
     def test_justified_strategies_pose_no_slack_tableau(self, corpus_games,
                                                         monkeypatch):
-        """Where sid has an unshared justifier, dominating_mixture_ids
-        returns None, the simplex sees only sid's justifier relaxations,
-        each over more of sid's distinct rivals than the one before, and
-        the slack LP over every co-profile has optimum <= 0.  Where it has
-        none, the answer is a mixture that substitutes."""
+        """The simplex sees only sid's justifier relaxations, each over
+        more of sid's distinct rivals than the one before.  Where sid has
+        an unshared justifier, dominating_mixture_ids returns None and the
+        slack LP over every co-profile has optimum <= 0.  Where it has
+        none, the answer is a mixture that substitutes, and that LP's
+        optimum is positive."""
         relaxations = []
         real_problem = dominance.justifier_problem
 
@@ -779,7 +799,7 @@ class TestKeepByJustifier:
             return problem
 
         monkeypatch.setattr(dominance, "justifier_problem", recorded)
-        seen = {"kept": 0, "excluded": 0, "justifier_lp": 0, "slack_lp": 0}
+        seen = {"kept": 0, "excluded": 0, "justifier_lp": 0, "ray": 0}
         for game in lp_games(corpus_games):
             for form, q_sets, i, sid in elimination_questions(game):
                 justifier = dominance.justifier_ids(
@@ -795,46 +815,82 @@ class TestKeepByJustifier:
                 assert all(sorted(rivals) == rivals
                            for rivals, _ in relaxations)
                 assert all(a < b for a, b in zip(rounds, rounds[1:]))
-                assert not rounds or rounds[-1] <= set(all_rivals(cols, sid))
-                assert posed[:len(built)] == built
-                if justifier is None:
-                    assert mixture is not None
-                    assert dominance.mixture_dominates_ids(
-                        form, q_sets, i, sid, mixture, cols)
-                    seen["excluded"] += 1
-                    seen["slack_lp"] += len(posed) > len(built)
-                    continue
-                assert mixture is None
+                assert not rounds or \
+                    rounds[-1] <= set(all_rivals(cols, q_sets[i], sid))
                 assert posed == built
                 seen["justifier_lp"] += len(posed)
                 result = fraction_simplex(full_slack_problem(
                     form, q_sets, i, sid))
                 assert result.status == "optimal"
+                if justifier is None:
+                    assert mixture is not None
+                    assert dominance.mixture_dominates_ids(
+                        form, q_sets, i, sid, mixture, cols)
+                    assert result.value > 0
+                    seen["excluded"] += 1
+                    seen["ray"] += bool(posed)
+                    continue
+                assert mixture is None
                 assert result.value <= 0
                 seen["kept"] += 1
         assert seen["kept"] >= 500 and seen["excluded"] >= 150, seen
-        assert seen["justifier_lp"] >= 100 and seen["slack_lp"] >= 1, seen
+        assert seen["justifier_lp"] >= 100 and seen["ray"] >= 1, seen
 
-    def test_slack_lp_decides_where_no_justifier_exists(self):
-        """Off the elimination's sets a None justifier decides nothing:
-        on Q = {a, b} x {L, R}, c beats a against every measure, so a has
-        no justifier, yet no mixture of a and b dominates a.  The one
-        justifier relaxation poses c's row alone (b ties a against the
-        uniform measure) and is infeasible, as is the LP over every
-        rival.  The slack LP is then posed and answers None."""
+    def test_slack_lp_decides_where_no_justifier_exists(self, corpus_games):
+        """On every elimination restriction of the corpus and the LP
+        games, and for every strategy of Q_i, a mixture exists, from a
+        pure dominator or from the justifier LP's ray, exactly where the
+        slack LP over every co-profile has a positive optimum, and then
+        it substitutes; a measure exists exactly where it has none.  So
+        the one LP decides what the slack LP did."""
+        seen = {"ray": 0, "pure": 0, "justified": 0}
+        for game in lp_games(corpus_games):
+            for form, q_sets, i, sid in elimination_questions(game):
+                cols = dominance.Columns(form, i, q_sets)
+                mixture = dominance.dominating_mixture_ids(
+                    form, q_sets, i, sid, cols)
+                measure, ray = cols.answer(sid)
+                slack = fraction_simplex(full_slack_problem(
+                    form, q_sets, i, sid))
+                assert (mixture is not None) == (slack.value > 0)
+                assert (measure is None) == (slack.value > 0)
+                if mixture is None:
+                    seen["justified"] += 1
+                    continue
+                assert dominance.mixture_dominates_ids(
+                    form, q_sets, i, sid, mixture, cols)
+                if mixture == ray:
+                    assert set(ray[0]) <= q_sets[i] - {sid}
+                    seen["ray"] += 1
+                else:
+                    assert mixture[1] == 1
+                    seen["pure"] += 1
+        assert seen["ray"] >= 150 and seen["pure"] >= 5, seen
+        assert seen["justified"] >= 500, seen
+
+    def test_public_queries_ask_over_their_own_sets(self):
+        """Off the elimination's sets the two public queries differ: on
+        Q = {a, b} x {L, R}, c beats a against every measure, so a has no
+        justifier among all of S_i, which ``justifying_full_support_
+        measure`` asks for.  But b ties a against the uniform measure, so
+        a is a best reply among Q_i to it, and no mixture of a and b
+        dominates a: ``weakly_dominated`` answers None with no tableau."""
         text = ("players Row Col\nmatrix Row: a b c Col: L R\n"
                 "a: 1,0 0,0\nb: 0,0 1,0\nc: 2,0 2,0\n")
         game = dsl.elaborate(dsl.parse(text))
         a, b, _ = game.strategies(0)
         Q = ProductRestriction([(a, b), game.strategies(1)])
-        assert justifying_full_support_measure(game, Q, 0, a) is None
         with mock.patch.object(lp, "solve", wraps=lp.solve) as solve:
-            assert weakly_dominated(game, Q, 0, a) is None
+            assert justifying_full_support_measure(game, Q, 0, a) is None
+        assert solve.call_count == 1
         form = game.strategic_form()
-        cols = dominance.Columns(form, 0, form.ids_from_restriction(Q))
-        assert solve.call_count == 2  # one relaxation, then the slack LP
+        cols = dominance.Columns(form, 0, [frozenset(range(3)),
+                                           frozenset(range(2))])
         assert solve.call_args_list[0].args[0] == \
             dominance.justifier_problem(cols, 0, [2])
+        with mock.patch.object(lp, "solve", wraps=lp.solve) as solve:
+            assert weakly_dominated(game, Q, 0, a) is None
+        assert solve.call_count == 0
         assert fraction_simplex(full_justifier_problem(
             cols.value, 0)).status == "infeasible"
         assert not vertex_weakly_dominated(game, Q, 0, a)
@@ -871,11 +927,11 @@ def true_payoff(form, i, sid, coid):
     return form.game.payoff_of_profile(profile, i)
 
 
-def rational_problem(form, i, q_sets, sid, question, rivals=None):
-    """The LP a question about sid poses, rebuilt from true payoffs with
-    no scaling: distinct columns over Q_{-i} and distinct rivals, each
-    in first-occurrence order, the justifier LP in dual form.
-    ``rivals``, if given, keeps only those rivals."""
+def rational_problem(form, i, q_sets, sid, rivals):
+    """The justifier LP sid poses in dual form, rebuilt from true payoffs
+    with no scaling: one row per distinct column over Q_{-i}, in
+    first-occurrence order, and one column per distinct rival row of
+    Q_i in ``rivals``."""
     count = form.counts[i]
     grouped = {}
     for coid in sorted(form.co_restriction(i, q_sets)):
@@ -883,53 +939,36 @@ def rational_problem(form, i, q_sets, sid, question, rivals=None):
         grouped.setdefault(column, []).append(coid)
     u = [[column[r] for column in grouped] for r in range(count)]
     ngroups = len(grouped)
-    if question == "slack":
-        q_i = sorted(q_sets[i])
-        rows = [[1] * len(q_i) + [0] * ngroups]
-        rhs = [1]
-        for g in range(ngroups):
-            rows.append([u[r][g] for r in q_i]
-                        + [-1 if g == j else 0 for j in range(ngroups)])
-            rhs.append(u[sid][g])
-        objective = [0] * len(q_i) + [1] * ngroups
-    else:
-        first = {}
-        for r in range(count):
-            first.setdefault(tuple(u[r]), r)
-        others = [r for row, r in first.items() if row != tuple(u[sid])
-                  and (rivals is None or r in rivals)]
-        # the dual of the Charnes-Cooper form, over y per rival and z
-        rows = [[u[sid][g] - u[r][g] for r in others]
-                + [1 if g == k else 0 for k in range(ngroups)]
-                for g in range(ngroups)]
-        rhs = [1] * ngroups
-        objective = [sum(u[r]) - sum(u[sid]) for r in others]
-        objective += [0] * ngroups
-    return lp.LPProblem(objective, rows, rhs), list(grouped.values())
+    first = {}
+    for r in sorted(q_sets[i]):
+        first.setdefault(tuple(u[r]), r)
+    others = [r for row, r in first.items() if row != tuple(u[sid])
+              and r in rivals]
+    # the dual of the Charnes-Cooper form, over y per rival
+    rows = [[u[sid][g] - u[r][g] for r in others] for g in range(ngroups)]
+    objective = [sum(u[r]) - sum(u[sid]) for r in others]
+    return lp.LPProblem(objective, rows, [1] * ngroups), \
+        list(grouped.values())
 
 
 class TestIntegerLP:
-    """Both LPs are posed in integers from ``payoff_den[i]`` times the
-    true payoffs.  The slack LP is den times the rational problem: a
-    positive factor on every row and rhs, with the artificials at 1,
-    keeps every Bland comparison (docs/exactness.md, "Integers from the
-    source").  The justifier dual is the rational dual with each rival
-    column, objective entry included, times den, and its unit columns
-    and rhs as they are: a positive factor on one column keeps every
-    Bland comparison too (docs/exactness.md, "Justifier LPs in dual
-    form").  So the pivots, the vertex and the value are the rational
+    """The justifier LP is posed in integers from ``payoff_den[i]`` times
+    the true payoffs: the rational dual with each rival column,
+    objective entry included, times den, and its rhs as it is.  A
+    positive factor on one column keeps every Bland comparison
+    (docs/exactness.md, "Justifier LPs in dual form"), so the pivots,
+    the vertex, the value and the ray's direction are the rational
     problem's."""
 
     def test_posed_problem_is_den_times_the_rational_one(
             self, corpus_games, monkeypatch):
         """Every posed LP, each justifier relaxation included, is the
         rational problem over the same rivals scaled as above, and takes
-        the reference simplex's pivots to its vertex; each justifier
-        dual has a unit column in every row.  Where a justifier question
-        returns a measure, its last relaxation's least share is the
-        optimum of the LP with one row per rival; where it returns None,
-        the last dual is unbounded and that LP has no positive
-        optimum."""
+        the reference simplex's pivots to its vertex or ray.  Where a
+        justifier question returns a measure, its last relaxation's least
+        share is the optimum of the LP with one row per rival; where it
+        returns None, the last dual is unbounded and that LP has no
+        positive optimum."""
         from prudens.procedures import verify_equivalences
         owners = {}
         asking = []
@@ -938,6 +977,7 @@ class TestIntegerLP:
         rivals_of = {}
         answers = {}
         real_init = dominance.Columns.__init__
+        real_justifier = dominance._justifier
         real_problem = dominance.justifier_problem
         real_solve = lp.solve
         real_pivot = lp._pivot
@@ -947,16 +987,14 @@ class TestIntegerLP:
             real_init(self, form, i, q_sets)
             owners[id(self)] = (self, form, i)
 
-        def asked(question, real):
-            def ask(cols, *args):
-                asking.append((question, cols, args[-1]))
-                try:
-                    answer = real(cols, *args)
-                finally:
-                    asking.pop()
-                answers[(question, id(cols), args[-1])] = answer
-                return answer
-            return ask
+        def justifier(cols, sid):
+            asking.append((cols, sid))
+            try:
+                answer = real_justifier(cols, sid)
+            finally:
+                asking.pop()
+            answers[(id(cols), sid)] = answer
+            return answer
 
         def problem(cols, sid, rivals):
             built = real_problem(cols, sid, rivals)
@@ -977,19 +1015,19 @@ class TestIntegerLP:
             posed.append((asking[-1], problem, result, len(pivots) - before))
             return result
 
+        def direction(ray):
+            return [v / sum(ray) for v in ray]
+
         monkeypatch.setattr(dominance.Columns, "__init__", init)
-        monkeypatch.setattr(dominance, "_dominating_mixture",
-                            asked("slack", dominance._dominating_mixture))
-        monkeypatch.setattr(dominance, "_justifier",
-                            asked("justifier", dominance._justifier))
+        monkeypatch.setattr(dominance, "_justifier", justifier)
         monkeypatch.setattr(dominance, "justifier_problem", problem)
         monkeypatch.setattr(lp, "_pivot", pivot)
         monkeypatch.setattr(lp, "solve", solve)
         monkeypatch.setattr(oracles, "_fraction_pivot", fraction_pivot)
-        seen = {"slack": 0, "justifier": 0, "scaled": 0, "pivots": 0,
-                "relaxed": 0, "decided": 0}
+        seen = {"justifier": 0, "scaled": 0, "pivots": 0, "relaxed": 0,
+                "decided": 0, "unbounded": 0}
         # the corpus again with player i's payoffs divided by i + 2, so
-        # that its slack LPs are posed over denominators above 1 too
+        # that its LPs are posed over denominators above 1 too
         thirds = [Game(game.players, game.actions,
                        {z: tuple(u / (i + 2) for i, u in enumerate(pv))
                         for z, pv in game.payoffs.items()})
@@ -1002,59 +1040,49 @@ class TestIntegerLP:
             answers.clear()
             verify_equivalences(game)
             last = {}
-            for (question, cols, sid), problem, result, count in posed:
+            for (cols, sid), problem, result, count in posed:
                 _, form, i = owners[id(cols)]
                 entries = problem.objective + problem.rhs + [
                     v for row in problem.rows for v in row]
                 assert all(type(v) is int for v in entries)
-                rivals = rivals_of[id(problem)] \
-                    if question == "justifier" else None
+                rivals = rivals_of[id(problem)]
                 unscaled, groups = rational_problem(form, i, cols.q_sets,
-                                                    sid, question, rivals)
+                                                    sid, rivals)
                 assert groups == cols.groups
                 den = form.payoff_den[i]
-                references = [fraction_simplex]
-                if question == "justifier":
-                    # rival columns times den, unit columns and rhs as
-                    # they are
-                    factor = [den] * len(rivals) + [1] * len(groups)
-                    scale = 1
-                    assert len(oracles.unit_columns(problem)) == \
-                        len(problem.rows)
-                else:
-                    # every row and the rhs times den
-                    factor = [1] * len(problem.objective)
-                    scale = den
-                    references.append(lambda p: rational(
-                        real_solve(integer_problem(p))))
+                # rival columns times den, rhs as it is
+                factor = [den] * len(rivals)
                 assert problem.objective == list(map(mul, factor,
                                                      unscaled.objective))
-                assert problem.rhs == [scale * b for b in unscaled.rhs]
-                assert problem.rows == [[scale * f * v
-                                         for f, v in zip(factor, row)]
+                assert problem.rhs == unscaled.rhs
+                assert problem.rows == [list(map(mul, factor, row))
                                         for row in unscaled.rows]
                 answer = rational(result)
-                for reference_solve in references:
-                    before = len(pivots)
-                    reference = reference_solve(unscaled)
-                    assert len(pivots) - before == count
-                    assert (reference.status, reference.value) == \
-                        (answer.status, answer.value)
-                    if answer.status == "optimal":
-                        assert reference.x == list(map(mul, factor,
-                                                       answer.x))
-                        assert answer.reduced == list(map(
-                            mul, factor, reference.reduced))
-                seen[question] += 1
+                before = len(pivots)
+                reference = fraction_simplex(with_slacks(unscaled))
+                assert len(pivots) - before == count
+                assert (reference.status, reference.value) == \
+                    (answer.status, answer.value)
+                if answer.status == "optimal":
+                    assert reference.x[:len(rivals)] == list(map(
+                        mul, factor, answer.x))
+                    # the slacks' reduced costs as they are
+                    assert answer.reduced == list(map(
+                        mul, factor + [1] * len(groups), reference.reduced))
+                else:
+                    assert direction(answer.ray) == \
+                        direction(reference.ray[:len(rivals)])
+                    seen["unbounded"] += 1
+                seen["justifier"] += 1
                 seen["scaled"] += den > 1
                 seen["pivots"] += count
-                if question == "justifier":
-                    seen["relaxed"] += len(rivals) < len(all_rivals(cols, sid))
-                    last[(id(cols), sid)] = (cols, sid, answer)
+                seen["relaxed"] += len(rivals) < len(
+                    all_rivals(cols, cols.q_sets[i], sid))
+                last[(id(cols), sid)] = (cols, sid, answer)
             for key, (cols, sid, answer) in last.items():
                 full = fraction_simplex(full_justifier_problem(cols.value,
                                                                sid))
-                if answers[("justifier",) + key] is None:
+                if answers[key][0] is None:
                     assert answer.status == "unbounded"
                     assert full.status == "infeasible" or full.value <= 0
                 else:
@@ -1062,19 +1090,17 @@ class TestIntegerLP:
                     assert full.value == least_share(
                         answer, len(cols.groups)) > 0
                 seen["decided"] += 1
-        assert seen["slack"] > 1 and seen["justifier"] >= 80, seen
-        assert seen["scaled"] >= 20 and seen["pivots"] >= 400, seen
+        assert seen["justifier"] >= 80 and seen["unbounded"] >= 3, seen
+        assert seen["scaled"] >= 20 and seen["pivots"] >= 300, seen
         assert seen["relaxed"] >= 100 and seen["decided"] >= 100, seen
 
     def test_every_answer_is_integers_over_a_positive_den(
             self, corpus_games, monkeypatch):
-        """Every LP the audit poses that is bounded is answered in
-        integers over ``den`` > 0: an optimum's value is c.x at its
-        point, its reduced costs are integers, and each certificate holds
-        by substitution, a justifier dual's dual certificate included.
-        Only justifier duals are unbounded, as under the rational
-        reference, and none is infeasible: the slack LP is feasible at
-        sid itself and each dual at y = 0."""
+        """Every LP the audit poses is canonical and is answered in
+        integers over ``den`` > 0: an optimum's value is c.x at its point,
+        its reduced costs are integers, and its primal and dual
+        certificates hold by substitution; an unbounded answer's ray
+        holds too, as under the rational reference."""
         from prudens.procedures import verify_equivalences
         answered = []
         real_solve = lp.solve
@@ -1086,23 +1112,20 @@ class TestIntegerLP:
         monkeypatch.setattr(lp, "solve", solve)
         for game in lp_games(corpus_games) + bimatrix_games(4):
             verify_equivalences(game)
-        statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0, "dual": 0}
+        statuses = {"optimal": 0, "unbounded": 0}
         for problem, result in answered:
             statuses[result.status] += 1
-            dual = len(oracles.unit_columns(problem)) == len(problem.rows)
-            if result.status == "unbounded":
-                assert dual
-                assert fraction_simplex(problem).status == "unbounded"
-                continue
             assert type(result.den) is int and result.den > 0
+            assert oracles.lp_certificate_holds(result, problem)
+            assert fraction_simplex(with_slacks(problem)).status == \
+                result.status
+            if result.status == "unbounded":
+                assert all(type(v) is int for v in result.ray)
+                continue
             assert all(type(v) is int for v in result.x + result.reduced)
             assert result.value == sum(
                 c * v for c, v in zip(problem.objective, result.x))
-            assert oracles.lp_certificate_holds(result, problem)
-            statuses["dual"] += dual
-        assert statuses["optimal"] >= 120 and statuses["dual"] >= 100, \
-            statuses
-        assert statuses["unbounded"] >= 3 and not statuses["infeasible"], \
+        assert statuses["optimal"] >= 120 and statuses["unbounded"] >= 3, \
             statuses
 
     def test_answers_are_integer_layers(self, corpus_games):

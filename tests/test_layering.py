@@ -8,7 +8,7 @@ Each module is parsed with ``ast`` and nine rules are checked:
   called only in ``hyperreal``, ``game`` and ``beliefs``, and at one
   site in ``dominance._justifier``, which spreads the LP's column masses
   over their groups; the simplex takes and returns integers, so ``lp``
-  and ``dominance._dominating_mixture`` scale nothing;
+  and the ray's mixture are scaled nowhere;
 * the simplex stands alone: ``lp.py`` imports no prudens module;
 * a mass's coefficients are decoded in one place: ``.coeffs`` is read only
   in ``hyperreal.py`` and ``beliefs.py``;
@@ -17,13 +17,13 @@ Each module is parsed with ``ast`` and nine rules are checked:
   ``Hyperreal.`` constructor) is called only in ``hyperreal.py``,
   ``beliefs.py`` and ``best_reply.py``;
 * no module imports or reads another prudens module's underscore name;
-* the simplex is asked in two places, one per LP question: ``lp.solve``
-  is called only inside ``dominance._justifier`` and
-  ``dominance._dominating_mixture``;
-* reduced costs are read in one place: an LP answer exists only in a
-  module that imports ``lp``, and there ``.reduced`` is read only inside
-  ``dominance._justifier``, which takes its measure from the dual's
-  reduced costs;
+* the simplex is asked in one place, since one LP answers both the
+  justifier and the dominance question: ``lp.solve`` is called only
+  inside ``dominance._justifier``;
+* LP answers are read in one place: an LP answer exists only in a
+  module that imports ``lp``, and there ``.reduced`` and ``.ray`` are
+  read only inside ``dominance._justifier``, which takes its measure
+  from the dual's reduced costs and its mixture from the dual's ray;
 * a level's ``Columns`` is built in one module and handed on: the four
   id-level dominance questions take ``cols`` with no default, and
   ``Columns(...)`` is called only in ``dominance.py``.
@@ -194,13 +194,11 @@ def test_lp_solved_only_by_the_two_questions():
                   for line in visitor.imports]
         for function, line in visitor.calls:
             sites.add((stem, function))
-            if (stem, function) not in (("dominance", "_justifier"),
-                                        ("dominance", "_dominating_mixture")):
+            if (stem, function) != ("dominance", "_justifier"):
                 found.append("%s.py:%d calls lp.solve in %s" % (
                     stem, line, function))
     assert not found, found
-    assert sites == {("dominance", "_justifier"),
-                     ("dominance", "_dominating_mixture")}
+    assert sites == {("dominance", "_justifier")}
 
 
 def test_solve_sites_are_found():
@@ -236,21 +234,29 @@ def imports_lp(tree):
                for node in ast.walk(tree))
 
 
-def test_reduced_costs_read_only_by_the_justifier():
+def _read_only_by_the_justifier(attribute):
     sites = set()
     found = []
     for stem, tree in trees():
         if stem != "lp" and not imports_lp(tree):
             continue
-        visitor = _AttributeReads("reduced")
+        visitor = _AttributeReads(attribute)
         visitor.visit(tree)
         for function, line in visitor.reads:
             sites.add((stem, function))
             if (stem, function) != ("dominance", "_justifier"):
-                found.append("%s.py:%d reads .reduced in %s" % (
-                    stem, line, function))
+                found.append("%s.py:%d reads .%s in %s" % (
+                    stem, line, attribute, function))
     assert not found, found
     assert sites == {("dominance", "_justifier")}
+
+
+def test_reduced_costs_read_only_by_the_justifier():
+    _read_only_by_the_justifier("reduced")
+
+
+def test_rays_read_only_by_the_justifier():
+    _read_only_by_the_justifier("ray")
 
 
 def test_attribute_reads_are_found():

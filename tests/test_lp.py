@@ -10,14 +10,14 @@ from prudens import lp
 
 import oracles
 from oracles import (fraction_simplex, integer_problem, lp_certificate_holds,
-                     rational)
+                     rational, with_slacks)
 
 
 def test_simple_optimum():
-    # max x0 + x1 s.t. x0 + 2 x1 + s0 = 4, 3 x0 + x1 + s1 = 6
+    # max x0 + x1 s.t. x0 + 2 x1 <= 4, 3 x0 + x1 <= 6
     problem = lp.LPProblem(
-        objective=[1, 1, 0, 0],
-        rows=[[1, 2, 1, 0], [3, 1, 0, 1]],
+        objective=[1, 1],
+        rows=[[1, 2], [3, 1]],
         rhs=[4, 6])
     result = lp.solve(problem)
     assert result.status == "optimal"
@@ -25,32 +25,36 @@ def test_simple_optimum():
     assert rational(result).value == Fraction(14, 5)
 
 
-def test_infeasible_with_farkas():
-    # x0 + x1 = 1 and x0 + x1 = 2 cannot both hold
-    problem = lp.LPProblem(
-        objective=[0, 0],
-        rows=[[1, 1], [1, 1]],
-        rhs=[1, 2])
-    result = lp.solve(problem)
-    assert result.status == "infeasible"
-    assert lp_certificate_holds(result, problem)
-
-
 def test_infeasible_by_sign():
-    # x0 >= 0 but x0 = -1
+    """x0 <= -1 has no point with x >= 0: a negative rhs is refused, since
+    the slack basis x = 0, where the simplex starts, must be feasible."""
     problem = lp.LPProblem(objective=[0], rows=[[1]], rhs=[-1])
-    result = lp.solve(problem)
-    assert result.status == "infeasible"
-    assert lp_certificate_holds(result, problem)
+    with pytest.raises(ValueError, match="rhs must be >= 0"):
+        lp.solve(problem)
 
 
 def test_unbounded():
-    # max x0 with x0 - x1 = 0: both can grow forever
+    # max x0 with x0 - x1 <= 0: both can grow forever
     problem = lp.LPProblem(
         objective=[1, 0],
         rows=[[1, -1]],
         rhs=[0])
-    assert lp.solve(problem).status == "unbounded"
+    result = lp.solve(problem)
+    assert result.status == "unbounded"
+    # x0 enters at level 0, then x1 enters with no row to stop it
+    assert (result.ray, result.den) == ([1, 1], 1)
+    assert lp_certificate_holds(result, problem)
+
+
+def test_ray_certificate_is_checked():
+    """A ray must keep A.d <= 0 and c.d > 0 with d >= 0: without its
+    entering entry, a negated entry or a zero objective it fails."""
+    problem = lp.LPProblem(objective=[1, 0], rows=[[1, -1]], rhs=[0])
+    result = lp.solve(problem)
+    for ray in ([1, 0], [-1, -1], [0, 0]):
+        wrong = copy.deepcopy(result)
+        wrong.ray = ray
+        assert not lp_certificate_holds(wrong, problem)
 
 
 def test_redundant_rows():
@@ -80,6 +84,7 @@ def test_degenerate_ties_terminate():
 
 def test_random_problems_verify_and_are_deterministic():
     rng = random.Random(5)
+    statuses = set()
     for _ in range(120):
         n = rng.randrange(1, 6)
         m = rng.randrange(1, 4)
@@ -87,44 +92,56 @@ def test_random_problems_verify_and_are_deterministic():
             objective=[rng.randrange(-3, 4) for _ in range(n)],
             rows=[[rng.randrange(-3, 4) for _ in range(n)]
                   for _ in range(m)],
-            rhs=[rng.randrange(-3, 4) for _ in range(m)])
+            rhs=[rng.randrange(0, 4) for _ in range(m)])
         first = lp.solve(problem)
         again = lp.solve(problem)
-        assert first.status == again.status
-        if first.status != "unbounded":
-            assert lp_certificate_holds(first, problem)
-            if first.status == "optimal":
-                assert (first.x, first.den) == (again.x, again.den)
+        assert first == again
+        assert lp_certificate_holds(first, problem)
+        statuses.add(first.status)
+    assert statuses == {"optimal", "unbounded"}
 
 
 def _outcome(result):
-    return (result.status, result.x, result.value, result.reduced,
-            result.farkas)
+    """(status, point, value, reduced costs, ray direction): a ray is
+    read over its sum, since only its direction is defined."""
+    ray = result.ray and [v / sum(result.ray) for v in result.ray]
+    return (result.status, result.x, result.value, result.reduced, ray)
+
+
+def _factor(values):
+    return math.lcm(*(Fraction(v).denominator for v in values))
 
 
 def _reference_outcome(problem):
-    """``fraction_simplex``'s answer to a rational problem, its value and
-    reduced costs multiplied by the objective's factor in
-    ``integer_problem``."""
-    reference = fraction_simplex(problem)
+    """``fraction_simplex``'s answer to a rational canonical problem with
+    its identity appended, in the terms of ``lp.solve``'s answer to
+    ``integer_problem(problem)``: the value and structural reduced costs
+    times the objective's factor K, the duals times K / L, L the rows'
+    factor, and the point and ray over the structural columns."""
+    n = len(problem.objective)
+    reference = fraction_simplex(with_slacks(problem))
+    costs = _factor(problem.objective)
+    cells = _factor([v for row in problem.rows for v in row] + problem.rhs)
     if reference.value is not None:
-        factor = math.lcm(*(Fraction(c).denominator
-                            for c in problem.objective))
-        reference.value *= factor
-        reference.reduced = [factor * v for v in reference.reduced]
+        reference.x = reference.x[:n]
+        reference.value *= costs
+        reference.reduced = [costs * v for v in reference.reduced[:n]] + \
+            [costs * v / cells for v in reference.reduced[n:]]
+    if reference.ray is not None:
+        reference.ray = reference.ray[:n]
     return _outcome(reference)
 
 
 def _random_problem(rng):
-    """Small LP with entries in {-4..4}/{1,2,3,6}; some rhs are negative
-    and about a third of the problems repeat one of their rows."""
+    """Small canonical LP with entries in {-4..4}/{1,2,3,6}, its rhs
+    >= 0; about a third of the problems repeat one of their rows."""
     def entry():
         return Fraction(rng.randrange(-4, 5), rng.choice((1, 2, 3, 6)))
 
     n = rng.randrange(1, 7)
     m = rng.randrange(1, 5)
     rows = [[entry() for _ in range(n)] for _ in range(m)]
-    rhs = [entry() for _ in range(m)]
+    rhs = [abs(entry()) for _ in range(m)]
     if rng.random() < 0.35:
         k = rng.randrange(m)
         rows.append(list(rows[k]))
@@ -132,56 +149,55 @@ def _random_problem(rng):
     return lp.LPProblem([entry() for _ in range(n)], rows, rhs)
 
 
-def test_matches_rational_simplex_on_random_problems():
-    """The integer tableau of the scaled problem takes the rational
-    tableau's pivots, so every status, point and Farkas witness is
-    equal, and the value and reduced costs are the objective's factor
-    times the rational ones.  Where the factor turns a unit column e_r
-    into L e_r, or a column into e_r, the two start from different
-    bases; on these problems they still reach the same answer."""
+def _counted(monkeypatch):
+    """Pivots of ``lp.solve`` and of the rational reference, recorded as
+    they happen."""
+    counts = {"lp": 0, "reference": 0}
+    real_pivot = lp._pivot
+    real_fraction_pivot = oracles._fraction_pivot
+
+    def pivot(*args):
+        counts["lp"] += 1
+        return real_pivot(*args)
+
+    def fraction_pivot(*args):
+        counts["reference"] += 1
+        return real_fraction_pivot(*args)
+
+    monkeypatch.setattr(lp, "_pivot", pivot)
+    monkeypatch.setattr(oracles, "_fraction_pivot", fraction_pivot)
+    return counts
+
+
+def test_matches_rational_simplex_on_random_problems(monkeypatch):
+    """The integer tableau of the scaled problem takes the pivots of the
+    rational tableau of the problem with its identity appended, both
+    from the slack basis, so every status, point and ray direction is
+    equal, and the value and reduced costs are the rational ones times
+    the factors ``_reference_outcome`` names."""
+    counts = _counted(monkeypatch)
     rng = random.Random(20240817)
     statuses = set()
     for _ in range(2500):
         problem = _random_problem(rng)
         posed = integer_problem(problem)
+        counts["lp"] = counts["reference"] = 0
         result = lp.solve(posed)
         assert _outcome(rational(result)) == _reference_outcome(problem)
-        if result.status != "unbounded":
-            assert lp_certificate_holds(result, posed)
+        assert counts["lp"] == counts["reference"]
+        assert lp_certificate_holds(result, posed)
         statuses.add(result.status)
-    assert statuses == {"optimal", "infeasible", "unbounded"}
-
-
-def test_negative_drive_out_pivot(monkeypatch):
-    # one artificial leaves phase 1 basic at zero level and is driven out
-    # on a negative entry; phase 2 then pivots, and would pick a wrong
-    # column if the tableau kept the negative determinant
-    problem = lp.LPProblem(
-        objective=[1, -2, 2],
-        rows=[[0, -2, 2], [1, 2, -1]],
-        rhs=[-1, 1])
-    pivots = []
-    real = lp._pivot
-
-    def spy(rows, r, c, det):
-        pivots.append(rows[r][c])
-        return real(rows, r, c, det)
-
-    monkeypatch.setattr(lp, "_pivot", spy)
-    result = lp.solve(problem)
-    assert any(p < 0 for p in pivots)
-    answer = rational(result)
-    assert _outcome(answer) == _outcome(fraction_simplex(problem))
-    assert answer.x == [0, Fraction(1, 2), 0] and answer.value == -1
-    assert lp_certificate_holds(result, problem)
+    assert statuses == {"optimal", "unbounded"}
 
 
 def test_plain_int_entries():
-    problem = lp.LPProblem(objective=[1, 1, 0, 0],
-                           rows=[[1, 2, 1, 0], [3, 1, 0, 1]], rhs=[4, 6])
+    problem = lp.LPProblem(objective=[1, 1], rows=[[1, 2], [3, 1]],
+                           rhs=[4, 6])
     result = lp.solve(problem)
-    assert _outcome(rational(result)) == _outcome(fraction_simplex(problem))
-    assert all(type(v) is int for v in result.x + [result.value, result.den])
+    assert _outcome(rational(result)) == _reference_outcome(problem)
+    assert all(type(v) is int
+               for v in result.x + result.reduced + [result.value,
+                                                     result.den])
     assert result.den > 0
     assert lp_certificate_holds(result, problem)
 
@@ -202,117 +218,64 @@ def test_problem_is_not_mutated():
         rows=[[Fraction(1, 3), Fraction(1), Fraction(-1)],
               [Fraction(1, 3), Fraction(1), Fraction(-1)],
               [Fraction(-1, 6), Fraction(2), Fraction(1)]],
-        rhs=[Fraction(-1, 2), Fraction(-1, 2), Fraction(3)]))
+        rhs=[Fraction(1, 2), Fraction(1, 2), Fraction(3)]))
     before = copy.deepcopy(problem)
     result = lp.solve(problem)
     assert problem == before
-    assert _outcome(rational(result)) == _outcome(fraction_simplex(problem))
-
-
-def _counted(monkeypatch):
-    """Pivots per ``lp._iterate`` call (phase 1, then phase 2) and per
-    rational reference pivot, recorded as they happen."""
-    counts = {"phases": [], "reference": 0}
-    real_iterate, real_pivot = lp._iterate, lp._pivot
-    real_fraction_pivot = oracles._fraction_pivot
-
-    def iterate(*args):
-        counts["phases"].append(0)
-        return real_iterate(*args)
-
-    def pivot(*args):
-        if counts["phases"]:
-            counts["phases"][-1] += 1
-        return real_pivot(*args)
-
-    def fraction_pivot(*args):
-        counts["reference"] += 1
-        return real_fraction_pivot(*args)
-
-    monkeypatch.setattr(lp, "_iterate", iterate)
-    monkeypatch.setattr(lp, "_pivot", pivot)
-    monkeypatch.setattr(oracles, "_fraction_pivot", fraction_pivot)
-    return counts
+    assert _outcome(rational(result)) == _reference_outcome(problem)
 
 
 def test_unit_column_in_every_row_takes_no_phase_one_pivot(monkeypatch):
-    """Columns 2 and 3 are e_0 and e_1 with rhs >= 0, so the slack basis
-    is feasible: phase 1 takes no pivot, phase 2 two, as the reference
-    does, and the reduced costs carry a dual certificate."""
+    """Every row gets its own slack column, a unit column at rhs >= 0,
+    so the slack basis is feasible and there is no phase 1: the simplex
+    takes two pivots, as the reference does on the problem with its
+    identity appended, and the slack columns' reduced costs are the
+    optimal dual."""
     counts = _counted(monkeypatch)
-    problem = lp.LPProblem(objective=[1, 1, 0, 0],
-                           rows=[[1, 2, 1, 0], [3, 1, 0, 1]], rhs=[4, 6])
+    problem = lp.LPProblem(objective=[1, 1], rows=[[1, 2], [3, 1]],
+                           rhs=[4, 6])
     result = lp.solve(problem)
-    assert counts["phases"] == [0, 2]
-    reference = fraction_simplex(problem)
+    assert counts["lp"] == 2
+    assert _outcome(rational(result)) == _reference_outcome(problem)
     assert counts["reference"] == 2
-    assert _outcome(rational(result)) == _outcome(reference)
     assert rational(result).reduced == [0, 0, Fraction(2, 5),
                                         Fraction(1, 5)]
     assert lp_certificate_holds(result, problem)
 
 
 def test_dual_certificate_is_checked():
-    """With a unit column in every row the certificate check reads the
-    duals y_k = reduced[u_k] + den c[u_k] and requires y.A >= den c and
-    y.b == value: a reduced cost or value moved by one fails it."""
-    problem = lp.LPProblem(objective=[1, 1, 0, 0],
-                           rows=[[1, 2, 1, 0], [3, 1, 0, 1]], rhs=[4, 6])
+    """The certificate check reads the duals y = reduced[n:] and requires
+    y >= 0, y.A >= den c, y.b == value and reduced[:n] == y.A - den c:
+    a dual or the value moved by one fails it."""
+    problem = lp.LPProblem(objective=[1, 1], rows=[[1, 2], [3, 1]],
+                           rhs=[4, 6])
     result = lp.solve(problem)
     assert lp_certificate_holds(result, problem)
-    for field, k in (("reduced", 2), ("reduced", 3)):
+    for k in (2, 3):
         wrong = copy.deepcopy(result)
-        getattr(wrong, field)[k] -= 1
+        wrong.reduced[k] -= 1
         assert not lp_certificate_holds(wrong, problem)
-
-
-def test_infeasible_mixing_unit_and_artificial_rows(monkeypatch):
-    """Row 0 has the unit column 1 and row 1 an artificial: x0 <= 1 and
-    x0 = 2.  The Farkas entry of the unit row is -z[1] and that of the
-    artificial row D - z[artificial], so y = (-1, 1); reading both as
-    D - z would give (0, 1), which is no certificate."""
-    counts = _counted(monkeypatch)
-    problem = lp.LPProblem(objective=[0, 0], rows=[[1, 1], [1, 0]],
-                           rhs=[1, 2])
-    result = lp.solve(problem)
-    assert result.status == "infeasible"
-    assert counts["phases"] == [1]
-    assert (result.farkas, result.den) == ([-1, 1], 1)
-    assert lp_certificate_holds(result, problem)
-    assert _outcome(rational(result)) == _outcome(fraction_simplex(problem))
-    assert counts["reference"] == 1
-    assert not lp_certificate_holds(
-        lp.LPResult("infeasible", den=1, farkas=[0, 1]), problem)
-
-
-def test_unit_column_with_negative_rhs_gets_an_artificial(monkeypatch):
-    """e_0 in a row with rhs -1 is no start: flipped, it reads -e_0, so
-    row 0 gets an artificial, and the LP is infeasible."""
-    counts = _counted(monkeypatch)
-    problem = lp.LPProblem(objective=[1, 0], rows=[[1, 1]], rhs=[-1])
-    result = lp.solve(problem)
-    assert result.status == "infeasible"
-    assert counts["phases"] == [0]
-    assert lp_certificate_holds(result, problem)
-    assert _outcome(rational(result)) == _outcome(fraction_simplex(problem))
+    wrong = copy.deepcopy(result)
+    wrong.value += 1
+    assert not lp_certificate_holds(wrong, problem)
 
 
 def test_identity_columns_match_the_reference_pivot_for_pivot(monkeypatch):
     """Random integer problems with some unit columns inserted, so that
-    each row with rhs >= 0 may or may not start at a unit column: every
-    status, point, value, reduced cost and Farkas witness, and the pivot
-    count, are the rational reference's, and each certificate holds.
-    Where every row has a unit column and rhs >= 0, phase 1 takes no
-    pivot and the dual certificate is checked too."""
+    the problem itself may have a column e_k: ``lp.solve`` still starts
+    at its own slacks, and the reference on the problem with its
+    identity appended starts at the appended columns, the greatest unit
+    columns.  Every status, point, value, reduced cost and ray
+    direction, and the pivot count, are the reference's, and each
+    certificate holds."""
     counts = _counted(monkeypatch)
     rng = random.Random(23)
-    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0, "slack": 0,
-            "mixed": 0}
+    seen = {"optimal": 0, "unbounded": 0, "unit": 0}
     for _ in range(1500):
         n = rng.randrange(1, 6)
         m = rng.randrange(1, 5)
         rows = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(m)]
-        rhs = [rng.randrange(-2, 5) for _ in range(m)]
+        rhs = [rng.randrange(0, 5) for _ in range(m)]
         for k in range(m):
             if rng.random() < 0.7:
                 at = rng.randrange(len(rows[0]) + 1)
@@ -321,20 +284,11 @@ def test_identity_columns_match_the_reference_pivot_for_pivot(monkeypatch):
         width = len(rows[0])
         problem = lp.LPProblem([rng.randrange(-3, 4) for _ in range(width)],
                                rows, rhs)
-        del counts["phases"][:]
-        counts["reference"] = 0
+        counts["lp"] = counts["reference"] = 0
         result = lp.solve(problem)
-        phases = list(counts["phases"])
-        reference = fraction_simplex(problem)
-        assert sum(phases) == counts["reference"]
-        assert _outcome(rational(result)) == _outcome(reference)
-        if result.status != "unbounded":
-            assert lp_certificate_holds(result, problem)
-        starts = oracles.unit_columns(problem)
-        if len(starts) == m and min(rhs) >= 0:
-            assert phases[0] == 0
-            seen["slack"] += 1
-        elif any(rhs[k] >= 0 for k in starts):
-            seen["mixed"] += 1  # unit-column rows and artificial rows
+        assert _outcome(rational(result)) == _reference_outcome(problem)
+        assert counts["lp"] == counts["reference"]
+        assert lp_certificate_holds(result, problem)
+        seen["unit"] += bool(oracles.unit_columns(problem))
         seen[result.status] += 1
     assert min(seen.values()) >= 50, seen

@@ -4,11 +4,14 @@ Each mutant is one monkeypatch that plants a wrong answer in one
 shortcut of the elimination or its justifiers, in one of the integer
 scalings of payoffs, ladder priors and explicit tables, in the integer
 layer of an LP answer, or in a prior's leading degrees and standard
-part.  Over a fixed list of games (the corpus plus generated games of up
-to three players), ``verify_equivalences`` must raise an
-``EquivalenceViolation`` naming the expected stages or checks, while the
-unmutated list verifies.  One mutant, every leading degree shifted by
-one, is one the audit rightly accepts; its test says why.
+part, or in the ray an unbounded justifier LP answers with.  Over a
+fixed list of games (the corpus plus generated games of up to three
+players), ``verify_equivalences`` must raise an ``EquivalenceViolation``
+naming the expected stages or checks, while the unmutated list
+verifies.  One mutant, every leading degree shifted by one, is one the
+audit rightly accepts; its test says why.  Another, two twin classes
+merged, is accepted on the games where it changes no step and no
+certificate; its test checks that.
 """
 
 from fractions import Fraction
@@ -28,15 +31,26 @@ def games(corpus_games):
         small_games(40, start=700, max_players=3, max_strategies=6)
 
 
-def violations(games):
-    """The failed checks of every game whose audit raises."""
+def violations(games, accepted=None):
+    """The failed checks of every game whose audit raises; the reports of
+    the others go to ``accepted`` when it is given."""
     found = []
     for game in games:
         try:
-            verify_equivalences(game)
+            report = verify_equivalences(game)
         except EquivalenceViolation as exc:
             found.append(tuple(exc.checks))
+        else:
+            if accepted is not None:
+                accepted.append((game, outcome(report)))
     return found
+
+
+def outcome(report):
+    """A report's step sets and exclusion certificates."""
+    trace = report["traces"]["ia"]
+    return ([step.parts for step in trace.steps],
+            {key: record.mixture for key, record in trace.exclusions.items()})
 
 
 def test_unmutated_list_verifies(games):
@@ -52,7 +66,7 @@ def test_uniform_justifier_everywhere(games, monkeypatch):
         coids = [c for members in cols.groups for c in members]
         ints, den = scaled([mass / len(members)
                             for members in cols.groups for _ in members])
-        return dict(zip(coids, ints)), den
+        return (dict(zip(coids, ints)), den), None
 
     monkeypatch.setattr(dominance, "_justifier", uniform)
     found = violations(games)
@@ -62,7 +76,7 @@ def test_uniform_justifier_everywhere(games, monkeypatch):
 
 def test_keep_test_keeps_an_unjustified_strategy(games, monkeypatch):
     """The pure-dominance scan, then keep: a strategy with no justifier
-    is kept instead of posed the slack tableau."""
+    is kept instead of excluded by the mixture its LP's ray gives."""
     def scan_then_keep(cols, q_i, sid):
         own = cols.value[sid]
         for r in q_i:
@@ -79,7 +93,12 @@ def test_keep_test_keeps_an_unjustified_strategy(games, monkeypatch):
 
 def test_first_two_twin_classes_merged(games, monkeypatch):
     """Every Columns maps its second twin class onto its first, so two
-    distinct rows share one answer."""
+    distinct rows share one LP answer.  Each member still runs its own
+    pure-dominance scan, so on some games the merge changes nothing that
+    leaves the run; the audit accepts exactly those, each with the
+    unmutated steps and certificates."""
+    expected = {id(game): outcome(verify_equivalences(game))
+                for game in games}
     real = dominance.Columns.__init__
 
     def merged(self, form, i, q_sets):
@@ -89,10 +108,11 @@ def test_first_two_twin_classes_merged(games, monkeypatch):
             self.twin = [reps[0] if t == reps[1] else t for t in self.twin]
 
     monkeypatch.setattr(dominance.Columns, "__init__", merged)
-    found = violations(games)
-    assert set(found) == {("justifiers",), ("dominance-substitution",),
-                          ("elimination",)}
-    assert len(found) >= 40, found
+    accepted = []
+    found = violations(games, accepted)
+    assert set(found) == {("justifiers",)}
+    assert len(found) >= 20, found
+    assert all(result == expected[id(game)] for game, result in accepted)
 
 
 def test_ladder_rung_without_joint_denominator(games, monkeypatch):
@@ -154,6 +174,52 @@ def test_one_row_scaled_by_its_own_factor(games, monkeypatch):
     assert len(found) >= 30, found
 
 
+def test_rivals_over_all_of_s_i(games, monkeypatch):
+    """The justifier LP poses a rival for every twin class of S_i, so a
+    ray can weigh a strategy eliminated earlier.  The step sets stay
+    right, and each measure is still a best reply among all of S_i, but
+    such a certificate is not a mixture on Q_i.  No ray on the fixed list
+    weighs an eliminated strategy, so the next 40 generated games are
+    asked too."""
+    real = dominance.Columns.__init__
+
+    def all_of_s_i(self, form, i, q_sets):
+        real(self, form, i, q_sets)
+        self.own = list(range(len(self.value)))
+
+    monkeypatch.setattr(dominance.Columns, "__init__", all_of_s_i)
+    found = violations(games + small_games(40, start=740, max_players=3,
+                                           max_strategies=6))
+    assert set(found) == {("dominance-substitution",)}
+    assert len(found) >= 2, found
+
+
+def test_ray_without_its_entering_entry(games, monkeypatch):
+    """Every unbounded answer of the simplex loses its entering
+    column's entry, D, and keeps only the basic columns' entries.  A
+    ray whose only entry was that one reads as the empty mixture, and
+    the others weigh sid's rivals wrongly."""
+    real_iterate, real_solve = lp._iterate, lp.solve
+    entered = []
+
+    def iterate(*args):
+        enter, det = real_iterate(*args)
+        entered.append(enter)
+        return enter, det
+
+    def solve(problem):
+        result = real_solve(problem)
+        if result.status == "unbounded" and entered[-1] < len(result.ray):
+            result.ray[entered[-1]] = 0
+        return result
+
+    monkeypatch.setattr(lp, "_iterate", iterate)
+    monkeypatch.setattr(lp, "solve", solve)
+    found = violations(games)
+    assert set(found) == {("dominance-substitution",)}
+    assert len(found) >= 2, found
+
+
 def test_pure_dominator_outside_q_i(games, monkeypatch):
     """The pure-dominance scan reads every own strategy, eliminated ones
     first.  The step sets stay right (an eliminated dominator hands its
@@ -200,11 +266,11 @@ def test_justifier_denominator_off_by_one(games, monkeypatch):
     real = dominance._justifier
 
     def off_by_one(cols, sid):
-        measure = real(cols, sid)
+        measure, mixture = real(cols, sid)
         if measure is None:
-            return None
+            return measure, mixture
         on, den = measure
-        return on, den + 1
+        return (on, den + 1), mixture
 
     monkeypatch.setattr(dominance, "_justifier", off_by_one)
     found = violations(games)
@@ -222,19 +288,22 @@ def test_first_relaxation_returned(games, monkeypatch):
     real = dominance._justifier
 
     def first_round_only(cols, sid):
-        larger = [r for r, t in enumerate(cols.twin)
-                  if t == r and cols.row_sum[r] > cols.row_sum[sid]]
+        named = {}
+        for r in cols.own:
+            named.setdefault(cols.twin[r], r)
+        larger = [r for r in named.values()
+                  if cols.row_sum[r] > cols.row_sum[sid]]
         if not larger:
             return real(cols, sid)
         result = lp.solve(dominance.justifier_problem(cols, sid, larger))
         if result.status != "optimal":
-            return None
+            return real(cols, sid)  # the first round's ray, as unmutated
         # the dual's reduced costs w over den: column masses 1 + w_g
         masses = [result.den + w for w in result.reduced[len(larger):]]
         ints, den = scaled([Fraction(mass, sum(masses) * len(members))
                             for mass, members in zip(masses, cols.groups)])
-        return {c: n for n, members in zip(ints, cols.groups)
-                for c in members}, den
+        return ({c: n for n, members in zip(ints, cols.groups)
+                 for c in members}, den), None
 
     monkeypatch.setattr(dominance, "_justifier", first_round_only)
     found = violations(games)
