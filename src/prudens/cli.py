@@ -12,8 +12,10 @@ file is loaded, the command gives its report entries, and an audit
 violation becomes the file's error entry instead (``verify``'s with
 ``"ok": false``), as does a game over a size cap, marked ``"refused":
 true`` (REFUSED in tables).  ``--max-strategies`` is the per-player
-strategy cap, ``Game.STRATEGY_CAP`` by default; under ``fuzz`` it bounds
-the generator instead, default 6.
+strategy cap, ``Game.STRATEGY_CAP`` by default; under ``reduced`` it caps
+each player's behavioral-equivalence classes, counted from the tree
+before any is listed, so a game over the plan cap with few classes
+runs; under ``fuzz`` it bounds the generator instead, default 6.
 
 Exit status: 0 success, 2 usage problems (a file that cannot be read
 or, under ``fmt --write``, written; a ``fmt --write`` argument that is
@@ -22,8 +24,8 @@ not a file as given, refused before anything is written; ``--jobs``,
 fuzz ``--actions`` below 2 or ``--count`` below 0; an option the command
 does not take, such as ``--timings`` on ``verify`` or ``fuzz``; a game
 with a player over ``--max-strategies`` or a profile space over
-``StrategicForm.PROFILE_CAP``, refused before any plan is enumerated
-and, under a per-file command, reported in the file's entry; a fuzz
+``StrategicForm.PROFILE_CAP``, refused before any plan or class is
+enumerated and, under a per-file command, reported in the file's entry; a fuzz
 ``--out-dir`` that is not a directory, found before the campaign
 starts; output that cannot be written, such as a closed stdout), 3
 parse diagnostics (a file that is not UTF-8 included), 4 an audit

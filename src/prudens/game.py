@@ -8,7 +8,11 @@ them as integers over one denominator per player, scaled once
 (docs/exactness.md, "Integers from the source").
 
 Strategies are complete contingent plans: one action at every nonterminal
-history, including histories the strategy itself precludes.
+history, including histories the strategy itself precludes.  Both
+strategic forms, over plans and over behavioral-equivalence classes, are
+built from the tree (docs/exactness.md, "The strategic form from one walk
+of the tree"): the profiles reaching a history are the product of each
+player's plans that allow it.
 """
 
 import itertools
@@ -157,7 +161,10 @@ class Game:
     construction that the tree is prefix closed, every stage is the full
     product of the per-player action sets, and terminal/nonterminal
     histories partition the tree.  ``strategy_cap`` is the most strategies
-    a player may have before any plan is listed (:class:`SizeLimit`).
+    a player may have before any plan is listed, and in
+    :meth:`reduced_form` the most classes before any class is listed
+    (:class:`SizeLimit`).  ``path``, ``allows`` and ``allowed_histories``
+    answer for one profile, plan or history; neither form uses them.
     """
 
     STRATEGY_CAP = 10 ** 6
@@ -295,19 +302,6 @@ class Game:
         return all(s.choices[self.h_index[h]] == t.choices[self.h_index[h]]
                    for h in hs)
 
-    def reduce_strategies(self, i):
-        """Partition of S_i into behavioral-equivalence classes.
-
-        Classes, and the members of each, are in canonical order; the first
-        member (lexicographically least plan) is the class representative.
-        """
-        groups = {}
-        for s in self.strategies(i):
-            hs = self.allowed_histories(s)
-            key = (hs, tuple(s.choices[self.h_index[h]] for h in hs))
-            groups.setdefault(key, []).append(s)
-        return list(groups.values())
-
     def strategic_form(self):
         """The full strategic form, built once.  Its size is checked from
         the strategy counts before any plan is enumerated."""
@@ -321,9 +315,70 @@ class Game:
         return self._form
 
     def reduced_form(self):
-        reps = [[cls[0] for cls in self.reduce_strategies(i)]
-                for i in range(len(self.players))]
-        return StrategicForm(self, reps)
+        """The strategic form over behavioral-equivalence classes, one
+        representative per class, built from the tree with no plan listed
+        (docs/exactness.md, "The strategic form from one walk of the
+        tree").  Each player's class count is checked against
+        ``strategy_cap``, then the profile space, before any class is
+        listed."""
+        trees = self._class_trees()
+        for i, (_, counts) in enumerate(trees):
+            if counts[0] > self.strategy_cap:
+                raise SizeLimit("player %s has %d strategy classes (cap %d)"
+                                % (self.players[i], counts[0],
+                                   self.strategy_cap))
+        StrategicForm.check_profile_space([counts[0] for _, counts in trees])
+        return StrategicForm(self, [self._representatives(i, subtrees)
+                                    for i, (subtrees, _) in enumerate(trees)])
+
+    def _class_trees(self):
+        """Per player i, (subtrees, counts).  ``subtrees[k][a]`` lists the
+        indices of the nonterminal children that i's action index a leads
+        to at the k-th history; ``counts[k]`` is the number of i's reduced
+        plans of the subtree there: the sum over a of the product of those
+        children's counts."""
+        per_player = [[[[] for _ in self.actions[h][i]]
+                       for h in self.nonterminal]
+                      for i in range(len(self.players))]
+        # the root is history 0; every other nonterminal has a parent
+        for k, h in enumerate(self.nonterminal[1:], 1):
+            parent = h[:-1]
+            for i, acts in enumerate(self.actions[parent]):
+                per_player[i][self.h_index[parent]][
+                    acts.index(h[-1][i])].append(k)
+        trees = []
+        for subtrees in per_player:
+            counts = [0] * len(subtrees)
+            # children follow their parent in canonical order
+            for k in reversed(range(len(subtrees))):
+                counts[k] = sum(math.prod(counts[c] for c in kids)
+                                for kids in subtrees[k])
+            trees.append((subtrees, counts))
+        return trees
+
+    def _representatives(self, i, subtrees):
+        """Player i's class representatives in ``strategies(i)`` order.
+        Each is its class's least member: action index 0 at every
+        history the class precludes."""
+        # plans[k]: the reduced plans of the subtree at history k, each a
+        # tuple of (history index, action index) pairs; a subtree's plans
+        # are dropped once its parent has combined them
+        plans = {}
+        for k in reversed(range(len(subtrees))):
+            plans[k] = [((k, a),) + tuple(itertools.chain.from_iterable(combo))
+                        for a, kids in enumerate(subtrees[k])
+                        for combo in itertools.product(
+                            *(plans.pop(c) for c in kids))]
+        indices = []
+        for plan in plans[0]:
+            idx = [0] * len(subtrees)
+            for k, a in plan:
+                idx[k] = a
+            indices.append(idx)
+        indices.sort()
+        return [Strategy(i, (self.actions[h][i][a]
+                             for h, a in zip(self.nonterminal, idx)))
+                for idx in indices]
 
 
 class StrategicForm:
@@ -333,7 +388,9 @@ class StrategicForm:
     co-player profiles of player i by their index in ``co_profiles[i]``.
     Built once per analysis run, this carries everything the solvers need:
     payoffs against co-profiles, allow sets per history, conditioning
-    events, allowed-history lists and replacement indices.
+    events, allowed-history lists and replacement indices.  The payoff
+    table and the allow sets are filled in one walk of the tree
+    (:meth:`_walk`), with no profile walked from the root.
 
     Built from class representatives (``Game.reduced_form``) the same
     tables describe the reduced game; replacement indices are then
@@ -358,26 +415,14 @@ class StrategicForm:
         self.co_index = [{co: k for k, co in enumerate(cos)}
                          for cos in self.co_profiles]
 
-        # payoff[i][sid][coid] / payoff_den[i] is the true payoff; the
-        # table is filled by one sweep over full profiles
+        # payoff[i][sid][coid] / payoff_den[i] is the true payoff
         columns = [scaled(col) for col in zip(*game.payoffs.values())]
         self.payoff_den = [den for _, den in columns]
-        terminal = dict(zip(game.payoffs,
-                            zip(*(ints for ints, _ in columns))))
         self.payoff = [[[None] * len(self.co_profiles[i])
                         for _ in range(self.counts[i])] for i in range(n)]
-        for ids in itertools.product(*(range(c) for c in self.counts)):
-            profile = tuple(self.strats[j][ids[j]] for j in range(n))
-            pv = terminal[game.path(profile)]
-            for i in range(n):
-                co = tuple(ids[j] for j in self.co_players[i])
-                self.payoff[i][ids[i]][self.co_index[i][co]] = pv[i]
-
-        # allow sets and conditioning events
-        self.allow = [[frozenset(
-            sid for sid, s in enumerate(self.strats[i])
-            if game.allows(s, h)) for h in game.nonterminal]
-            for i in range(n)]
+        self.allow = [[None] * len(game.nonterminal) for _ in range(n)]
+        self._walk(dict(zip(game.payoffs,
+                            zip(*(ints for ints, _ in columns)))))
         self.co_allow = [[self.co_restriction(i, [a[k] for a in self.allow])
                           for k in range(len(game.nonterminal))]
                          for i in range(n)]
@@ -390,14 +435,64 @@ class StrategicForm:
                 seen.setdefault(ev, []).append(k)
             self.events.append([(ev, tuple(ks)) for ev, ks in seen.items()])
 
-        self.allowed_hist = [
-            [tuple(k for k in range(len(game.nonterminal))
-                   if sid in self.allow[i][k])
-             for sid in range(self.counts[i])]
-            for i in range(n)]
+        hists = [[[] for _ in range(c)] for c in self.counts]
+        for i in range(n):
+            for k, ids in enumerate(self.allow[i]):
+                for sid in ids:
+                    hists[i][sid].append(k)
+        self.allowed_hist = [[tuple(ks) for ks in per] for per in hists]
 
         self._replacement = None
         self._twins = [dict() for _ in range(n)]
+
+    def _walk(self, terminal):
+        """Fill ``allow`` and ``payoff`` in one depth-first walk of the
+        tree (docs/exactness.md, "The strategic form from one walk of the
+        tree").  Each node carries, per player, the ids that allow it: the
+        parent's ids that choose the node's own action there.  The
+        profiles reaching a terminal history are the product of its sets,
+        and the ``terminal`` integers go to each of them, the co-profile
+        id read by mixed radix in ``co_profiles`` order."""
+        game, n = self.game, self.n
+        choices = [[s.choices for s in lst] for lst in self.strats]
+        # the co-profile id is sum(ids[j] * stride[i][j]), last co-player
+        # fastest, as in itertools.product
+        stride = [{} for _ in range(n)]
+        for i in range(n):
+            step = 1
+            for j in reversed(self.co_players[i]):
+                stride[i][j] = step
+                step *= self.counts[j]
+        stack = [((), [range(c) for c in self.counts])]
+        while stack:
+            h, sets = stack.pop()
+            ints = terminal.get(h)
+            if ints is None:
+                k = game.h_index[h]
+                own = []
+                for i, acts in enumerate(game.actions[h]):
+                    self.allow[i][k] = frozenset(sets[i])
+                    if len(acts) == 1:
+                        own.append(((acts[0], sets[i]),))
+                        continue
+                    split = {a: [] for a in acts}
+                    for sid in sets[i]:
+                        split[choices[i][sid][k]].append(sid)
+                    own.append(tuple(split.items()))
+                for combo in itertools.product(*own):
+                    stack.append((h + (tuple(a for a, _ in combo),),
+                                  [ids for _, ids in combo]))
+            else:
+                for i in range(n):
+                    coids = [0]
+                    for j in self.co_players[i]:
+                        coids = [c + sid * stride[i][j]
+                                 for c in coids for sid in sets[j]]
+                    value = ints[i]
+                    for sid in sets[i]:
+                        row = self.payoff[i][sid]
+                        for c in coids:
+                            row[c] = value
 
     @classmethod
     def check_profile_space(cls, counts):

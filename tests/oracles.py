@@ -18,6 +18,9 @@ repeated rows ``dominance`` drops, whose other rows it adds only as
 rivals beat its measures, and which it poses as the dual of its
 Charnes-Cooper form; its optimum must be the one ``dominance``
 reaches.
+``reduce_by_enumeration`` lists every plan and keys it by
+``Game.allowed_histories``, the construction ``Game.reduced_form``
+replaces with a count and a listing of the classes from the tree.
 ``full_slack_problem`` is the slack LP over every co-profile, with no
 columns merged, whose positive optimum the justifier dual's ray
 replaces as the test for a dominating mixture.  ``condition_ladder``
@@ -80,6 +83,63 @@ def realization_equivalent(game, s, t):
         if terminal_of(game, tuple(profile_s)) != terminal_of(game, tuple(profile_t)):
             return False
     return True
+
+
+def reduce_by_enumeration(game, i):
+    """Partition of S_i into behavioral-equivalence classes, found by
+    listing every plan and keying it by its allowed histories and its
+    choices there.  Classes, and the members of each, are in canonical
+    order; the first member of a class is its representative."""
+    groups = {}
+    for s in game.strategies(i):
+        hs = game.allowed_histories(s)
+        key = (hs, tuple(game.action_of(s, h) for h in hs))
+        groups.setdefault(key, []).append(s)
+    return list(groups.values())
+
+
+def form_by_profiles(game, strat_lists):
+    """The tables of the strategic form over ``strat_lists``, one full
+    profile at a time: each profile's terminal history by ``terminal_of``
+    and each allow set by ``allows_by_path``.  Returns a dict with the
+    ``StrategicForm`` attribute names as keys."""
+    n = len(game.players)
+    strats = [list(lst) for lst in strat_lists]
+    counts = [len(lst) for lst in strats]
+    co_players = [tuple(j for j in range(n) if j != i) for i in range(n)]
+    co_profiles = [list(itertools.product(
+        *(range(counts[j]) for j in co_players[i]))) for i in range(n)]
+    dens = [math.lcm(*(pv[i].denominator for pv in game.payoffs.values()))
+            for i in range(n)]
+    payoff = [[[None] * len(co_profiles[i]) for _ in range(counts[i])]
+              for i in range(n)]
+    for ids in itertools.product(*(range(c) for c in counts)):
+        z = terminal_of(game, tuple(strats[j][ids[j]] for j in range(n)))
+        for i in range(n):
+            coid = co_profiles[i].index(
+                tuple(ids[j] for j in co_players[i]))
+            true = Fraction(game.payoffs[z][i]) * dens[i]
+            assert true.denominator == 1
+            payoff[i][ids[i]][coid] = true.numerator
+    allow = [[frozenset(sid for sid, s in enumerate(strats[i])
+                        if allows_by_path(game, s, h))
+              for h in game.nonterminal] for i in range(n)]
+    co_allow = [[frozenset(
+        coid for coid, co in enumerate(co_profiles[i])
+        if all(c in allow[j][k] for c, j in zip(co, co_players[i])))
+        for k in range(len(game.nonterminal))] for i in range(n)]
+    events = []
+    for i in range(n):
+        seen = {}
+        for k, ev in enumerate(co_allow[i]):
+            seen.setdefault(ev, []).append(k)
+        events.append([(ev, tuple(ks)) for ev, ks in seen.items()])
+    allowed_hist = [[tuple(k for k in range(len(game.nonterminal))
+                           if sid in allow[i][k])
+                     for sid in range(counts[i])] for i in range(n)]
+    return {"strats": strats, "payoff": payoff, "payoff_den": dens,
+            "allow": allow, "co_allow": co_allow, "events": events,
+            "allowed_hist": allowed_hist}
 
 
 def naive_expected_payoff(game, i, r, h, mass_of):

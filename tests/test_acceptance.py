@@ -25,7 +25,8 @@ from prudens.procedures import (iterated_admissibility,
                                 prudent_rationalizability_cnps,
                                 reduced_variants, verify_equivalences)
 
-from oracles import c_strongly_believes_intersection_form
+from oracles import (c_strongly_believes_intersection_form,
+                     reduce_by_enumeration)
 from test_beliefs import random_prior
 from test_cli import run_cli
 
@@ -277,7 +278,7 @@ def test_07_reduced_strategy_analogue(corpus_games):
                 form = game.strategic_form()
                 analysis = ReplyAnalysis(belief, i)
                 chosen = set(analysis.weak_sequential_ids())
-                for cls in game.reduce_strategies(i):
+                for cls in reduce_by_enumeration(game, i):
                     ids = {form.index[i][s] for s in cls}
                     hit = len(ids & chosen)
                     assert hit in (0, len(ids))

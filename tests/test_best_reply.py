@@ -16,7 +16,8 @@ from prudens.hyperreal import Hyperreal, scaled
 
 from conftest import small_games
 from oracles import (condition_ladder, fraction_best_replies_to_measure,
-                     fraction_value_row, naive_expected_payoff)
+                     fraction_value_row, naive_expected_payoff,
+                     reduce_by_enumeration)
 from test_beliefs import co_profile, layered_prior, random_prior
 
 
@@ -213,7 +214,7 @@ class TestSequentialBestReplies:
             for i in range(len(g.players)):
                 belief = random_prior(g, i, rng)
                 rho_bar = set(weak_sequential_best_replies(g, belief, i))
-                for cls in g.reduce_strategies(i):
+                for cls in reduce_by_enumeration(g, i):
                     hits = sum(1 for s in cls if s in rho_bar)
                     assert hits in (0, len(cls))
 

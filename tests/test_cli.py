@@ -180,6 +180,62 @@ class TestRefusedFiles:
             "ok": False, "refused": True, "error": self.REASON}
 
 
+class TestReducedPlanCap:
+    """Under ``reduced``, ``--max-strategies`` caps each player's classes,
+    which are counted and listed from the tree with no plan listed.  A
+    chain where A chooses C or S at 20 successive histories gives A
+    2**20 plans, over ``Game.STRATEGY_CAP``, in 21 classes."""
+
+    LEGS = 20
+
+    @pytest.fixture
+    def chain(self, tmp_path, monkeypatch):
+        from prudens.game import Game
+
+        def tripwire(game, i):
+            raise AssertionError("plans must not be enumerated")
+
+        lines = ["players A B"]
+        lines += ["at /%s actions A: C S B: w" % "/".join(["(C,w)"] * t)
+                  for t in range(self.LEGS)]
+        lines += ["payoff %s/(S,w) = %d, %d" % ("/(C,w)" * t, t, self.LEGS - t)
+                  for t in range(self.LEGS)]
+        lines.append("payoff %s = %d, 0" % ("/(C,w)" * self.LEGS, self.LEGS))
+        path = tmp_path / "chain.seqgame"
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(Game, "strategies", tripwire)
+        return str(path)
+
+    def test_reduced_finishes_over_the_plan_cap(self, chain):
+        code, out = run_cli(["reduced", chain, "--format", "json"])
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert [r["trace"]["procedure"] for r in results] == ["ia", "pr-cnps"]
+        for entry in results:
+            assert entry["all_verified"]
+            first = entry["trace"]["steps"][0]
+            assert len(first["A"]) == self.LEGS + 1
+            assert first["A"][0] == ",".join(["C"] * self.LEGS)
+            assert first["B"] == [",".join(["w"] * self.LEGS)]
+
+    def test_verify_refuses_the_plans(self, chain):
+        code, out = run_cli(["verify", chain, "--format", "json"])
+        assert code == 2
+        (entry,) = json.loads(out)["results"]
+        assert entry["error"] == \
+            "player A has 1048576 strategies (cap 1000000)"
+
+    def test_class_cap_refuses_before_listing(self, chain):
+        code, out = run_cli(["reduced", chain, "--max-strategies", "20",
+                             "--format", "json"])
+        assert code == 2
+        (entry,) = json.loads(out)["results"]
+        assert entry["refused"]
+        assert entry["error"] == "player A has 21 strategy classes (cap 20)"
+        code, _ = run_cli(["reduced", chain, "--max-strategies", "21"])
+        assert code == 0
+
+
 class TestFuzzCommand:
     def test_deterministic_reports(self):
         code1, out1 = run_cli(["fuzz", "--seed", "11", "--count", "25",

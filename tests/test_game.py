@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,8 @@ from prudens.game import (Game, GameError, SizeLimit, StrategicForm, Strategy,
                          format_path)
 
 from conftest import small_games
-from oracles import allows_by_path, realization_equivalent, tree_walk_payoff
+from oracles import (allows_by_path, form_by_profiles, realization_equivalent,
+                     reduce_by_enumeration, tree_walk_payoff)
 
 STATIC_2x2 = """players A B
 matrix A: T B B: L R
@@ -42,6 +44,10 @@ def two_stage():
 
 
 class TestEnumeration:
+    @staticmethod
+    def tripwire(game, i):
+        raise AssertionError("plans must not be enumerated")
+
     def test_one_shot_two_actions(self, static_game):
         assert len(static_game.strategies(0)) == 2
 
@@ -66,10 +72,7 @@ class TestEnumeration:
         small = dsl.elaborate(dsl.parse(TWO_STAGE))  # 4 x 1 profiles
         capped = dsl.elaborate(dsl.parse(TWO_STAGE), strategy_cap=3)
 
-        def tripwire(game, i):
-            raise AssertionError("plans must not be enumerated")
-
-        monkeypatch.setattr(Game, "strategies", tripwire)
+        monkeypatch.setattr(Game, "strategies", self.tripwire)
         monkeypatch.setattr(StrategicForm, "PROFILE_CAP", 3)
         with pytest.raises(SizeLimit, match="profile space 4 exceeds cap 3"):
             small.strategic_form()
@@ -225,18 +228,18 @@ class TestBehavioralEquivalence:
 
 class TestReduction:
     def test_static_classes_are_singletons(self, static_game):
-        classes = static_game.reduce_strategies(0)
+        classes = reduce_by_enumeration(static_game, 0)
         assert all(len(c) == 1 for c in classes)
 
     def test_unreachable_choice_merges(self, two_stage):
-        classes = two_stage.reduce_strategies(0)
+        classes = reduce_by_enumeration(two_stage, 0)
         sizes = sorted(len(c) for c in classes)
         assert sizes == [1, 1, 2]  # the two (y, *) plans coincide
 
     def test_partition(self):
         for g in small_games(8):
             for i in range(len(g.players)):
-                classes = g.reduce_strategies(i)
+                classes = reduce_by_enumeration(g, i)
                 members = [s for cls in classes for s in cls]
                 assert len(members) == len(g.strategies(i))
                 assert len(set(members)) == len(members)
@@ -245,6 +248,88 @@ class TestReduction:
                     rep = cls[0]
                     for s in cls[1:]:
                         assert g.behaviorally_equivalent(rep, s)
+
+
+def centipede(legs):
+    """An alternating take-it-or-leave-it game: at each leg the mover
+    continues (C) or stops (S), the other player holds w."""
+    rng = random.Random(legs)
+    actions, payoffs = {}, {}
+    h = ()
+    for t in range(legs):
+        per = [("w",), ("w",)]
+        per[t % 2] = ("C", "S")
+        actions[h] = tuple(per)
+        stop = tuple("S" if k == t % 2 else "w" for k in range(2))
+        payoffs[h + (stop,)] = (t + rng.randint(0, 9), t + rng.randint(0, 9))
+        h += (tuple("C" if k == t % 2 else "w" for k in range(2)),)
+    payoffs[h] = (legs + rng.randint(0, 9), legs + rng.randint(0, 9))
+    return Game(("P1", "P2"), actions, payoffs)
+
+
+def bimatrix(k, seed):
+    """A static k x k game with payoffs uniform in [-3, 5]."""
+    rng = random.Random(seed)
+    rows = tuple("r%d" % m for m in range(k))
+    cols = tuple("c%d" % m for m in range(k))
+    return Game(("P1", "P2"), {(): (rows, cols)},
+                {((r, c),): (rng.randint(-3, 5), rng.randint(-3, 5))
+                 for r in rows for c in cols})
+
+
+class TestFormFromTheTree:
+    """Both strategic forms, built from one walk of the tree, equal the
+    per-profile construction table for table, entry for entry."""
+
+    TABLES = ("strats", "payoff", "payoff_den", "allow", "co_allow",
+              "events", "allowed_hist")
+
+    @staticmethod
+    def games(corpus_games):
+        games = [corpus_games[name] for name in sorted(corpus_games)]
+        games += small_games(30, max_players=3, max_strategies=6,
+                             max_histories=8)
+        return games + [centipede(8), bimatrix(10, 11)]
+
+    def check(self, form, game, strat_lists):
+        expected = form_by_profiles(game, strat_lists)
+        for name in self.TABLES:
+            assert getattr(form, name) == expected[name], name
+
+    def test_full_form(self, corpus_games):
+        games = self.games(corpus_games)
+        assert max(len(game.players) for game in games) == 3
+        for game in games:
+            n = len(game.players)
+            self.check(game.strategic_form(), game,
+                       [game.strategies(i) for i in range(n)])
+
+    def test_reduced_form(self, corpus_games):
+        """Representatives are each class's least member, in the order
+        of ``strategies``, and the tables are those built on them."""
+        merged = 0
+        for game in self.games(corpus_games):
+            reps = [[cls[0] for cls in reduce_by_enumeration(game, i)]
+                    for i in range(len(game.players))]
+            form = game.reduced_form()
+            self.check(form, game, reps)
+            merged += form.counts != game.strategic_form().counts
+        assert merged >= 10
+
+    def test_reduced_form_refuses_before_listing(self, monkeypatch):
+        """The class counts come from the tree: the per-player cap names
+        the class count and no plan is listed, under either cap."""
+        doc = dsl.parse(TWO_STAGE)  # A: 3 classes of 4 plans, B: 1
+        monkeypatch.setattr(Game, "strategies", TestEnumeration.tripwire)
+        with pytest.raises(SizeLimit,
+                           match=r"player A has 3 strategy classes \(cap 2\)"):
+            dsl.elaborate(doc, strategy_cap=2).reduced_form()
+        monkeypatch.setattr(StrategicForm, "PROFILE_CAP", 2)
+        with pytest.raises(SizeLimit, match="profile space 3 exceeds cap 2"):
+            dsl.elaborate(doc, strategy_cap=3).reduced_form()
+        monkeypatch.setattr(StrategicForm, "PROFILE_CAP", 3)
+        assert dsl.elaborate(doc, strategy_cap=3).reduced_form().counts \
+            == [3, 1]
 
 
 class TestValidation:

@@ -1,6 +1,6 @@
 """Layering lint over the package source.
 
-Each module is parsed with ``ast`` and nine rules are checked:
+Each module is parsed with ``ast`` and ten rules are checked:
 
 * rationals become integers in one place: ``math.lcm`` is called only in
   ``hyperreal.py`` (``hyperreal.scaled``);
@@ -26,9 +26,13 @@ Each module is parsed with ``ast`` and nine rules are checked:
   from the dual's reduced costs and its mixture from the dual's ray;
 * a level's ``Columns`` is built in one module and handed on: the four
   id-level dominance questions take ``cols`` with no default, and
-  ``Columns(...)`` is called only in ``dominance.py``.
+  ``Columns(...)`` is called only in ``dominance.py``;
+* both strategic forms come from one walk of the tree: ``StrategicForm``
+  reads none of ``path``, ``allows``, ``allowed_histories`` or
+  ``strategies``, on any object, and no ``Game`` method that
+  ``Game.reduced_form`` reaches through ``self`` reads ``strategies``.
 
-A tenth rule keeps the soundness notes reachable: every section of
+An eleventh rule keeps the soundness notes reachable: every section of
 ``docs/exactness.md`` that a citation names by title, from ``src/``,
 ``tests/`` or the README, or from inside the doc itself, is one of its
 ``##`` headings.
@@ -337,6 +341,73 @@ def test_questions_take_their_levels_columns():
         if args.defaults or args.kwonlyargs or args.vararg or args.kwarg:
             found.append("dominance.%s has optional arguments" % name)
     assert not found, found
+
+
+def class_methods(tree, name):
+    """Method name -> FunctionDef, for the class ``name`` in tree."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == name:
+            return {f.name: f for f in node.body
+                    if isinstance(f, ast.FunctionDef)}
+    return {}
+
+
+def reached(methods, start):
+    """``start`` and every method in ``methods`` that it calls as
+    ``self.<name>(...)``, transitively."""
+    seen, todo = set(), [start]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for method in methods:
+            visitor = _CallSites("self", method)
+            visitor.visit(methods[name])
+            if visitor.calls:
+                todo.append(method)
+    return seen
+
+
+# Game methods that answer for one profile, plan or history, or list
+# every plan
+PER_PLAN = ("path", "allows", "allowed_histories", "strategies")
+
+
+def test_forms_come_from_one_walk_of_the_tree():
+    tree = ast.parse(MODULES["game"].read_text(encoding="utf-8"))
+    form = class_methods(tree, "StrategicForm")
+    game = class_methods(tree, "Game")
+    found = []
+    for name in PER_PLAN:
+        for method in form.values():
+            visitor = _AttributeReads(name)
+            visitor.visit(method)
+            found += ["game.py:%d reads .%s in StrategicForm.%s" % (
+                line, name, method.name) for _, line in visitor.reads]
+    sites = reached(game, "reduced_form")
+    for name in sites:
+        visitor = _AttributeReads("strategies")
+        visitor.visit(game[name])
+        found += ["game.py:%d reads .strategies in Game.%s" % (line, name)
+                  for _, line in visitor.reads]
+    assert not found, found
+    # the walk is checked where it runs
+    assert {"__init__", "_walk"} <= set(form)
+    assert sites >= {"reduced_form", "_class_trees", "_representatives"}
+
+
+def test_reached_methods_are_found():
+    methods = class_methods(ast.parse(
+        "class G:\n"
+        "    def a(self):\n        return self.b(1) + other.c()\n"
+        "    def b(self, x):\n        return [self.d() for _ in x]\n"
+        "    def c(self):\n        return self.game.path(p)\n"
+        "    def d(self):\n        return self.x\n"), "G")
+    assert reached(methods, "a") == {"a", "b", "d"}
+    visitor = _AttributeReads("path")
+    visitor.visit(methods["c"])
+    assert visitor.reads == [("c", 7)]
 
 
 # A title in quotes, after the doc's name and a comma, or after "see"

@@ -701,7 +701,7 @@ class TestReducedVariants:
                     full = set(step_f.part(i))
                     reps = set(step_r.part(i))
                     projected = set()
-                    for cls in game.reduce_strategies(i):
+                    for cls in oracles.reduce_by_enumeration(game, i):
                         members = set(cls)
                         hit = members & full
                         assert hit in (set(), members)  # class-closed
