@@ -319,9 +319,9 @@ def _coid(form, owner, co_profile):
     """The id of a co-profile given as strategies, one per co-player of
     owner in order.  Raises BeliefError, naming it, for anything else."""
     try:
-        return form.co_index[owner][tuple(
+        return form.co_id(owner, [
             form.index[j][s] for j, s in
-            zip(form.co_players[owner], co_profile, strict=True))]
+            zip(form.co_players[owner], co_profile, strict=True)])
     except (KeyError, TypeError, ValueError):
         raise BeliefError("%r is not a co-profile of player %s"
                           % (co_profile, form.game.players[owner])) from None

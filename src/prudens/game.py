@@ -43,14 +43,17 @@ def format_path(h):
 
 def check_tree(players, actions, payoffs):
     """Raise GameError unless ``actions`` and ``payoffs`` form a game tree
-    of ``players`` (see :class:`Game`).  Histories are checked shallowest
-    first, then in tuple order, so the fault reported does not depend on
-    the order of either mapping.  The error's ``path`` is the history
-    whose declaration is at fault: the stage for a missing child, ``()``
-    for a missing root."""
+    of ``players``, whose names are distinct (see :class:`Game`).
+    Histories are checked shallowest first, then in tuple order, so the
+    fault reported does not depend on the order of either mapping.  The
+    error's ``path`` is the history whose declaration is at fault: the
+    stage for a missing child, ``()`` for a missing root."""
     n = len(players)
     if not n:
         raise GameError("a game needs at least one player")
+    for k, player in enumerate(players):
+        if player in players[:k]:
+            raise GameError("duplicate player %r" % (player,))
     if () not in actions:
         raise GameError("the root history must be nonterminal", ())
     stages = []
@@ -163,8 +166,9 @@ class Game:
     histories partition the tree.  ``strategy_cap`` is the most strategies
     a player may have before any plan is listed, and in
     :meth:`reduced_form` the most classes before any class is listed
-    (:class:`SizeLimit`).  ``path``, ``allows`` and ``allowed_histories``
-    answer for one profile, plan or history; neither form uses them.
+    (:class:`SizeLimit`).  A game answers no question about one profile
+    or plan: the profiles reaching a history, the histories a plan allows
+    and the payoff a profile earns are read off a :class:`StrategicForm`.
     """
 
     STRATEGY_CAP = 10 ** 6
@@ -203,9 +207,6 @@ class Game:
     def is_history(self, h):
         return h in self.actions or h in self.payoffs
 
-    def payoff(self, z, i):
-        return self.payoffs[z][i]
-
     # -- strategies ------------------------------------------------------
 
     def strategy_count(self, i):
@@ -235,45 +236,6 @@ class Game:
         return ProductRestriction([self.strategies(i)
                                    for i in range(len(self.players))])
 
-    def action_of(self, s, h):
-        return s.choices[self.h_index[h]]
-
-    def path(self, profile):
-        """The unique terminal history induced by a full strategy profile."""
-        if isinstance(profile, dict):
-            profile = tuple(profile[i] for i in range(len(self.players)))
-        h = ()
-        while h in self.actions:
-            k = self.h_index[h]
-            a = tuple(s.choices[k] for s in profile)
-            h = h + (a,)
-        return h
-
-    def payoff_of_profile(self, profile, i):
-        return self.payoffs[self.path(profile)][i]
-
-    def allows(self, s, h):
-        """Whether strategy s does not prevent history h from being reached."""
-        for depth in range(len(h)):
-            prefix = h[:depth]
-            if prefix in self.payoffs:
-                return False
-            if s.choices[self.h_index[prefix]] != h[depth][s.player]:
-                return False
-        return True
-
-    def strategies_allowing(self, h):
-        """Per-player allow sets S_i(h), whose product is S(h)."""
-        if not self.is_history(h):
-            raise GameError("unknown history %s" % format_path(h))
-        return ProductRestriction(
-            [tuple(s for s in self.strategies(i) if self.allows(s, h))
-             for i in range(len(self.players))])
-
-    def allowed_histories(self, s):
-        """H_i(s): the nonterminal histories that s allows."""
-        return tuple(h for h in self.nonterminal if self.allows(s, h))
-
     def replacement_strategy(self, s, h):
         """The minimal modification of s that allows h.
 
@@ -287,20 +249,6 @@ class Game:
             prefix = h[:depth]
             choices[self.h_index[prefix]] = h[depth][s.player]
         return Strategy(s.player, choices)
-
-    def behaviorally_equivalent(self, s, t):
-        """Same allowed histories and same choices on them.
-
-        Equivalent to inducing the same terminal history against every
-        co-player profile.
-        """
-        if s.player != t.player:
-            raise GameError("strategies belong to different players")
-        hs = self.allowed_histories(s)
-        if hs != self.allowed_histories(t):
-            return False
-        return all(s.choices[self.h_index[h]] == t.choices[self.h_index[h]]
-                   for h in hs)
 
     def strategic_form(self):
         """The full strategic form, built once.  Its size is checked from
@@ -386,6 +334,10 @@ class StrategicForm:
 
     Strategies are referred to by their index in the per-player list;
     co-player profiles of player i by their index in ``co_profiles[i]``.
+    That index is the co-profile's one encoding, a mixed-radix number over
+    the co-players' ids, last co-player fastest; :meth:`co_id` and
+    :meth:`co_restriction` compute it (docs/exactness.md, "The strategic
+    form from one walk of the tree").
     Built once per analysis run, this carries everything the solvers need:
     payoffs against co-profiles, allow sets per history, conditioning
     events, allowed-history lists and replacement indices.  The payoff
@@ -412,8 +364,12 @@ class StrategicForm:
         self.co_profiles = [list(itertools.product(
             *(range(self.counts[j]) for j in self.co_players[i])))
             for i in range(n)]
-        self.co_index = [{co: k for k, co in enumerate(cos)}
-                         for cos in self.co_profiles]
+        # _strides[i] pairs each co-player j of i with the place value of
+        # j's id in a co-profile id of i: last co-player fastest, as in
+        # itertools.product
+        self._strides = [[(j, math.prod(self.counts[m] for m in co[p + 1:]))
+                          for p, j in enumerate(co)]
+                         for co in self.co_players]
 
         # payoff[i][sid][coid] / payoff_den[i] is the true payoff
         columns = [scaled(col) for col in zip(*game.payoffs.values())]
@@ -451,18 +407,10 @@ class StrategicForm:
         tree").  Each node carries, per player, the ids that allow it: the
         parent's ids that choose the node's own action there.  The
         profiles reaching a terminal history are the product of its sets,
-        and the ``terminal`` integers go to each of them, the co-profile
-        id read by mixed radix in ``co_profiles`` order."""
-        game, n = self.game, self.n
+        and the ``terminal`` integers go to each of them."""
+        game = self.game
         choices = [[s.choices for s in lst] for lst in self.strats]
-        # the co-profile id is sum(ids[j] * stride[i][j]), last co-player
-        # fastest, as in itertools.product
-        stride = [{} for _ in range(n)]
-        for i in range(n):
-            step = 1
-            for j in reversed(self.co_players[i]):
-                stride[i][j] = step
-                step *= self.counts[j]
+        coids_of, payoff = self._coids, self.payoff
         stack = [((), [range(c) for c in self.counts])]
         while stack:
             h, sets = stack.pop()
@@ -480,17 +428,14 @@ class StrategicForm:
                         split[choices[i][sid][k]].append(sid)
                     own.append(tuple(split.items()))
                 for combo in itertools.product(*own):
-                    stack.append((h + (tuple(a for a, _ in combo),),
-                                  [ids for _, ids in combo]))
+                    profile, ids = zip(*combo)
+                    stack.append((h + (profile,), ids))
             else:
-                for i in range(n):
-                    coids = [0]
-                    for j in self.co_players[i]:
-                        coids = [c + sid * stride[i][j]
-                                 for c in coids for sid in sets[j]]
+                for i, rows in enumerate(payoff):
+                    coids = coids_of(i, sets)
                     value = ints[i]
                     for sid in sets[i]:
-                        row = self.payoff[i][sid]
+                        row = rows[sid]
                         for c in coids:
                             row[c] = value
 
@@ -551,14 +496,28 @@ class StrategicForm:
         return tuple(self.strats[j][ids[k]]
                      for k, j in enumerate(self.co_players[i]))
 
+    def _coids(self, i, sets):
+        """The ids of player i's co-profiles whose components all lie in
+        the given id sets, in the order of ``itertools.product`` over
+        them.  ``sets`` maps co-player index j to j-strategy ids."""
+        coids = [0]
+        for j, stride in self._strides[i]:
+            coids = [c + sid * stride for c in coids for sid in sets[j]]
+        return coids
+
     def co_restriction(self, i, sets):
         """Co-profile ids whose components all lie in the given id sets.
 
         ``sets`` maps co-player index j to a set of j-strategy ids.
         """
-        index = self.co_index[i]
-        return frozenset(index[co] for co in itertools.product(
-            *(sets[j] for j in self.co_players[i])))
+        return frozenset(self._coids(i, sets))
+
+    def co_id(self, i, ids):
+        """The id of player i's co-profile ``ids``: one strategy id per
+        co-player, in ``co_players[i]`` order."""
+        (coid,) = self._coids(i, {j: (sid,) for j, sid
+                                  in zip(self.co_players[i], ids)})
+        return coid
 
     def restriction_from_ids(self, id_sets):
         return ProductRestriction(

@@ -285,7 +285,11 @@ def parse_hyperreal(text, degree_bound=8):
         sign = -1 if m.group("sign") == "-" else 1
         coef_s = m.group("coef")
         unit = m.group("unit")
-        coef = sign * (Fraction(coef_s) if coef_s is not None else Fraction(1))
+        try:
+            coef = sign * Fraction(coef_s or 1)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in hyperreal term %r in %r"
+                             % (tok, text)) from None
         if unit is None:
             k = 0
         else:

@@ -448,8 +448,10 @@ def verify_equivalences(game):
 def sophistication_index(game, i, trace, h):
     """The deepest step whose surviving co-profiles remain consistent
     with the nonterminal history h (well defined: step 0 is consistent
-    with every h).  Raises GameError for any other h or a player index
-    out of range."""
+    with every h).  Raises GameError for any other h, a player index out
+    of range or a trace of another game."""
+    if trace.game is not game:
+        raise GameError("the trace is of another game")
     k = game.h_index.get(h)
     if k is None:
         raise GameError("no nonterminal history %s" % format_path(h))

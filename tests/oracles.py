@@ -18,9 +18,10 @@ repeated rows ``dominance`` drops, whose other rows it adds only as
 rivals beat its measures, and which it poses as the dual of its
 Charnes-Cooper form; its optimum must be the one ``dominance``
 reaches.
-``reduce_by_enumeration`` lists every plan and keys it by
-``Game.allowed_histories``, the construction ``Game.reduced_form``
-replaces with a count and a listing of the classes from the tree.
+``reduce_by_enumeration`` lists every plan and keys it by the histories
+it allows, found by ``allows_by_path``, the construction
+``Game.reduced_form`` replaces with a count and a listing of the classes
+from the tree.
 ``full_slack_problem`` is the slack LP over every co-profile, with no
 columns merged, whose positive optimum the justifier dual's ray
 replaces as the test for a dominating mixture.  ``condition_ladder``
@@ -92,8 +93,8 @@ def reduce_by_enumeration(game, i):
     order; the first member of a class is its representative."""
     groups = {}
     for s in game.strategies(i):
-        hs = game.allowed_histories(s)
-        key = (hs, tuple(game.action_of(s, h) for h in hs))
+        hs = tuple(h for h in game.nonterminal if allows_by_path(game, s, h))
+        key = (hs, tuple(s.choices[game.h_index[h]] for h in hs))
         groups.setdefault(key, []).append(s)
     return list(groups.values())
 
@@ -597,7 +598,7 @@ def full_slack_problem(form, q_sets, i, sid):
     t >= 0.  sid is weakly dominated exactly when the optimum is
     positive."""
     q_i = sorted(q_sets[i])
-    co = [form.co_index[i][ids] for ids in itertools.product(
+    co = [form.co_profiles[i].index(ids) for ids in itertools.product(
         *(sorted(q_sets[j]) for j in form.co_players[i]))]
     payoff = true_payoffs(form, i)
     rows = [[_ONE] * len(q_i) + [_ZERO] * len(co)]

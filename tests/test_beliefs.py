@@ -154,7 +154,7 @@ class TestStrongVsCautious:
         game, _ = three_plans
         family = ConditioningFamily(game, 0)
         form = family.form
-        ids = {s.name(): form.co_index[0][(form.index[1][s],)]
+        ids = {s.name(): form.co_profiles[0].index((form.index[1][s],))
                for s in game.strategies(1)}
         ev = frozenset(ids.values())
         table = {ev: {ids["a"]: Fraction(1)}}

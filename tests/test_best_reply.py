@@ -75,9 +75,9 @@ class TestExpectedPayoff:
                 form = g.strategic_form()
                 ids = {form.co_profile_strategies(i, c): m
                        for c, m in belief.prior.items()}
-                for h in g.nonterminal:
-                    allowed = g.strategies_allowing(h)
-                    for r in allowed.part(i):
+                for k, h in enumerate(g.nonterminal):
+                    for sid in sorted(form.allow[i][k]):
+                        r = form.strats[i][sid]
                         got = expected_payoff(g, belief, i, r, h)
                         want = naive_expected_payoff(
                             g, i, r, h, lambda co: ids[co])

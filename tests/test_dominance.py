@@ -20,7 +20,8 @@ import oracles
 from oracles import (brute_iterated_admissibility,
                      fraction_best_replies_to_measure, fraction_simplex,
                      full_justifier_problem, full_slack_problem,
-                     rational, vertex_weakly_dominated, with_slacks)
+                     rational, tree_walk_payoff, vertex_weakly_dominated,
+                     with_slacks)
 
 
 def by_name(game, i, name):
@@ -223,7 +224,7 @@ class TestJustifier:
         values = {}
         for s in game.strategies(0):
             values[s] = sum(
-                (p * game.payoff_of_profile((s,) + co, 0)
+                (p * tree_walk_payoff(game, (s,) + co, 0)
                  for co, p in nu.items()), Fraction(0))
         assert values[heads] == max(values.values())
 
@@ -924,7 +925,7 @@ def true_payoff(form, i, sid, coid):
     integer table."""
     profile = list(form.co_profile_strategies(i, coid))
     profile.insert(i, form.strats[i][sid])
-    return form.game.payoff_of_profile(profile, i)
+    return tree_walk_payoff(form.game, profile, i)
 
 
 def rational_problem(form, i, q_sets, sid, rivals):

@@ -16,7 +16,7 @@ from prudens.game import (Game, GameError, SizeLimit, StrategicForm, Strategy,
 
 from conftest import small_games
 from oracles import (allows_by_path, form_by_profiles, realization_equivalent,
-                     reduce_by_enumeration, tree_walk_payoff)
+                     reduce_by_enumeration, terminal_of, tree_walk_payoff)
 
 STATIC_2x2 = """players A B
 matrix A: T B B: L R
@@ -80,28 +80,6 @@ class TestEnumeration:
             capped.strategic_form()
 
 
-class TestPath:
-    def test_static_path_is_root_profile(self, static_game):
-        s = static_game.strategies(0)[1]
-        t = static_game.strategies(1)[0]
-        assert static_game.path((s, t)) == ((("B", "L")),) or \
-            static_game.path((s, t)) == ((s.choices[0], t.choices[0]),)
-
-    def test_second_stage_choices_determine_terminal(self, two_stage):
-        s = Strategy(0, ("x", "q"))
-        t = two_stage.strategies(1)[0]
-        assert two_stage.path((s, t)) == (("x", "w"), ("q", "w"))
-
-    def test_payoff_composition_matches_tree_walk(self):
-        for g in small_games(12):
-            n = len(g.players)
-            for profile in itertools.product(*(g.strategies(i)
-                                               for i in range(n))):
-                z = g.path(profile)
-                for i in range(n):
-                    assert g.payoffs[z][i] == tree_walk_payoff(g, profile, i)
-
-
 class TestIntegerPayoffs:
     def test_table_is_true_payoffs_over_least_denominator(self,
                                                           corpus_games):
@@ -121,9 +99,9 @@ class TestIntegerPayoffs:
                             *(range(c) for c in form.counts)):
                         profile = [form.strats[j][k]
                                    for j, k in enumerate(ids)]
-                        true = game.payoff_of_profile(profile, i)
-                        coid = form.co_index[i][tuple(
-                            ids[j] for j in form.co_players[i])]
+                        true = tree_walk_payoff(game, profile, i)
+                        coid = form.co_profiles[i].index(tuple(
+                            ids[j] for j in form.co_players[i]))
                         got = form.payoff[i][ids[i]][coid]
                         assert type(got) is int
                         assert got == true * den
@@ -134,50 +112,54 @@ class TestIntegerPayoffs:
 
 
 class TestAllowing:
+    """The full form's allow sets S_i(h), whose product is S(h), and
+    allowed-history lists H_i(s)."""
+
     def test_root_allows_everything(self, two_stage):
-        q = two_stage.strategies_allowing(())
-        assert set(q.part(0)) == set(two_stage.strategies(0))
-        assert set(q.part(1)) == set(two_stage.strategies(1))
+        form = two_stage.strategic_form()
+        for i in range(2):
+            assert form.allow[i][0] == frozenset(range(form.counts[i]))
 
     def test_prefix_consistency(self, two_stage):
-        h = (("x", "w"),)
-        q = two_stage.strategies_allowing(h)
-        assert all(s.choices[0] == "x" for s in q.part(0))
-        assert len(q.part(0)) == 2
+        form = two_stage.strategic_form()
+        allowed = form.allow[0][two_stage.h_index[(("x", "w"),)]]
+        assert all(form.strats[0][sid].choices[0] == "x" for sid in allowed)
+        assert len(allowed) == 2
 
     def test_against_path_oracle(self):
         for g in small_games(8):
-            for h in g.nonterminal + g.terminal:
-                q = g.strategies_allowing(h)
+            form = g.strategic_form()
+            for k, h in enumerate(g.nonterminal):
                 for i in range(len(g.players)):
-                    expected = {s for s in g.strategies(i)
+                    expected = {sid for sid, s in enumerate(form.strats[i])
                                 if allows_by_path(g, s, h)}
-                    assert set(q.part(i)) == expected
+                    assert form.allow[i][k] == expected
 
     def test_prefix_monotone_and_factorization(self):
         for g in small_games(8):
             n = len(g.players)
-            for h in g.nonterminal:
+            form = g.strategic_form()
+            for k, h in enumerate(g.nonterminal):
                 for depth in range(len(h) + 1):
-                    prefix = h[:depth]
-                    inner = g.strategies_allowing(h)
-                    outer = g.strategies_allowing(prefix)
+                    outer = g.h_index[h[:depth]]
                     for i in range(n):
-                        assert set(inner.part(i)) <= set(outer.part(i))
+                        assert form.allow[i][k] <= form.allow[i][outer]
                 # factorization: membership in S(h) is componentwise
-                q = g.strategies_allowing(h)
-                for profile in itertools.product(*(g.strategies(i)
-                                                   for i in range(n))):
-                    in_product = all(profile[i] in set(q.part(i))
+                for ids in itertools.product(*(range(c)
+                                               for c in form.counts)):
+                    in_product = all(ids[i] in form.allow[i][k]
                                      for i in range(n))
-                    on_path = g.path(profile)[:len(h)] == h
+                    profile = tuple(form.strats[i][sid]
+                                    for i, sid in enumerate(ids))
+                    on_path = terminal_of(g, profile)[:len(h)] == h
                     assert in_product == on_path
 
     def test_allowed_histories_prefix_closed(self):
         for g in small_games(8):
-            for i in range(len(g.players)):
-                for s in g.strategies(i):
-                    hs = set(g.allowed_histories(s))
+            form = g.strategic_form()
+            for per in form.allowed_hist:
+                for ks in per:
+                    hs = {g.nonterminal[k] for k in ks}
                     for h in hs:
                         for depth in range(len(h)):
                             assert h[:depth] in hs
@@ -198,32 +180,32 @@ class TestReplacement:
                 for s in g.strategies(i):
                     for h in g.nonterminal:
                         rep = g.replacement_strategy(s, h)
-                        assert g.allows(rep, h)
-                        strict_prefixes = {h[:d] for d in range(len(h))}
-                        for h2 in g.nonterminal:
-                            if h2 not in strict_prefixes:
-                                assert g.action_of(rep, h2) == \
-                                    g.action_of(s, h2)
+                        assert allows_by_path(g, rep, h)
+                        strict_prefixes = {g.h_index[h[:d]]
+                                           for d in range(len(h))}
+                        for k in range(len(g.nonterminal)):
+                            if k not in strict_prefixes:
+                                assert rep.choices[k] == s.choices[k]
                         again = g.replacement_strategy(rep, h)
                         assert again == rep
 
 
 class TestBehavioralEquivalence:
-    def test_reflexive(self, static_game):
-        for s in static_game.strategies(0):
-            assert static_game.behaviorally_equivalent(s, s)
-
-    def test_static_distinct_actions_differ(self, static_game):
-        s, t = static_game.strategies(0)
-        assert not static_game.behaviorally_equivalent(s, t)
-
     def test_matches_realization_equivalence(self):
+        """Two plans share a class of the enumerated reduction exactly
+        when they reach the same terminal history against every
+        co-player profile."""
+        merged = 0
         for g in small_games(8):
             for i in range(len(g.players)):
-                ss = g.strategies(i)
-                for s, t in itertools.combinations(ss, 2):
-                    assert g.behaviorally_equivalent(s, t) == \
-                        realization_equivalent(g, s, t)
+                cls = {s: k for k, members in
+                       enumerate(reduce_by_enumeration(g, i))
+                       for s in members}
+                for s, t in itertools.combinations(g.strategies(i), 2):
+                    same = cls[s] == cls[t]
+                    assert same == realization_equivalent(g, s, t)
+                    merged += same
+        assert merged > 0
 
 
 class TestReduction:
@@ -247,7 +229,7 @@ class TestReduction:
                 for cls in classes:
                     rep = cls[0]
                     for s in cls[1:]:
-                        assert g.behaviorally_equivalent(rep, s)
+                        assert realization_equivalent(g, rep, s)
 
 
 def centipede(legs):
@@ -336,6 +318,13 @@ class TestValidation:
     def test_missing_child(self):
         with pytest.raises(GameError):
             Game(("A",), {(): (("x", "y"),)}, {(("x",),): (Fraction(0),)})
+
+    def test_duplicate_player_is_named(self):
+        """A report keys each step's survivors by player name, so two
+        players of one name would merge there."""
+        with pytest.raises(GameError, match="duplicate player 'A'"):
+            Game(("A", "A"), {(): (("L", "R"), ("L", "R"))},
+                 {((a, b),): (0, 0) for a in "LR" for b in "LR"})
 
     def test_float_payoff_is_a_type_error(self):
         """A float is not exact data: it is refused, not stored as the

@@ -121,8 +121,11 @@ class TestText:
         assert ZERO.render() == "0"
 
     def test_parse_rejects_garbage(self):
-        for bad in ["", "x", "1..2", "e^", "1/0*e"]:
-            with pytest.raises((ValueError, ZeroDivisionError)):
+        for bad in ["", "x", "1..2", "e^", "1/0", "1/0*e"]:
+            with pytest.raises(ValueError):
+                parse_hyperreal(bad, D)
+        for bad in ["1/0", "1 + 1/0*e"]:
+            with pytest.raises(ValueError, match=r"term '\+?1/0"):
                 parse_hyperreal(bad, D)
 
 

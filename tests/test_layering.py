@@ -1,6 +1,6 @@
 """Layering lint over the package source.
 
-Each module is parsed with ``ast`` and ten rules are checked:
+Each module is parsed with ``ast`` and eleven rules are checked:
 
 * rationals become integers in one place: ``math.lcm`` is called only in
   ``hyperreal.py`` (``hyperreal.scaled``);
@@ -30,9 +30,12 @@ Each module is parsed with ``ast`` and ten rules are checked:
 * both strategic forms come from one walk of the tree: ``StrategicForm``
   reads none of ``path``, ``allows``, ``allowed_histories`` or
   ``strategies``, on any object, and no ``Game`` method that
-  ``Game.reduced_form`` reaches through ``self`` reads ``strategies``.
+  ``Game.reduced_form`` reaches through ``self`` reads ``strategies``;
+* co-profile ids are encoded in one place: the form's mixed-radix
+  ``_strides`` are read only in ``StrategicForm._coids``, which both the
+  walk and ``co_restriction`` call, and no module reads a ``co_index``.
 
-An eleventh rule keeps the soundness notes reachable: every section of
+A twelfth rule keeps the soundness notes reachable: every section of
 ``docs/exactness.md`` that a citation names by title, from ``src/``,
 ``tests/`` or the README, or from inside the doc itself, is one of its
 ``##`` headings.
@@ -408,6 +411,44 @@ def test_reached_methods_are_found():
     visitor = _AttributeReads("path")
     visitor.visit(methods["c"])
     assert visitor.reads == [("c", 7)]
+
+
+def co_id_encoders(tree):
+    """(innermost enclosing function, line) of every read of ``_strides``
+    in tree, and of every read of ``co_index``."""
+    strides, index = _AttributeReads("_strides"), _AttributeReads("co_index")
+    strides.visit(tree)
+    index.visit(tree)
+    return strides.reads, index.reads
+
+
+def test_co_profile_ids_are_encoded_in_one_place():
+    found = []
+    for stem, tree in trees():
+        strides, index = co_id_encoders(tree)
+        found += ["%s.py:%d reads ._strides in %s" % (stem, line, function)
+                  for function, line in strides
+                  if (stem, function) != ("game", "_coids")]
+        found += ["%s.py:%d reads .co_index" % (stem, line)
+                  for _, line in index]
+    assert not found, found
+    tree = ast.parse(MODULES["game"].read_text(encoding="utf-8"))
+    form = class_methods(tree, "StrategicForm")
+    assert [function for function, _ in co_id_encoders(tree)[0]] == ["_coids"]
+    # the walk and co_restriction share the encoder
+    for caller in ("_walk", "co_restriction"):
+        visitor = _AttributeReads("_coids")
+        visitor.visit(form[caller])
+        assert visitor.reads, caller
+
+
+def test_co_id_encoders_are_found():
+    strides, index = co_id_encoders(ast.parse(
+        "form._strides[i]\nself._strides = s\n"
+        "def f():\n    return form.co_index[i][co]\n"
+        "def g():\n    for s in self._strides[i]:\n        pass\n"))
+    assert strides == [(None, 1), ("g", 6)]
+    assert index == [("f", 4)]
 
 
 # A title in quotes, after the doc's name and a comma, or after "see"

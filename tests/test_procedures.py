@@ -600,7 +600,7 @@ class TestOnePlayer:
         game = corpus_games["one_player_two_stage"]
         report = verify_equivalences(game)
         final = report["traces"]["ia"].steps[-1]
-        values = {s: game.payoff_of_profile((s,), 0)
+        values = {s: oracles.tree_walk_payoff(game, (s,), 0)
                   for s in game.strategies(0)}
         top = max(values.values())
         assert set(final.part(0)) == {s for s, v in values.items()
@@ -662,6 +662,17 @@ payoff /(In,w)/(w,R) = 0, 2
             with pytest.raises(GameError, match="no player %d: the game has "
                                "players 0..1" % i):
                 sophistication_index(game, i, trace, ())
+
+    def test_trace_of_another_game_is_a_game_error(self):
+        """Two 2x2 games with the same action names: A's index read off
+        B's trace would be 2, where A's own trace gives 0."""
+        a, b = (dsl.elaborate(dsl.parse(
+            "players A B\nmatrix A: T B B: L R\n" + rows))
+            for rows in ("T: 1,1 0,0\nB: 0,0 1,1\n",
+                         "T: 2,2 2,0\nB: 0,0 0,2\n"))
+        assert sophistication_index(a, 0, iterated_admissibility(a), ()) == 0
+        with pytest.raises(GameError, match="another game"):
+            sophistication_index(a, 0, iterated_admissibility(b), ())
 
     def test_best_rationalization_of_final_witnesses(self, corpus_games):
         """Final-step justifiers hold the cautious-strong-belief ladder up
