@@ -237,14 +237,24 @@ class ExplicitCPS:
         return {ev: {c: Fraction(n, total) for c, n in on.items()}
                 for ev, (on, total) in self._table.items()}
 
+    def _entry(self, event_ids):
+        """The event's (on, total); BeliefError, naming the set, unless
+        it is one of the family's conditioning events."""
+        entry = self._table.get(frozenset(event_ids))
+        if entry is None:
+            raise BeliefError("%s is not a conditioning event of player %s"
+                              % (sorted(event_ids), self.family.form.game
+                                 .players[self.family.owner]))
+        return entry
+
     def layers(self, event_ids, coids):
         """The event's probabilities of coids as one layer [(ints, den)]."""
-        on, total = self._table[frozenset(event_ids)]
+        on, total = self._entry(event_ids)
         return [([on.get(c, 0) for c in coids], total)]
 
     def leading_degree(self, event_ids, coid):
         """0 for a positive probability at the event, None for zero."""
-        return 0 if self._table[frozenset(event_ids)][0].get(coid) else None
+        return 0 if self._entry(event_ids)[0].get(coid) else None
 
     def conditional(self, h):
         """The stored (normalized) conditional measure at h, keyed by
@@ -255,7 +265,7 @@ class ExplicitCPS:
                 for coid, n in sorted(on.items())}
 
     def support(self, event_ids):
-        on, _ = self._table[frozenset(event_ids)]
+        on, _ = self._entry(event_ids)
         return frozenset(c for c, n in on.items() if n > 0)
 
     def to_json(self):

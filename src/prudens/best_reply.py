@@ -14,6 +14,10 @@ denominator.  One integer dot product per class and layer then serves
 every member of the class: argmax sets compare these totals directly,
 since all classes share each layer's denominator, and a value is built
 only on request, as one Fraction per layer (see ``docs/exactness.md``).
+The audited run hands a :class:`ReplyAnalysis` the same totals combined
+from per-justifier products instead (docs/exactness.md, "Best-reply
+totals from justifier products"), and asks each member only at the
+histories it allows.
 
 ``sequential_best_replies`` requires the h-replacement of a strategy to be
 conditionally optimal at every history.  ``weak_sequential_best_replies``
@@ -53,7 +57,10 @@ def _layer_totals(twins, layers):
              for members, nums in classes])
 
 
-def _argmax(classes):
+def argmax(classes):
+    """The members of the classes whose totals tuple is largest, given
+    (members, totals) pairs whose totals share each entry's positive
+    denominator."""
     best = max((totals for _, totals in classes), default=None)
     return frozenset(sid for members, totals in classes if totals == best
                      for sid in members)
@@ -62,9 +69,16 @@ def _argmax(classes):
 class ReplyAnalysis:
     """Per-history conditional argmax sets for one (belief, player) pair,
     over the belief's own strategic form.  Raises BestReplyError unless
-    the player holds the belief."""
+    the player holds the belief.
 
-    def __init__(self, belief, i):
+    ``totals``, if given, maps a history index to the (members, totals)
+    pairs that ``_layer_totals`` gives over the belief's layers there,
+    computed by the caller some other way (``procedures`` combines them
+    from per-justifier products); argmax sets then read those, and values
+    still read the belief.
+    """
+
+    def __init__(self, belief, i, totals=None):
         form, owner = belief.family.form, belief.family.owner
         if i != owner:
             raise BestReplyError("a belief of %s queried as %s's"
@@ -73,8 +87,8 @@ class ReplyAnalysis:
         self.form = form
         self.belief = belief
         self.i = i
+        self._totals = totals
         self._argmax = {}
-        self._weak_sequential = None
 
     def _class_totals(self, h_idx):
         twins = self.form.twin_classes(self.i, h_idx)
@@ -101,7 +115,9 @@ class ReplyAnalysis:
 
     def argmax_ids(self, h_idx):
         if h_idx not in self._argmax:
-            self._argmax[h_idx] = _argmax(self._class_totals(h_idx)[1])
+            self._argmax[h_idx] = argmax(
+                self._class_totals(h_idx)[1] if self._totals is None
+                else self._totals(h_idx))
         return self._argmax[h_idx]
 
     def sequential_ids(self):
@@ -114,16 +130,16 @@ class ReplyAnalysis:
                 out.append(sid)
         return out
 
+    def is_weak_sequential(self, sid):
+        """Whether sid is optimal at every history it allows.  Only those
+        histories' argmax sets are read, each built once per analysis."""
+        return all(sid in self.argmax_ids(k)
+                   for k in self.form.allowed_hist[self.i][sid])
+
     def weak_sequential_ids(self):
-        """Ids optimal at every history they allow, in id order; computed
-        once per analysis."""
-        if self._weak_sequential is None:
-            form, i = self.form, self.i
-            self._weak_sequential = [
-                sid for sid in range(form.counts[i])
-                if all(sid in self.argmax_ids(k)
-                       for k in form.allowed_hist[i][sid])]
-        return list(self._weak_sequential)
+        """Ids optimal at every history they allow, in id order."""
+        return [sid for sid in range(self.form.counts[self.i])
+                if self.is_weak_sequential(sid)]
 
 
 def _analysis(game, belief, i):
@@ -170,4 +186,4 @@ def best_replies_to_measure(form, i, measure):
     on, den = measure
     twins = form.twin_classes(i, 0)
     layer = ([on.get(c, 0) for c in twins[0]], den)
-    return _argmax(_layer_totals(twins, [layer])[1])
+    return argmax(_layer_totals(twins, [layer])[1])

@@ -167,19 +167,37 @@ def mixture_dominates_ids(form, q_sets, i, sid, mixture, cols):
     """Substitution check of a mixture (weights, den): a mixture on Q_i
     (positive weights summing to den), weakly better than sid everywhere
     and strictly somewhere, all in integers."""
+    mixed = mixture_payoffs(form, q_sets, i, mixture, cols)
+    return mixed is not None and beats_row(form, i, sid, mixed, mixture[1],
+                                           cols)
+
+
+def mixture_payoffs(form, q_sets, i, mixture, cols):
+    """The payoffs of a mixture (weights, den) against cols.co_ids in
+    order, each times den and the payoff denominator, as integers; None
+    unless it is a mixture on Q_i (positive weights summing to den).
+    It does not read the strategy the mixture is to dominate."""
     weights, den = mixture
     if not weights.keys() <= q_sets[i] or sum(weights.values()) != den \
             or any(w <= 0 for w in weights.values()):
-        return False
+        return None
     payoff = form.payoff[i]
-    strict = False
     items = list(weights.items())
-    for coid in cols.co_ids:
-        mixed = sum(w * payoff[r][coid] for r, w in items)
-        own = den * payoff[sid][coid]
-        if mixed < own:
+    return [sum(w * payoff[r][coid] for r, w in items)
+            for coid in cols.co_ids]
+
+
+def beats_row(form, i, sid, mixed, den, cols):
+    """Whether ``mixed``, a ``mixture_payoffs`` answer over den, is at
+    least sid's own payoff row everywhere on cols.co_ids and above it
+    somewhere."""
+    row = form.payoff[i][sid]
+    strict = False
+    for value, coid in zip(mixed, cols.co_ids):
+        own = den * row[coid]
+        if value < own:
             return False
-        if mixed > own:
+        if value > own:
             strict = True
     return strict
 
@@ -281,12 +299,18 @@ def justifier_problem(cols, sid, rivals):
 
 def measure_justifies_ids(form, q_sets, i, sid, measure, cols):
     """Substitution check: exact support, total mass 1, argmax membership."""
+    return measure_has_support(measure, cols) and \
+        sid in best_replies_to_measure(form, i, measure)
+
+
+def measure_has_support(measure, cols):
+    """Whether a measure (on, den) is one with support exactly
+    cols.co_event: no negative mass and total mass 1.  It does not read
+    the strategy the measure is to justify."""
     on, den = measure
-    if {c for c, n in on.items() if n} != cols.co_event:
-        return False
-    if any(n < 0 for n in on.values()) or sum(on.values()) != den:
-        return False
-    return sid in best_replies_to_measure(form, i, measure)
+    return ({c for c, n in on.items() if n} == cols.co_event
+            and not any(n < 0 for n in on.values())
+            and sum(on.values()) == den)
 
 
 def iterated_elimination_ids(form):

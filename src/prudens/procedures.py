@@ -23,12 +23,14 @@ the run holds:
   and best-reply membership).
 
 A step-n survivor's justifier ladder is its justifiers at rounds n-1,
-..., 0, each substituted on its own.  Twins share each round's
-justifier, so the strategy's twin class at every round (its justifier
-chain) fixes the ladder.  Survivors of a step with the same chain share
-one belief, its validity and ladder or support checks, and one reply
-analysis; each keeps its own best-reply membership check and its own
-record (see docs/exactness.md, "One belief per justifier chain").
+..., 0.  Twins share each round's justifier, whose support, signs and
+total are substituted once per twin class; each member's own answer
+must be that justifier, and the member one of its best replies.  So the
+strategy's twin class at every round (its justifier chain) fixes the
+ladder.  Survivors of a step with the same chain share one belief, its
+validity and ladder or support checks, and one reply analysis; each
+keeps its own best-reply membership check and its own record (see
+docs/exactness.md, "One belief per justifier chain").
 
 The ``ia``, ``pr-cnps`` and ``pr-cps`` traces are views of that run, so
 a verified run is an instance-level proof that the three procedures
@@ -46,11 +48,24 @@ the conditional of the first nu_ell giving the event positive mass.
 Best-reply membership is checked with the weak sequential correspondence
 (optimality at every history the strategy allows); see the package docs
 for why the strict replacement form cannot support the step equalities.
+
+Expected payoff is linear in the ladder, so the audit compares totals
+combined from a product table, built on first use: per (player, level,
+justifier twin class, history), one integer dot product per twin class
+of the history's payoff rows with the justifier's masses.  The one
+function that combines rungs into the prior's layers (``_combine_rungs``)
+combines those products into the totals ``best_reply`` would compute
+over either family's belief, integer for integer, and each member's
+argmax sets are read only at the histories it allows (docs/exactness.md,
+"Best-reply totals from justifier products").  ``_Run`` reads justifiers
+and products only; no belief's masses.
 """
 
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from operator import mul
 
 from . import best_reply, dominance
 from .beliefs import (BeliefError, ConditioningFamily, ExplicitCPS, PriorCNPS,
@@ -200,6 +215,10 @@ class _Run:
         self.families = [ConditioningFamily(form.game, i, form)
                          for i in range(form.n)]
         self._justifiers = {}
+        self._rungs = {}
+        self._best = {}
+        self._products = {}
+        self._deepest = {}
         self._priors = {}
         self.exclusions = self._exclusions(certificates)
 
@@ -212,9 +231,11 @@ class _Run:
     def justifier(self, i, sid, level):
         """Measure (on, den) with support exactly the level's co-survivors
         against which sid is a best reply among all own strategies.
-        Twins share the level's LP answer; each is substituted on its
-        own.  Raises WitnessVerificationFailed when there is none or it
-        fails substitution."""
+        Twins share the level's LP answer, which is substituted once per
+        twin class (``_rung``); each member's own answer must be that one,
+        and the member must be among its best replies.  Raises
+        WitnessVerificationFailed when there is none or it fails
+        substitution."""
         key = (i, sid, level)
         if key not in self._justifiers:
             cols = self.columns[level][i]
@@ -224,12 +245,83 @@ class _Run:
                 raise WitnessVerificationFailed(
                     "no justifier with support at round %d for %r"
                     % (level, self.form.strats[i][sid]))
-            if not dominance.measure_justifies_ids(
-                    self.form, cols.q_sets, i, sid, measure, cols):
+            shared, best = self._rung(i, level, cols.twin[sid], measure)
+            if measure != shared or sid not in best:
                 raise WitnessVerificationFailed(
                     "justifier failed substitution check")
             self._justifiers[key] = measure
         return self._justifiers[key]
+
+    def _rung(self, i, level, twin, measure):
+        """(measure, ids of its best replies among all own strategies) of
+        the level's twin class ``twin``, the measure being the first one
+        a member hands in.  Its support, signs and total are substituted
+        here, once per class, and its best replies read off its root
+        products.  Raises WitnessVerificationFailed if the substitution
+        fails."""
+        key = (i, level, twin)
+        if key not in self._rungs:
+            if not dominance.measure_has_support(measure,
+                                                 self.columns[level][i]):
+                raise WitnessVerificationFailed(
+                    "justifier failed substitution check")
+            self._rungs[key] = measure
+            classes = self.form.twin_classes(i, 0)[2]
+            self._best[key] = best_reply.argmax(
+                [(members, (total,)) for (members, _), total in zip(
+                    classes, self.products(i, level, twin, 0)[0])])
+        return self._rungs[key], self._best[key]
+
+    def products(self, i, level, twin, h_idx):
+        """The level's justifier of the twin class ``twin`` as a rung at
+        h_idx: (per twin class of ``form.twin_classes(i, h_idx)``, in its
+        order, the integer dot product of the class's payoff row with the
+        justifier's masses, the justifier's denominator).  A product is
+        the class's payoff against the justifier times that denominator
+        and the payoff's.  Built on first use."""
+        key = (i, level, twin, h_idx)
+        rung = self._products.get(key)
+        if rung is None:
+            coids, _, classes = self.form.twin_classes(i, h_idx)
+            on, den = self._rungs[(i, level, twin)]
+            masses = [on.get(c, 0) for c in coids]
+            rung = self._products[key] = (
+                [sum(map(mul, nums, masses)) for _, nums in classes], den)
+        return rung
+
+    def _deepest_level(self, i, h_idx):
+        """The deepest level whose co-survivors of i meet the history's
+        conditioning event (level 0's are every co-profile)."""
+        key = (i, h_idx)
+        if key not in self._deepest:
+            event = self.form.co_allow[i][h_idx]
+            self._deepest[key] = max(
+                level for level, cols in enumerate(self.columns)
+                if not cols[i].co_event.isdisjoint(event))
+        return self._deepest[key]
+
+    def totals(self, procedure, i, n, chain, h_idx):
+        """The (members, totals) pairs that ``best_reply`` would compute
+        at h_idx over the procedure's belief for i's step-n survivors
+        with this chain, combined from the product table instead
+        (docs/exactness.md, "Best-reply totals from justifier
+        products").  Rung ell is the chain's justifier at level
+        n-1-ell.  The prior's totals are its layers' (``_combine_rungs``
+        acts on each coordinate alike); its standard part's at h_idx are
+        those of the prior's layer d, d the first rung whose level's
+        co-survivors meet the event, which only rungs 0 and d give."""
+        if procedure == PR_CPS:
+            level = min(self._deepest_level(i, h_idx), n - 1)
+            levels = (n - 1, level) if level < n - 1 else (n - 1,)
+        else:
+            levels = range(n - 1, -1, -1)
+        layers = _combine_rungs([self.products(i, level, chain[level], h_idx)
+                                 for level in levels])
+        if procedure == PR_CPS:
+            layers = layers[-1:]
+        classes = self.form.twin_classes(i, h_idx)[2]
+        return [(members, totals) for (members, _), totals in zip(
+            classes, zip(*(ints for ints, _ in layers)))]
 
     def belief(self, procedure, i, n, chain, ladder):
         """The procedure's belief for i's step-n survivors with this
@@ -238,9 +330,11 @@ class _Run:
         step, chain), from the first member's ladder, for both."""
         key = (i, n, chain)
         if key not in self._priors:
+            coids = range(len(self.form.co_profiles[i]))
             self._priors[key] = PriorCNPS(
                 self.families[i],
-                _ladder_prior(len(self.form.co_profiles[i]), ladder),
+                _combine_rungs([([on.get(c, 0) for c in coids], den)
+                                for on, den in ladder]),
                 self.degree_bound)
         prior = self._priors[key]
         if procedure == PR_CNPS:
@@ -258,17 +352,26 @@ class _Run:
 
     def _exclusions(self, certificates):
         """Re-check every dominance certificate by substitution, and check
-        that the certificates cover exactly the eliminated strategies."""
+        that the certificates cover exactly the eliminated strategies.
+        A certificate's payoffs are computed once per (step, player,
+        certificate), so once per twin class, whose members are handed
+        one certificate, and each member's own payoff row is compared
+        with them."""
         form = self.form
         table = {}
+        payoffs = {}
         for (n, i, sid), mixture in certificates.items():
             strategy = form.strats[i][sid]
             cols = self.columns[n - 1][i]
-            if not dominance.mixture_dominates_ids(
-                    form, cols.q_sets, i, sid, mixture, cols):
+            weights, den = mixture
+            key = (n, i, frozenset(weights.items()), den)
+            if key not in payoffs:
+                payoffs[key] = dominance.mixture_payoffs(
+                    form, cols.q_sets, i, mixture, cols)
+            if payoffs[key] is None or not dominance.beats_row(
+                    form, i, sid, payoffs[key], den, cols):
                 raise self._violation("exclusion", n, i, strategy,
                                       ["dominance-substitution"])
-            weights, den = mixture
             table[(n, i, strategy)] = ExclusionRecord(
                 step=n, player=i, strategy=strategy,
                 mixture={form.strats[i][r]: Fraction(w, den)
@@ -291,7 +394,7 @@ class _Run:
         Witnesses are carried by steps 1..N+1 (one past stabilization, so
         the final witnesses honor the full ladder of surviving sets).
         A step-n survivor's ladder is its justifiers at rounds n-1, ...,
-        0, each substituted on its own.  Survivors of one step with the
+        0, each checked for it on its own.  Survivors of one step with the
         same justifier chain share one belief, built from the first
         member's ladder, its sid-independent checks and one reply
         analysis; each still has its own best-reply membership checked.
@@ -318,12 +421,15 @@ class _Run:
                             stage = "audit"
                             shared[chain] = (
                                 belief, audit(self, belief, i, n),
-                                best_reply.ReplyAnalysis(belief, i))
+                                best_reply.ReplyAnalysis(
+                                    belief, i, totals=partial(
+                                        self.totals, procedure, i, n,
+                                        chain)))
                         stage = "audit"
                         belief, checks, analysis = shared[chain]
                         checks = checks + [(
                             "weak-sequential-best-reply",
-                            sid in analysis.weak_sequential_ids())]
+                            analysis.is_weak_sequential(sid))]
                     except _AUDIT_ERRORS as exc:
                         raise self._violation(
                             procedure + " witness", n, i, strategy,
@@ -359,22 +465,25 @@ def iterated_admissibility(game):
 
 # -- prior-generated (non-standard) witnesses ---------------------------
 
-def _ladder_prior(count, ladder):
-    """The step-n justifying prior's integer layers, built from its
-    justifier ladder over ``count`` co-profiles.
+def _combine_rungs(rungs):
+    """Integer layers, one per power of e, of the prior a justifier
+    ladder generates, from one integer vector (v_ell, den_ell) per rung.
 
     nu_ell, the justifier at round n-1-ell, has support exactly that
     round's co-survivors; the prior is nu_0 weighted by
     1 - e - ... - e^{n-1} plus e^ell nu_ell, which sums to 1 exactly and
-    keeps full support.  Layer 0 is nu_0 = (on_0, den_0) as given and
-    layer ell is nu_ell - nu_0 over den_ell den_0, with no rescaling.
+    keeps full support.  Layer 0 is v_0 over den_0 as given and layer ell
+    is v_ell den_0 - v_0 den_ell over den_ell den_0, with no rescaling.
+    Given the rungs' masses over the co-profiles it builds the prior;
+    given their products with payoff rows it builds the prior's
+    best-reply totals, since it acts on each coordinate alike.  It is
+    the one place either is built.
     """
-    on_0, den_0 = ladder[0]
-    base = [on_0.get(coid, 0) for coid in range(count)]
-    layers = [(base, den_0)]
-    for on, den in ladder[1:]:
-        layers.append(([on.get(coid, 0) * den_0 - b * den
-                        for coid, b in enumerate(base)], den * den_0))
+    v_0, den_0 = rungs[0]
+    layers = [(v_0, den_0)]
+    for v, den in rungs[1:]:
+        layers.append(([a * den_0 - b * den for a, b in zip(v, v_0)],
+                       den * den_0))
     return layers
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import warnings
 from collections import Counter
 
@@ -486,6 +487,26 @@ class TestMalformedEvents:
                 for ask in self.operators(belief, E):
                     with pytest.raises(BeliefError, match=message):
                         ask()
+
+    def test_explicit_system_refuses_a_set_that_is_no_event(self,
+                                                            corpus_games):
+        """An explicit system answers ``support``, ``leading_degree`` and
+        ``layers`` only at its conditioning events; any other set is a
+        BeliefError naming it, not a KeyError."""
+        from prudens.procedures import prudent_rationalizability_cps
+        trace = prudent_rationalizability_cps(corpus_games["centipede_3"])
+        cps = trace.witnesses[min(trace.witnesses, key=lambda key: (
+            key[0], key[1], key[2].choices))].belief
+        assert [sorted(ev) for ev, _ in cps.family.events] == [[0, 1], [0]]
+        assert cps.support(frozenset({0})) == frozenset({0})
+        for message, ask in (
+                ("[1]", lambda: cps.support(frozenset({1}))),
+                ("[1]", lambda: cps.leading_degree(frozenset({1}), 1)),
+                ("[1]", lambda: cps.layers({1}, [1])),
+                ("[]", lambda: cps.support(frozenset()))):
+            with pytest.raises(BeliefError, match=re.escape(
+                    message + " is not a conditioning event of player P1")):
+                ask()
 
     def test_empty_event_is_valid(self, corpus_games):
         game = corpus_games["weak_dom_2x2"]

@@ -118,8 +118,13 @@ class TestAuditFailures:
             monkeypatch.setattr(dominance, "iterated_elimination_ids",
                                 drop_certificate)
         else:
-            monkeypatch.setattr(dominance, "measure_justifies_ids",
-                                lambda *args, **kwargs: False)
+            real = dominance.justifier_ids
+
+            def unsubstitutable(*args):
+                on, den = real(*args)
+                return on, den + 1  # total mass below 1
+
+            monkeypatch.setattr(dominance, "justifier_ids", unsubstitutable)
 
     @pytest.mark.parametrize("command,check", [
         ("ia", "exclusion-coverage"), ("pr-cnps", "justifiers"),

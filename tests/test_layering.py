@@ -1,6 +1,6 @@
 """Layering lint over the package source.
 
-Each module is parsed with ``ast`` and eleven rules are checked:
+Each module is parsed with ``ast`` and twelve rules are checked:
 
 * rationals become integers in one place: ``math.lcm`` is called only in
   ``hyperreal.py`` (``hyperreal.scaled``);
@@ -33,9 +33,16 @@ Each module is parsed with ``ast`` and eleven rules are checked:
   ``Game.reduced_form`` reaches through ``self`` reads ``strategies``;
 * co-profile ids are encoded in one place: the form's mixed-radix
   ``_strides`` are read only in ``StrategicForm._coids``, which both the
-  walk and ``co_restriction`` call, and no module reads a ``co_index``.
+  walk and ``co_restriction`` call, and no module reads a ``co_index``;
+* a ladder's rungs are combined in one place, so the reported prior and
+  the best-reply totals the audit compares share one formula:
+  ``procedures`` reads no belief's ``_layers``, ``_table``, ``_depths``
+  or ``_prior``, and in ``procedures`` and ``best_reply`` a difference
+  of two products (``a * b - c * d``) is written only in
+  ``procedures._combine_rungs``, which both the prior's builder
+  (``_Run.belief``) and the totals (``_Run.totals``) call.
 
-A twelfth rule keeps the soundness notes reachable: every section of
+A thirteenth rule keeps the soundness notes reachable: every section of
 ``docs/exactness.md`` that a citation names by title, from ``src/``,
 ``tests/`` or the README, or from inside the doc itself, is one of its
 ``##`` headings.
@@ -449,6 +456,66 @@ def test_co_id_encoders_are_found():
         "def g():\n    for s in self._strides[i]:\n        pass\n"))
     assert strides == [(None, 1), ("g", 6)]
     assert index == [("f", 4)]
+
+
+class _Differences(_Scoped):
+    """(innermost enclosing function, line) of every difference of two
+    products, ``a * b - c * d``."""
+
+    def __init__(self):
+        super().__init__()
+        self.sites = []
+
+    def visit_BinOp(self, node):
+        if isinstance(node.op, ast.Sub) and all(
+                isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult)
+                for side in (node.left, node.right)):
+            self.sites.append(self.at(node))
+        self.generic_visit(node)
+
+
+BELIEF_INTERNALS = ("_layers", "_table", "_depths", "_prior")
+
+
+def combinations(tree):
+    """Differences of two products in tree, and the calls of
+    ``_combine_rungs`` by name."""
+    differences = _Differences()
+    differences.visit(tree)
+    calls = _CallSites("procedures", "_combine_rungs")
+    calls.aliases.add("_combine_rungs")
+    calls.visit(tree)
+    return differences.sites, calls.calls
+
+
+def test_rungs_are_combined_in_one_place():
+    found = []
+    tree = ast.parse(MODULES["procedures"].read_text(encoding="utf-8"))
+    for name in BELIEF_INTERNALS:
+        visitor = _AttributeReads(name)
+        visitor.visit(tree)
+        found += ["procedures.py:%d reads .%s in %s" % (line, name, function)
+                  for function, line in visitor.reads]
+    for stem in ("procedures", "best_reply"):
+        differences, _ = combinations(
+            ast.parse(MODULES[stem].read_text(encoding="utf-8")))
+        found += ["%s.py:%d combines products in %s" % (stem, line, function)
+                  for function, line in differences
+                  if (stem, function) != ("procedures", "_combine_rungs")]
+    assert not found, found
+    differences, calls = combinations(tree)
+    assert {function for function, _ in differences} == {"_combine_rungs"}
+    assert {function for function, _ in calls} == {"belief", "totals"}
+
+
+def test_combination_sites_are_found():
+    differences, calls = combinations(ast.parse(
+        "x = a * b - c * d\ny = a - b * c\n"
+        "def f(v):\n    return [p * q - r * s for p, q, r, s in v]\n"
+        "def g():\n"
+        "    return _combine_rungs(r) + procedures._combine_rungs(s)\n"))
+    assert differences == [(None, 1), ("f", 4)]
+    assert calls == [("g", 6), ("g", 6)]
 
 
 # A title in quotes, after the doc's name and a comma, or after "see"

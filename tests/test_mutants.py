@@ -4,7 +4,8 @@ Each mutant is one monkeypatch that plants a wrong answer in one
 shortcut of the elimination or its justifiers, in one of the integer
 scalings of payoffs, ladder priors and explicit tables, in the integer
 layer of an LP answer, or in a prior's leading degrees and standard
-part, or in the ray an unbounded justifier LP answers with.  Over a
+part, in the ray an unbounded justifier LP answers with, or in the
+combination of justifier products into best-reply totals.  Over a
 fixed list of games (the corpus plus generated games of up to three
 players), ``verify_equivalences`` must raise an ``EquivalenceViolation``
 naming the expected stages or checks, while the unmutated list
@@ -117,20 +118,45 @@ def test_first_two_twin_classes_merged(games, monkeypatch):
 
 def test_ladder_rung_without_joint_denominator(games, monkeypatch):
     """Each rung's integers, over its own denominator, subtracted from
-    rung 0's as if both shared one."""
-    def unscaled(count, ladder):
-        (on_0, den_0), rungs = ladder[0], ladder[1:]
-        base = [on_0.get(c, 0) for c in range(count)]
-        layers = [(base, den_0)]
-        for on, den in rungs:
-            layers.append(([on.get(c, 0) - b for c, b in enumerate(base)],
-                           den))
+    rung 0's as if both shared one.  The one combination builds the
+    prior and the best-reply totals alike, and the prior is refused."""
+    def unscaled(rungs):
+        (v_0, den_0), deeper = rungs[0], rungs[1:]
+        layers = [(v_0, den_0)]
+        for v, den in deeper:
+            layers.append(([a - b for a, b in zip(v, v_0)], den))
         return layers
 
-    monkeypatch.setattr(procedures, "_ladder_prior", unscaled)
+    monkeypatch.setattr(procedures, "_combine_rungs", unscaled)
     found = violations(games)
     assert set(found) == {("belief-valid",)}
     assert len(found) >= 30, found
+
+
+def test_rung_totals_combined_with_the_wrong_sign(games, monkeypatch):
+    """The best-reply totals' deeper layers combined as
+    den_ell T_0 - den_0 T_ell, the negative of the right one, while the
+    prior, and so every reported belief, keeps the right combination.
+    A CPS event reached only by a deeper rung then has its argmin read
+    as its argmax, and a prior's ties at layer 0 are broken the wrong
+    way."""
+    real_combine, real_totals = procedures._combine_rungs, \
+        procedures._Run.totals
+
+    def wrong_sign(rungs):
+        layers = real_combine(rungs)
+        return layers[:1] + [([-a for a in ints], den)
+                             for ints, den in layers[1:]]
+
+    def totals(run, *args):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(procedures, "_combine_rungs", wrong_sign)
+            return real_totals(run, *args)
+
+    monkeypatch.setattr(procedures._Run, "totals", totals)
+    found = violations(games)
+    assert set(found) == {("weak-sequential-best-reply",)}
+    assert len(found) >= 15, found
 
 
 def test_cps_total_from_a_deeper_layer(games, monkeypatch):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+from functools import partial
 
 import pytest
 from fractions import Fraction
@@ -218,8 +219,9 @@ class TestVerifyEquivalences:
 
     def test_failing_twin_is_named_not_its_representative(
             self, corpus_games, monkeypatch):
-        """A twin reuses its representative's justifier but keeps its own
-        substitution check, and a failure there names the twin."""
+        """A twin reuses its representative's justifier, substituted once
+        for the class, but its own answer is checked against it: an
+        answer of the twin's that fails substitution names the twin."""
         from prudens import dominance
         game = corpus_games["centipede_3"]
         form = game.strategic_form()
@@ -229,15 +231,15 @@ class TestVerifyEquivalences:
             for sid, rep in enumerate(dominance.Columns(
                 form, i, [frozenset(range(c)) for c in form.counts]).twin)
             if rep != sid and {rep, sid} <= set(survivors[i]))
-        real = dominance.measure_justifies_ids
+        real = dominance.justifier_ids
 
-        def fails_for_twin(form, q_sets, player, sid, measure, cols):
+        def fails_for_twin(form, q_sets, player, sid, cols):
+            on, den = real(form, q_sets, player, sid, cols)
             if (player, sid) == (i, twin):
-                return False
-            return real(form, q_sets, player, sid, measure, cols)
+                return on, den + 1  # total mass below 1
+            return on, den
 
-        monkeypatch.setattr(dominance, "measure_justifies_ids",
-                            fails_for_twin)
+        monkeypatch.setattr(dominance, "justifier_ids", fails_for_twin)
         with pytest.raises(EquivalenceViolation) as info:
             verify_equivalences(game)
         exc = info.value
@@ -263,9 +265,9 @@ class TestVerifyEquivalences:
 
         real_analysis = best_reply.ReplyAnalysis
 
-        def analysis(belief, i):
+        def analysis(belief, i, **kwargs):
             analysed.append(belief)
-            return real_analysis(belief, i)
+            return real_analysis(belief, i, **kwargs)
 
         for name in ("PriorCNPS", "ExplicitCPS"):
             monkeypatch.setattr(procedures, name,
@@ -316,13 +318,12 @@ class TestVerifyEquivalences:
             (i, columns[0][i].twin[sid], sid) for i in range(form.n)
             for sid in steps[1][i] if columns[0][i].twin[sid] != sid)
         assert rep in steps[1][i]
-        real = best_reply.ReplyAnalysis.weak_sequential_ids
+        real = best_reply.ReplyAnalysis.is_weak_sequential
 
-        def without_member(analysis):
-            return [sid for sid in real(analysis)
-                    if (analysis.i, sid) != (i, member)]
+        def without_member(analysis, sid):
+            return (analysis.i, sid) != (i, member) and real(analysis, sid)
 
-        monkeypatch.setattr(best_reply.ReplyAnalysis, "weak_sequential_ids",
+        monkeypatch.setattr(best_reply.ReplyAnalysis, "is_weak_sequential",
                             without_member)
         with pytest.raises(EquivalenceViolation) as info:
             verify_equivalences(game)
@@ -335,11 +336,11 @@ class TestVerifyEquivalences:
     def test_failing_member_justifier_at_any_level_is_named(
             self, corpus_games, monkeypatch):
         """A member that reuses its chain's belief still has its own
-        justifier substituted at every level below its step, under either
+        justifier checked at every level below its step, under either
         family: for each non-representative member of a chain two or more
-        levels long and each of those levels, a failed substitution names
-        the member, both when all three procedures are verified and when
-        the CPS family is built alone."""
+        levels long and each of those levels, an answer of the member's
+        that fails substitution names the member, both when all three
+        procedures are verified and when the CPS family is built alone."""
         from prudens import dominance
         game = corpus_games["centipede_3"]
         form = game.strategic_form()
@@ -359,17 +360,18 @@ class TestVerifyEquivalences:
                         if chain(i, r, n) == chain(i, sid, n)) != sid
                  for level in range(n)}
         assert {level for _, _, level in cases} >= {0, 1}
-        real = dominance.measure_justifies_ids
+        real = dominance.justifier_ids
         entry_points = (verify_equivalences, prudent_rationalizability_cps)
         for entry, (i, member, failing) in itertools.product(
                 entry_points, sorted(cases)):
-            def fails_for_member(form, q_sets, player, sid, measure, cols):
+            def fails_for_member(form, q_sets, player, sid, cols):
+                on, den = real(form, q_sets, player, sid, cols)
                 if (player, sid, q_level[tuple(q_sets)]) == (
                         i, member, failing):
-                    return False
-                return real(form, q_sets, player, sid, measure, cols)
+                    return on, den + 1  # total mass below 1
+                return on, den
 
-            monkeypatch.setattr(dominance, "measure_justifies_ids",
+            monkeypatch.setattr(dominance, "justifier_ids",
                                 fails_for_member)
             with pytest.raises(EquivalenceViolation) as info:
                 entry(game)
@@ -395,6 +397,67 @@ class TestVerifyEquivalences:
         monkeypatch.setattr(procedures, "ExplicitCPS", refuse)
         for game in corpus_games.values():
             assert prudent_rationalizability_cnps(game).all_verified()
+
+
+class TestProductRoute:
+    """The audited run's best-reply questions, answered from the product
+    table (``_Run.totals``, ``_Run._rung``), against the belief route:
+    ``best_reply`` reading the reported belief's own layers."""
+
+    @pytest.mark.parametrize("doubled", [False, True])
+    def test_product_route_agrees_with_the_belief_route(
+            self, corpus_games, doubled, monkeypatch):
+        """For every chain, history and family: the totals are
+        ``_layer_totals`` over the belief, integer for integer; each
+        strategy's verdict is its membership in the belief's weak
+        sequential replies; and each substituted justifier's root argmax
+        is ``best_replies_to_measure``.  The totals are combined by the
+        function that builds the prior, so they stay the belief's under
+        another combination too: with every deeper layer doubled (still
+        a valid prior with the same leading degrees) they still agree."""
+        from prudens import best_reply, procedures
+        if doubled:
+            real = procedures._combine_rungs
+            monkeypatch.setattr(procedures, "_combine_rungs", lambda rungs: [
+                (ints if d == 0 else [2 * a for a in ints], den)
+                for d, (ints, den) in enumerate(real(rungs))])
+        games = [corpus_games[name] for name in sorted(corpus_games)]
+        games += small_games(100, start=300, max_players=3,
+                             max_strategies=6, max_histories=8)
+        seen = {"chains": 0, "deeper cps": 0, "rungs": 0, "three players": 0}
+        for game in games:
+            form = game.strategic_form()
+            run = procedures._Run(form)
+            for procedure in (procedures.PR_CNPS, procedures.PR_CPS):
+                chains = {}
+                for (n, i, s), record in run.witnesses(procedure)[0].items():
+                    chains.setdefault((n, i, run.chain(i, form.index[i][s], n)),
+                                      record.belief)
+                for (n, i, chain), belief in chains.items():
+                    seen["chains"] += 1
+                    totals = partial(run.totals, procedure, i, n, chain)
+                    for h in range(len(game.nonterminal)):
+                        twins = form.twin_classes(i, h)
+                        expected = best_reply._layer_totals(
+                            twins, belief.layers(form.co_allow[i][h],
+                                                 twins[0]))[1]
+                        assert totals(h) == expected, (n, i, chain, h)
+                        seen["deeper cps"] += (
+                            procedure == procedures.PR_CPS and n > 1
+                            and run._deepest_level(i, h) < n - 1)
+                    routed = best_reply.ReplyAnalysis(belief, i,
+                                                      totals=totals)
+                    weak = best_reply.ReplyAnalysis(
+                        belief, i).weak_sequential_ids()
+                    assert [sid for sid in range(form.counts[i])
+                            if routed.is_weak_sequential(sid)] == weak
+            for key, measure in run._rungs.items():
+                seen["rungs"] += 1
+                assert run._best[key] == best_reply.best_replies_to_measure(
+                    form, key[0], measure)
+            seen["three players"] += form.n == 3
+        assert all(count >= 10 for count in seen.values()), seen
+
 
 class TestCnpsWitnesses:
     def test_ladder_priors_have_epsilon_tails(self, corpus_games):
