@@ -69,11 +69,12 @@ class PriorCNPS:
     """Belief system generated by conditioning a full-support prior.
 
     ``prior`` maps each co-profile id to a positive Hyperreal, or is its
-    integer layers ``[(ints, den), ...]``, one per power of e, with their
-    ``degree_bound``; the masses sum to exactly 1.  Conditionals are plain
-    restrictions.  The layers and one leading degree per co-profile are
-    kept, ``full_support`` and ``sums_to_one`` are read from them in
-    integers, and ``prior`` and ``total`` on request.
+    integer layers ``[(ints, den), ...]``, one per power of e, with a
+    ``degree_bound`` of at least their count less one; the masses sum to
+    exactly 1.  Conditionals are plain restrictions.  The layers and one
+    leading degree per co-profile are kept, ``full_support`` and
+    ``sums_to_one`` are read from them in integers, and ``prior`` and
+    ``total`` on request.
     """
 
     standard = False
@@ -86,6 +87,9 @@ class PriorCNPS:
             prior, degree_bound = _prior_layers(prior, count)
         if any(len(ints) != count for ints, _ in prior):
             raise BeliefError("prior must cover every co-player profile")
+        if degree_bound is None or degree_bound < len(prior) - 1:
+            raise BeliefError("%d prior layers need a degree bound of at "
+                              "least %d" % (len(prior), len(prior) - 1))
         self.degree_bound = degree_bound
         self._layers = prior
         self._prior = None

@@ -14,10 +14,9 @@ denominator.  One integer dot product per class and layer then serves
 every member of the class: argmax sets compare these totals directly,
 since all classes share each layer's denominator, and a value is built
 only on request, as one Fraction per layer (see ``docs/exactness.md``).
-The audited run hands a :class:`ReplyAnalysis` the same totals combined
-from per-justifier products instead (docs/exactness.md, "Best-reply
-totals from justifier products"), and asks each member only at the
-histories it allows.
+The audited run builds no :class:`ReplyAnalysis`: it combines the same
+totals from per-justifier products and hands them to :func:`argmax`
+(docs/exactness.md, "Best-reply totals from justifier products").
 
 ``sequential_best_replies`` requires the h-replacement of a strategy to be
 conditionally optimal at every history.  ``weak_sequential_best_replies``
@@ -69,16 +68,9 @@ def argmax(classes):
 class ReplyAnalysis:
     """Per-history conditional argmax sets for one (belief, player) pair,
     over the belief's own strategic form.  Raises BestReplyError unless
-    the player holds the belief.
+    the player holds the belief."""
 
-    ``totals``, if given, maps a history index to the (members, totals)
-    pairs that ``_layer_totals`` gives over the belief's layers there,
-    computed by the caller some other way (``procedures`` combines them
-    from per-justifier products); argmax sets then read those, and values
-    still read the belief.
-    """
-
-    def __init__(self, belief, i, totals=None):
+    def __init__(self, belief, i):
         form, owner = belief.family.form, belief.family.owner
         if i != owner:
             raise BestReplyError("a belief of %s queried as %s's"
@@ -87,7 +79,6 @@ class ReplyAnalysis:
         self.form = form
         self.belief = belief
         self.i = i
-        self._totals = totals
         self._argmax = {}
 
     def _class_totals(self, h_idx):
@@ -115,9 +106,7 @@ class ReplyAnalysis:
 
     def argmax_ids(self, h_idx):
         if h_idx not in self._argmax:
-            self._argmax[h_idx] = argmax(
-                self._class_totals(h_idx)[1] if self._totals is None
-                else self._totals(h_idx))
+            self._argmax[h_idx] = argmax(self._class_totals(h_idx)[1])
         return self._argmax[h_idx]
 
     def sequential_ids(self):
@@ -130,16 +119,12 @@ class ReplyAnalysis:
                 out.append(sid)
         return out
 
-    def is_weak_sequential(self, sid):
-        """Whether sid is optimal at every history it allows.  Only those
-        histories' argmax sets are read, each built once per analysis."""
-        return all(sid in self.argmax_ids(k)
-                   for k in self.form.allowed_hist[self.i][sid])
-
     def weak_sequential_ids(self):
         """Ids optimal at every history they allow, in id order."""
-        return [sid for sid in range(self.form.counts[self.i])
-                if self.is_weak_sequential(sid)]
+        form, i = self.form, self.i
+        return [sid for sid in range(form.counts[i])
+                if all(sid in self.argmax_ids(k)
+                       for k in form.allowed_hist[i][sid])]
 
 
 def _analysis(game, belief, i):

@@ -27,10 +27,10 @@ A step-n survivor's justifier ladder is its justifiers at rounds n-1,
 total are substituted once per twin class; each member's own answer
 must be that justifier, and the member one of its best replies.  So the
 strategy's twin class at every round (its justifier chain) fixes the
-ladder.  Survivors of a step with the same chain share one belief, its
-validity and ladder or support checks, and one reply analysis; each
-keeps its own best-reply membership check and its own record (see
-docs/exactness.md, "One belief per justifier chain").
+ladder.  Survivors of a step with the same chain share one belief and
+its validity and ladder or support checks; each keeps its own best-reply
+membership check and its own record (see docs/exactness.md, "One belief
+per justifier chain").
 
 The ``ia``, ``pr-cnps`` and ``pr-cps`` traces are views of that run, so
 a verified run is an instance-level proof that the three procedures
@@ -50,21 +50,21 @@ Best-reply membership is checked with the weak sequential correspondence
 for why the strict replacement form cannot support the step equalities.
 
 Expected payoff is linear in the ladder, so the audit compares totals
-combined from a product table, built on first use: per (player, level,
-justifier twin class, history), one integer dot product per twin class
-of the history's payoff rows with the justifier's masses.  The one
-function that combines rungs into the prior's layers (``_combine_rungs``)
-combines those products into the totals ``best_reply`` would compute
-over either family's belief, integer for integer, and each member's
-argmax sets are read only at the histories it allows (docs/exactness.md,
-"Best-reply totals from justifier products").  ``_Run`` reads justifiers
-and products only; no belief's masses.
+combined from a product table: per (player, level, justifier twin class,
+history), one integer dot product per twin class of the history's payoff
+rows with the justifier's masses.  ``_combine_rungs``, which builds the
+prior's layers, combines them into the totals ``best_reply`` would
+compute over the prior.  One table keyed by a chain's rungs holds the
+totals and argmax sets that the prior (every layer), its standard part
+(the layer of the first rung meeting the event) and the justifiers'
+root checks (one rung) are compared in, each member only at the
+histories it allows (docs/exactness.md, "Best-reply totals from
+justifier products").  ``_Run`` reads justifiers and products only.
 """
 
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from operator import mul
 
 from . import best_reply, dominance
@@ -99,8 +99,8 @@ class EquivalenceViolation(ProcedureError):
 
 
 # Failures a witness or exclusion can raise while being built or audited.
-_AUDIT_ERRORS = (BeliefError, HyperrealError, best_reply.BestReplyError,
-                 dominance.DominanceError, WitnessVerificationFailed)
+_AUDIT_ERRORS = (BeliefError, HyperrealError, dominance.DominanceError,
+                 WitnessVerificationFailed)
 
 
 PR_CNPS = "pr-cnps"
@@ -216,26 +216,21 @@ class _Run:
                          for i in range(form.n)]
         self._justifiers = {}
         self._rungs = {}
-        self._best = {}
         self._products = {}
         self._deepest = {}
+        self._totals = {}
+        self._best = {}
         self._priors = {}
         self.exclusions = self._exclusions(certificates)
-
-    def chain(self, i, sid, step):
-        """sid's twin class at each level below step.  It fixes every
-        justifier a step-``step`` witness of sid is built from."""
-        return tuple(self.columns[level][i].twin[sid]
-                     for level in range(step))
 
     def justifier(self, i, sid, level):
         """Measure (on, den) with support exactly the level's co-survivors
         against which sid is a best reply among all own strategies.
         Twins share the level's LP answer, which is substituted once per
         twin class (``_rung``); each member's own answer must be that one,
-        and the member must be among its best replies.  Raises
-        WitnessVerificationFailed when there is none or it fails
-        substitution."""
+        and the member must be among its best replies, the one-rung
+        ``best_replies`` at the root.  Raises WitnessVerificationFailed
+        when there is none or it fails substitution."""
         key = (i, sid, level)
         if key not in self._justifiers:
             cols = self.columns[level][i]
@@ -245,49 +240,44 @@ class _Run:
                 raise WitnessVerificationFailed(
                     "no justifier with support at round %d for %r"
                     % (level, self.form.strats[i][sid]))
-            shared, best = self._rung(i, level, cols.twin[sid], measure)
-            if measure != shared or sid not in best:
+            rung = (level, cols.twin[sid])
+            if measure != self._rung(i, rung, measure) \
+                    or sid not in self.best_replies(i, (rung,), 0):
                 raise WitnessVerificationFailed(
                     "justifier failed substitution check")
             self._justifiers[key] = measure
         return self._justifiers[key]
 
-    def _rung(self, i, level, twin, measure):
-        """(measure, ids of its best replies among all own strategies) of
-        the level's twin class ``twin``, the measure being the first one
-        a member hands in.  Its support, signs and total are substituted
-        here, once per class, and its best replies read off its root
-        products.  Raises WitnessVerificationFailed if the substitution
+    def _rung(self, i, rung, measure):
+        """The measure of the rung (level, twin class), the first one a
+        member hands in, its support, signs and total substituted here,
+        once per class.  Raises WitnessVerificationFailed if that
         fails."""
-        key = (i, level, twin)
+        key = (i,) + rung
         if key not in self._rungs:
             if not dominance.measure_has_support(measure,
-                                                 self.columns[level][i]):
+                                                 self.columns[rung[0]][i]):
                 raise WitnessVerificationFailed(
                     "justifier failed substitution check")
             self._rungs[key] = measure
-            classes = self.form.twin_classes(i, 0)[2]
-            self._best[key] = best_reply.argmax(
-                [(members, (total,)) for (members, _), total in zip(
-                    classes, self.products(i, level, twin, 0)[0])])
-        return self._rungs[key], self._best[key]
+        return self._rungs[key]
 
-    def products(self, i, level, twin, h_idx):
-        """The level's justifier of the twin class ``twin`` as a rung at
+    def products(self, i, rung, h_idx):
+        """The substituted justifier of the rung (level, twin class) at
         h_idx: (per twin class of ``form.twin_classes(i, h_idx)``, in its
         order, the integer dot product of the class's payoff row with the
         justifier's masses, the justifier's denominator).  A product is
         the class's payoff against the justifier times that denominator
         and the payoff's.  Built on first use."""
-        key = (i, level, twin, h_idx)
-        rung = self._products.get(key)
-        if rung is None:
+        key = (i, rung, h_idx)
+        entry = self._products.get(key)
+        if entry is None:
             coids, _, classes = self.form.twin_classes(i, h_idx)
-            on, den = self._rungs[(i, level, twin)]
+            on, den = self._rungs[(i,) + rung]
             masses = [on.get(c, 0) for c in coids]
-            rung = self._products[key] = (
+            entry = self._products[key] = (
                 [sum(map(mul, nums, masses)) for _, nums in classes], den)
-        return rung
+        return entry
 
     def _deepest_level(self, i, h_idx):
         """The deepest level whose co-survivors of i meet the history's
@@ -300,41 +290,57 @@ class _Run:
                 if not cols[i].co_event.isdisjoint(event))
         return self._deepest[key]
 
-    def totals(self, procedure, i, n, chain, h_idx):
-        """The (members, totals) pairs that ``best_reply`` would compute
-        at h_idx over the procedure's belief for i's step-n survivors
-        with this chain, combined from the product table instead
-        (docs/exactness.md, "Best-reply totals from justifier
-        products").  Rung ell is the chain's justifier at level
-        n-1-ell.  The prior's totals are its layers' (``_combine_rungs``
-        acts on each coordinate alike); its standard part's at h_idx are
-        those of the prior's layer d, d the first rung whose level's
-        co-survivors meet the event, which only rungs 0 and d give."""
-        if procedure == PR_CPS:
-            level = min(self._deepest_level(i, h_idx), n - 1)
-            levels = (n - 1, level) if level < n - 1 else (n - 1,)
-        else:
-            levels = range(n - 1, -1, -1)
-        layers = _combine_rungs([self.products(i, level, chain[level], h_idx)
-                                 for level in levels])
-        if procedure == PR_CPS:
-            layers = layers[-1:]
-        classes = self.form.twin_classes(i, h_idx)[2]
-        return [(members, totals) for (members, _), totals in zip(
-            classes, zip(*(ints for ints, _ in layers)))]
+    def totals(self, i, rungs, h_idx):
+        """Layers (ints, den), one per power of e, of i's best-reply
+        totals at h_idx against the prior the rungs generate, one integer
+        per twin class of ``form.twin_classes(i, h_idx)``: what
+        ``best_reply`` computes over the prior's layers (docs/exactness.md,
+        "Best-reply totals from justifier products").  ``rungs`` is a
+        chain's (level, twin class) pairs, the level n-1 one first."""
+        key = (i, rungs, h_idx)
+        if key not in self._totals:
+            self._totals[key] = _combine_rungs(
+                [self.products(i, rung, h_idx) for rung in rungs])
+        return self._totals[key]
 
-    def belief(self, procedure, i, n, chain, ladder):
-        """The procedure's belief for i's step-n survivors with this
-        chain: the ladder prior (pr-cnps) or an explicit system of its
-        standard part (pr-cps).  The prior is built once per (player,
-        step, chain), from the first member's ladder, for both."""
-        key = (i, n, chain)
+    def best_replies(self, i, rungs, h_idx, layer=None):
+        """Ids of i's strategies allowing h_idx with the largest
+        ``totals`` there: compared lexicographically over every layer, as
+        against the rungs' prior, or in the given layer alone.  Built once
+        per key."""
+        key = (i, rungs, h_idx, layer)
+        if key not in self._best:
+            layers = self.totals(i, rungs, h_idx)
+            if layer is not None:
+                layers = layers[layer:layer + 1]
+            classes = self.form.twin_classes(i, h_idx)[2]
+            self._best[key] = best_reply.argmax(
+                [(members, totals) for (members, _), totals in zip(
+                    classes, zip(*(ints for ints, _ in layers)))])
+        return self._best[key]
+
+    def _layer(self, procedure, i, n, h_idx):
+        """The layer of a step-n chain's totals at h_idx that the
+        procedure's belief is compared in: all (None) for the prior, and
+        for its standard part layer d, the first rung whose level meets
+        the history's event (earlier layers are zero there)."""
+        if procedure == PR_CNPS:
+            return None
+        return n - 1 - min(self._deepest_level(i, h_idx), n - 1)
+
+    def belief(self, procedure, i, rungs):
+        """The procedure's belief for i's survivors whose chain has these
+        rungs: the prior their substituted justifiers generate (pr-cnps)
+        or an explicit system of its standard part (pr-cps).  The prior
+        is built once per (player, rungs), for both."""
+        key = (i, rungs)
         if key not in self._priors:
             coids = range(len(self.form.co_profiles[i]))
             self._priors[key] = PriorCNPS(
                 self.families[i],
                 _combine_rungs([([on.get(c, 0) for c in coids], den)
-                                for on, den in ladder]),
+                                for on, den in (self._rungs[(i,) + rung]
+                                                for rung in rungs)]),
                 self.degree_bound)
         prior = self._priors[key]
         if procedure == PR_CNPS:
@@ -395,9 +401,10 @@ class _Run:
         the final witnesses honor the full ladder of surviving sets).
         A step-n survivor's ladder is its justifiers at rounds n-1, ...,
         0, each checked for it on its own.  Survivors of one step with the
-        same justifier chain share one belief, built from the first
-        member's ladder, its sid-independent checks and one reply
-        analysis; each still has its own best-reply membership checked.
+        same justifier chain, whose rungs are its (level, twin class)
+        pairs, share one belief and its sid-independent checks; each is
+        asked on its own whether it is a best reply at every history it
+        allows (``best_replies``).
         """
         t0 = time.perf_counter()
         audit = (_verify_cnps_witness if procedure == PR_CNPS
@@ -405,31 +412,28 @@ class _Run:
         form = self.form
         table = {}
         for n in range(1, self.fixpoint + 2):
+            levels = range(n - 1, -1, -1)
             for i in range(form.n):
                 shared = {}
                 for sid in self.ids[n][i]:
                     strategy = form.strats[i][sid]
-                    chain = self.chain(i, sid, n)
+                    rungs = tuple((level, self.columns[level][i].twin[sid])
+                                  for level in levels)
                     stage = "justifiers"
                     try:
-                        ladder = [self.justifier(i, sid, n - 1 - ell)
-                                  for ell in range(n)]
-                        if chain not in shared:
+                        for level in levels:
+                            self.justifier(i, sid, level)
+                        if rungs not in shared:
                             stage = "belief-valid"
-                            belief = self.belief(procedure, i, n, chain,
-                                                 ladder)
+                            belief = self.belief(procedure, i, rungs)
                             stage = "audit"
-                            shared[chain] = (
-                                belief, audit(self, belief, i, n),
-                                best_reply.ReplyAnalysis(
-                                    belief, i, totals=partial(
-                                        self.totals, procedure, i, n,
-                                        chain)))
+                            shared[rungs] = belief, audit(self, belief, i, n)
                         stage = "audit"
-                        belief, checks, analysis = shared[chain]
-                        checks = checks + [(
-                            "weak-sequential-best-reply",
-                            analysis.is_weak_sequential(sid))]
+                        belief, checks = shared[rungs]
+                        checks = checks + [("weak-sequential-best-reply", all(
+                            sid in self.best_replies(
+                                i, rungs, h, self._layer(procedure, i, n, h))
+                            for h in form.allowed_hist[i][sid]))]
                     except _AUDIT_ERRORS as exc:
                         raise self._violation(
                             procedure + " witness", n, i, strategy,

@@ -745,6 +745,21 @@ def outcome(build, prior):
         return type(exc), str(exc)
 
 
+def test_integer_layers_need_a_degree_bound_that_renders_them(
+        corpus_games):
+    """Integer layers with no degree bound, or one below their count
+    less one, are refused when the prior is built, not later when its
+    masses are rendered; with a bound that fits they render."""
+    family = ConditioningFamily(corpus_games["matching_pennies"], 0)
+    two_layers = [([1, 1], 2), ([1, -1], 4)]
+    for layers, bound in (([([1, 1], 2)], None), (two_layers, 0)):
+        with pytest.raises(BeliefError, match="need a degree bound"):
+            PriorCNPS(family, layers, bound)
+    belief = PriorCNPS(family, two_layers, 1)
+    assert belief.total == Hyperreal.one(1)
+    assert belief.to_json()
+
+
 def test_prior_checks_match_hyperreal_sums(corpus_games):
     """Random priors, most summing to 1, with masses deeper than degree
     0, negative or zero leading coefficients, mixed denominators, a

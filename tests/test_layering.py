@@ -1,6 +1,6 @@
 """Layering lint over the package source.
 
-Each module is parsed with ``ast`` and twelve rules are checked:
+Each module is parsed with ``ast`` and thirteen rules are checked:
 
 * rationals become integers in one place: ``math.lcm`` is called only in
   ``hyperreal.py`` (``hyperreal.scaled``);
@@ -40,9 +40,12 @@ Each module is parsed with ``ast`` and twelve rules are checked:
   or ``_prior``, and in ``procedures`` and ``best_reply`` a difference
   of two products (``a * b - c * d``) is written only in
   ``procedures._combine_rungs``, which both the prior's builder
-  (``_Run.belief``) and the totals (``_Run.totals``) call.
+  (``_Run.belief``) and the totals (``_Run.totals``) call;
+* the audited run answers every best-reply question from one table:
+  ``procedures`` constructs no ``best_reply.ReplyAnalysis`` and calls
+  ``best_reply.argmax`` only inside ``_Run.best_replies``.
 
-A thirteenth rule keeps the soundness notes reachable: every section of
+A fourteenth rule keeps the soundness notes reachable: every section of
 ``docs/exactness.md`` that a citation names by title, from ``src/``,
 ``tests/`` or the README, or from inside the doc itself, is one of its
 ``##`` headings.
@@ -516,6 +519,34 @@ def test_combination_sites_are_found():
         "    return _combine_rungs(r) + procedures._combine_rungs(s)\n"))
     assert differences == [(None, 1), ("f", 4)]
     assert calls == [("g", 6), ("g", 6)]
+
+
+def reply_sites(tree):
+    """(innermost enclosing function, line) of every call in tree of
+    ``best_reply.ReplyAnalysis`` and of ``best_reply.argmax``, by
+    name."""
+    sites = {}
+    for name in ("ReplyAnalysis", "argmax"):
+        visitor = _CallSites("best_reply", name)
+        visitor.visit(tree)
+        sites[name] = visitor.calls
+    return sites
+
+
+def test_best_replies_answered_from_one_table():
+    sites = reply_sites(ast.parse(
+        MODULES["procedures"].read_text(encoding="utf-8")))
+    assert sites["ReplyAnalysis"] == [], sites
+    assert {function for function, _ in sites["argmax"]} == \
+        {"best_replies"}, sites
+
+
+def test_reply_sites_are_found():
+    assert reply_sites(ast.parse(
+        "from .best_reply import argmax\n"
+        "best_reply.ReplyAnalysis(belief, i)\n"
+        "def f():\n    return argmax(a) | best_reply.argmax(b)\n")) == {
+            "ReplyAnalysis": [(None, 2)], "argmax": [("f", 4), ("f", 4)]}
 
 
 # A title in quotes, after the doc's name and a comma, or after "see"

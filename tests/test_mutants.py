@@ -4,17 +4,22 @@ Each mutant is one monkeypatch that plants a wrong answer in one
 shortcut of the elimination or its justifiers, in one of the integer
 scalings of payoffs, ladder priors and explicit tables, in the integer
 layer of an LP answer, or in a prior's leading degrees and standard
-part, in the ray an unbounded justifier LP answers with, or in the
-combination of justifier products into best-reply totals.  Over a
+part, in the ray an unbounded justifier LP answers with, in the
+combination of justifier products into best-reply totals, or in the
+layer of those totals the standard part is compared in.  Over a
 fixed list of games (the corpus plus generated games of up to three
 players), ``verify_equivalences`` must raise an ``EquivalenceViolation``
 naming the expected stages or checks, while the unmutated list
 verifies.  One mutant, every leading degree shifted by one, is one the
 audit rightly accepts; its test says why.  Another, two twin classes
 merged, is accepted on the games where it changes no step and no
-certificate; its test checks that.
+certificate; its test checks that.  A third, the standard part's layer
+one too shallow, is accepted because every class ties there; its test
+says why and checks that the product route's comparison with the
+belief route refuses it.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,6 +29,7 @@ from prudens.hyperreal import scaled
 from prudens.procedures import EquivalenceViolation, verify_equivalences
 
 from conftest import small_games
+from test_procedures import product_route_disagreements
 
 
 @pytest.fixture(scope="module")
@@ -386,3 +392,44 @@ def test_standard_part_reads_the_next_layer(games, monkeypatch):
     found = violations(games)
     assert set(found) == {("belief-valid",)}
     assert len(found) >= 30, found
+
+
+def shifted_cps_layer(monkeypatch, shift):
+    """Make the standard part's best replies read layer d + shift of the
+    chain's totals, kept within the chain's layers."""
+    real = procedures._Run._layer
+
+    def layer(run, procedure, i, n, h_idx):
+        d = real(run, procedure, i, n, h_idx)
+        return d if d is None else min(max(d + shift, 0), n - 1)
+
+    monkeypatch.setattr(procedures._Run, "_layer", layer)
+
+
+def test_cps_layer_one_too_deep(games, monkeypatch):
+    """The standard part's best replies read from layer d+1 of the
+    chain's totals, one past the first rung whose level meets the
+    history's event (layer d itself where the chain has no deeper one).
+    That layer weighs a smaller level's justifier, so it can rank the
+    classes otherwise, and the member's verdict is refused."""
+    shifted_cps_layer(monkeypatch, 1)
+    found = violations(games)
+    assert set(found) == {("weak-sequential-best-reply",)}
+    assert len(found) >= 20, found
+
+
+def test_cps_layer_one_too_shallow_is_caught_by_the_belief_route(
+        games, monkeypatch):
+    """The standard part's best replies read from layer d-1 (layer 0
+    stays).  The audit accepts it: layer d is the first whose rung's
+    level meets the event, so every earlier layer, combined from rungs
+    that give the event no mass, is 0 there for every class, and every
+    strategy allowing the history ties as a best reply.  So the audit
+    alone cannot see it; the product route's comparison with the belief
+    route does, since the standard part's own totals there are layer
+    d's."""
+    shifted_cps_layer(monkeypatch, -1)
+    assert violations(games) == []
+    refused = [game for game in games if product_route_disagreements(
+        procedures._Run(game.strategic_form()), Counter())]
+    assert len(refused) >= 5, len(refused)

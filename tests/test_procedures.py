@@ -1,7 +1,6 @@
 import itertools
 import json
 import re
-from functools import partial
 
 import pytest
 from fractions import Fraction
@@ -250,12 +249,15 @@ class TestVerifyEquivalences:
     def test_each_justifier_chain_builds_one_belief(self, corpus_games,
                                                     monkeypatch):
         """Survivors of a step whose twin classes agree at every earlier
-        level share one belief and one reply analysis: no (procedure,
-        player, step, chain) builds a second of either, and every
-        survivor keeps its own record with the full check list."""
+        level share one belief and one best-reply table: no (procedure,
+        player, step, chain) builds a second belief, no (player, rungs,
+        history, layer) evaluates a second argmax, the run builds no
+        ReplyAnalysis, and every survivor keeps its own record with the
+        full check list."""
         from prudens import best_reply, dominance, procedures
         built = []
-        analysed = []
+        asked = []
+        evaluated = []
 
         def recording(cls):
             def build(family, *data):
@@ -263,20 +265,30 @@ class TestVerifyEquivalences:
                 return built[-1]
             return build
 
-        real_analysis = best_reply.ReplyAnalysis
+        def refuse(belief, i):
+            raise AssertionError("the run built a ReplyAnalysis")
 
-        def analysis(belief, i, **kwargs):
-            analysed.append(belief)
-            return real_analysis(belief, i, **kwargs)
+        real_argmax = best_reply.argmax
+        real_best = procedures._Run.best_replies
+
+        def counted(classes):
+            evaluated.append(classes)
+            return real_argmax(classes)
+
+        def best_replies(run, i, rungs, h_idx, layer=None):
+            asked.append((i, rungs, h_idx, layer))
+            return real_best(run, i, rungs, h_idx, layer)
 
         for name in ("PriorCNPS", "ExplicitCPS"):
             monkeypatch.setattr(procedures, name,
                                 recording(getattr(procedures, name)))
-        monkeypatch.setattr(best_reply, "ReplyAnalysis", analysis)
-        shared = 0
+        monkeypatch.setattr(best_reply, "ReplyAnalysis", refuse)
+        monkeypatch.setattr(best_reply, "argmax", counted)
+        monkeypatch.setattr(procedures._Run, "best_replies", best_replies)
+        shared = reread = 0
         for game in [corpus_games["centipede_3"]] + small_games(
                 20, start=700, max_players=3, max_strategies=6):
-            del built[:], analysed[:]
+            del built[:], asked[:], evaluated[:]
             form = game.strategic_form()
             columns = dominance.iterated_elimination_ids(form)[2]
             traces = verify_equivalences(game)["traces"]
@@ -301,16 +313,20 @@ class TestVerifyEquivalences:
                 assert all(rec.belief is recs[0].belief for rec in recs)
                 shared += len(recs) > 1
             assert sorted(map(id, built)) == sorted(map(id, beliefs))
-            assert sorted(map(id, analysed)) == sorted(map(id, beliefs))
-        assert shared
+            assert len(evaluated) == len(set(asked))
+            reread += len(asked) > len(set(asked))
+        assert shared and reread
 
     def test_failing_best_reply_names_the_member(self, corpus_games,
                                                  monkeypatch):
-        """Members of a chain share one reply analysis but each is checked
-        for membership on its own: a non-representative member missing
-        from the weak sequential replies is named, not its
-        representative."""
-        from prudens import best_reply, dominance
+        """Members of a chain share one best-reply table but each is
+        checked for membership on its own: a non-representative member
+        missing from the table's answers is named, not its
+        representative.  It is dropped from the answers read in one
+        layer, the standard part's: the justifier's root check shares
+        its one-rung entry with the step-1 prior's, so a member dropped
+        there fails as a justifier."""
+        from prudens import dominance, procedures
         game = corpus_games["centipede_3"]
         form = game.strategic_form()
         steps, _, columns = dominance.iterated_elimination_ids(form)
@@ -318,13 +334,15 @@ class TestVerifyEquivalences:
             (i, columns[0][i].twin[sid], sid) for i in range(form.n)
             for sid in steps[1][i] if columns[0][i].twin[sid] != sid)
         assert rep in steps[1][i]
-        real = best_reply.ReplyAnalysis.is_weak_sequential
+        real = procedures._Run.best_replies
 
-        def without_member(analysis, sid):
-            return (analysis.i, sid) != (i, member) and real(analysis, sid)
+        def without_member(run, player, rungs, h_idx, layer=None):
+            best = real(run, player, rungs, h_idx, layer)
+            if (player, layer is None) == (i, False):
+                return best - {member}
+            return best
 
-        monkeypatch.setattr(best_reply.ReplyAnalysis, "is_weak_sequential",
-                            without_member)
+        monkeypatch.setattr(procedures._Run, "best_replies", without_member)
         with pytest.raises(EquivalenceViolation) as info:
             verify_equivalences(game)
         exc = info.value
@@ -399,23 +417,70 @@ class TestVerifyEquivalences:
             assert prudent_rationalizability_cnps(game).all_verified()
 
 
+def product_route_disagreements(run, seen):
+    """Every best-reply question of the run's table answered otherwise
+    than by the belief route, ``best_reply`` over the reported belief's
+    own layers, as (what, procedure, step, player, rungs, history); rung
+    entries as ("root", player, level, twin class).  For each chain,
+    history and family, the totals slice the family compares (every
+    layer for the prior, layer d for its standard part) must be
+    ``_layer_totals`` over the belief and ``best_replies`` its
+    ``argmax_ids``; each one-rung root entry, a substituted justifier's,
+    must be ``best_replies_to_measure``.  ``seen`` counts what was
+    compared."""
+    from prudens import best_reply, procedures
+    form = run.form
+    found = []
+    for procedure in (procedures.PR_CNPS, procedures.PR_CPS):
+        chains = {}
+        for (n, i, s), record in run.witnesses(procedure)[0].items():
+            sid = form.index[i][s]
+            rungs = tuple((level, run.columns[level][i].twin[sid])
+                          for level in reversed(range(n)))
+            chains.setdefault((n, i, rungs), record.belief)
+        for (n, i, rungs), belief in chains.items():
+            seen["chains"] += 1
+            analysis = best_reply.ReplyAnalysis(belief, i)
+            for h in range(len(form.game.nonterminal)):
+                twins = form.twin_classes(i, h)
+                layer = run._layer(procedure, i, n, h)
+                layers = run.totals(i, rungs, h)
+                if layer is not None:
+                    layers = layers[layer:layer + 1]
+                totals = [(members, t) for (members, _), t in zip(
+                    twins[2], zip(*(ints for ints, _ in layers)))]
+                expected = best_reply._layer_totals(
+                    twins, belief.layers(form.co_allow[i][h], twins[0]))[1]
+                where = (procedure, n, i, rungs, h)
+                if totals != expected:
+                    found.append(("totals",) + where)
+                if run.best_replies(i, rungs, h, layer) != \
+                        analysis.argmax_ids(h):
+                    found.append(("argmax",) + where)
+                seen["deeper cps"] += bool(layer)
+    for (i, level, twin), measure in run._rungs.items():
+        seen["rungs"] += 1
+        if run.best_replies(i, ((level, twin),), 0) != \
+                best_reply.best_replies_to_measure(form, i, measure):
+            found.append(("root", i, level, twin))
+    return found
+
+
 class TestProductRoute:
-    """The audited run's best-reply questions, answered from the product
-    table (``_Run.totals``, ``_Run._rung``), against the belief route:
-    ``best_reply`` reading the reported belief's own layers."""
+    """The audited run's best-reply questions, answered from its one
+    rung-keyed table (``_Run.totals``, ``_Run.best_replies``), against
+    the belief route: ``best_reply`` reading the reported belief's own
+    layers."""
 
     @pytest.mark.parametrize("doubled", [False, True])
     def test_product_route_agrees_with_the_belief_route(
             self, corpus_games, doubled, monkeypatch):
-        """For every chain, history and family: the totals are
-        ``_layer_totals`` over the belief, integer for integer; each
-        strategy's verdict is its membership in the belief's weak
-        sequential replies; and each substituted justifier's root argmax
-        is ``best_replies_to_measure``.  The totals are combined by the
+        """No question disagrees (``product_route_disagreements``) on the
+        corpus and 100 generated games.  The totals are combined by the
         function that builds the prior, so they stay the belief's under
         another combination too: with every deeper layer doubled (still
         a valid prior with the same leading degrees) they still agree."""
-        from prudens import best_reply, procedures
+        from prudens import procedures
         if doubled:
             real = procedures._combine_rungs
             monkeypatch.setattr(procedures, "_combine_rungs", lambda rungs: [
@@ -426,37 +491,32 @@ class TestProductRoute:
                              max_strategies=6, max_histories=8)
         seen = {"chains": 0, "deeper cps": 0, "rungs": 0, "three players": 0}
         for game in games:
-            form = game.strategic_form()
-            run = procedures._Run(form)
-            for procedure in (procedures.PR_CNPS, procedures.PR_CPS):
-                chains = {}
-                for (n, i, s), record in run.witnesses(procedure)[0].items():
-                    chains.setdefault((n, i, run.chain(i, form.index[i][s], n)),
-                                      record.belief)
-                for (n, i, chain), belief in chains.items():
-                    seen["chains"] += 1
-                    totals = partial(run.totals, procedure, i, n, chain)
-                    for h in range(len(game.nonterminal)):
-                        twins = form.twin_classes(i, h)
-                        expected = best_reply._layer_totals(
-                            twins, belief.layers(form.co_allow[i][h],
-                                                 twins[0]))[1]
-                        assert totals(h) == expected, (n, i, chain, h)
-                        seen["deeper cps"] += (
-                            procedure == procedures.PR_CPS and n > 1
-                            and run._deepest_level(i, h) < n - 1)
-                    routed = best_reply.ReplyAnalysis(belief, i,
-                                                      totals=totals)
-                    weak = best_reply.ReplyAnalysis(
-                        belief, i).weak_sequential_ids()
-                    assert [sid for sid in range(form.counts[i])
-                            if routed.is_weak_sequential(sid)] == weak
-            for key, measure in run._rungs.items():
-                seen["rungs"] += 1
-                assert run._best[key] == best_reply.best_replies_to_measure(
-                    form, key[0], measure)
-            seen["three players"] += form.n == 3
+            run = procedures._Run(game.strategic_form())
+            assert not product_route_disagreements(run, seen)
+            seen["three players"] += run.form.n == 3
         assert all(count >= 10 for count in seen.values()), seen
+
+    def test_one_depth_two_routes(self, corpus_games):
+        """The run's deepest level meeting a history's event, which picks
+        the standard part's layer, is the history's sophistication index
+        read off the trace's steps, for every player and nonterminal
+        history of the corpus and 60 generated games."""
+        from prudens import procedures
+        games = [corpus_games[name] for name in sorted(corpus_games)]
+        games += small_games(60, start=300, max_players=3,
+                             max_strategies=6, max_histories=8)
+        pairs = deeper = 0
+        for game in games:
+            run = procedures._Run(game.strategic_form())
+            trace = run.trace(procedures.IA)
+            for i in range(run.form.n):
+                for h in game.nonterminal:
+                    depth = run._deepest_level(i, game.h_index[h])
+                    assert sophistication_index(game, i, trace, h) == \
+                        depth, (i, h)
+                    pairs += 1
+                    deeper += depth > 0
+        assert pairs >= 200 and deeper >= 100, (pairs, deeper)
 
 
 class TestCnpsWitnesses:
